@@ -2,10 +2,10 @@
 
 The headline entry point is etk_bound: discrepancy of a point set is at most
 epsilon(g) plus the weighted sum of exponential-sum moduli over the punctured
-index box.  Sums are streamed in index order and reduced in fixed-size chunks,
-so results are bit-reproducible for a given chunk size; per-coordinate phase
-tables are exact integers, and sums whose phases form a full coset are snapped
-to an exact zero instead of float noise.
+index box.  Sums are streamed in index order and reduced by one exactly
+rounded sum, so results are bit-reproducible; per-coordinate phase tables are
+exact integers, and sums whose phases form a full coset are snapped to an
+exact zero instead of float noise.
 """
 
 from __future__ import annotations
@@ -23,11 +23,16 @@ from .badic import (
     BudgetExceededError,
     check_base,
     delta_size,
-    int_digits,
     vb,
 )
 from .sequences import PointSet
-from .systems import WALSH, HybridSystemSpec, phase_counter_sum, xi_phase
+from .systems import (
+    HybridSystemSpec,
+    is_full_coset,
+    phase_counter_sum,
+    phase_numerators,
+    xi_phase,
+)
 
 __all__ = [
     "EXTREME",
@@ -106,8 +111,9 @@ def epsilon_fraction(bases: tuple[int, ...], g: tuple[int, ...], star: bool = Fa
         prod *= 1 - Fraction(c, b**gi)
     eps = 1 - prod
     # sanity anchor: the truncation term never exceeds c * s * max_i b_i^{-g_i}
-    delta = max(Fraction(1, b**gi) for b, gi in zip(bases, g))
-    assert eps <= c * len(bases) * delta
+    cap = c * len(bases) * max(Fraction(1, b**gi) for b, gi in zip(bases, g))
+    if eps > cap:
+        raise RuntimeError(f"epsilon {eps} exceeds its cap {cap}")
     return eps
 
 
@@ -195,63 +201,6 @@ class BoundReport:
     per_index: tuple[tuple[tuple[int, ...], float, float], ...] | None = None
 
 
-def _phase_numerators(
-    xs: list, base: int, tag: str, g: int
-) -> np.ndarray:
-    """Integer phase numerators over modulus b^g, shape (b^g, n_points).
-
-    Row k holds the exact numerators of the coordinate phase of index k at
-    every point; integer arithmetic only, so the table carries no rounding.
-    """
-    modulus = base**g
-    n = len(xs)
-    # prefix reads z[v] = sum_{j<v} d_j b^j of each point, v = 0..g
-    prefixes = []
-    for x in xs:
-        row = [0] * (g + 1)
-        acc, p = 0, 1
-        for j in range(g):
-            acc += x.digit(j) * p
-            p *= base
-            row[j + 1] = acc
-        prefixes.append(row)
-    table = np.zeros((modulus, n), dtype=np.int64)
-    for k in range(1, modulus):
-        v = vb(k, base)
-        if tag == WALSH:
-            kd = int_digits(k, base)
-            scale = modulus // base
-            row = [
-                (sum(kj * xs[i].digit(j) for j, kj in enumerate(kd)) % base) * scale
-                for i in range(n)
-            ]
-        else:
-            rev = 0
-            kk = k
-            while kk:
-                kk, d = divmod(kk, base)
-                rev = rev * base + d
-            scale = modulus // base**v  # phase = rev * z / b^v, lifted to modulus b^g
-            row = [(rev * prefixes[i][v] * scale) % modulus for i in range(n)]
-        table[k] = row
-    return table
-
-
-def _is_full_coset(residues: np.ndarray, modulus: int) -> bool:
-    """True when the residue multiset is uniform on a full coset of a cyclic subgroup.
-
-    Such a multiset of unit vectors sums to exactly zero: the values are
-    count * e(r0/M) * (sum of all d-th roots of unity).
-    """
-    u, counts = np.unique(residues, return_counts=True)
-    d = len(u)
-    if d < 2 or modulus % d:
-        return False
-    if counts.min() != counts.max():
-        return False
-    return bool(np.all(np.diff(u) == modulus // d))
-
-
 def etk_bound(
     spec: HybridSystemSpec,
     g: tuple[int, ...],
@@ -260,16 +209,14 @@ def etk_bound(
     *,
     per_index: bool = False,
     budget: int | None = DEFAULT_BUDGET,
-    chunk_size: int = 65536,
 ) -> BoundReport:
     """Stream the weighted inequality over the punctured index box.
 
     The index stream runs in mixed-radix lexicographic order (coordinate 1
-    slowest) and is never materialized; weighted terms are reduced with
-    exactly-rounded partial sums over consecutive chunks of `chunk_size`
-    terms, chunks combined in index order, so a fixed chunk size gives
-    bit-identical results and a natural unit for splitting work.  Memory is
-    O(chunk_size) plus per-coordinate tables of b_i^{g_i} x N entries.
+    slowest) and is never materialized; the weighted terms of each prefix row
+    feed one exactly rounded sum, so the result is bit-reproducible and does
+    not depend on per_index.  Memory is one row of b_s^{g_s} terms plus
+    per-coordinate tables of b_i^{g_i} x N entries.
     """
     _check_variant(variant)
     g = tuple(g)
@@ -283,8 +230,6 @@ def etk_bound(
     n = points.n_points
     if n < 1:
         raise ValueError("empty point set")
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     star = variant == STAR
     size = delta_size(spec.bases, g)
     if budget is not None and size > budget:
@@ -294,7 +239,7 @@ def etk_bound(
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
     columns = [[pt[i] for pt in points.points] for i in range(spec.s)]
     numerators = [
-        _phase_numerators(col, b, tag, gi)
+        phase_numerators(col, b, tag, gi)
         for col, (b, tag), gi in zip(columns, spec.coordinates, g)
     ]
     values = [np.exp(2j * np.pi * num / m) for num, m in zip(numerators, moduli)]
@@ -305,43 +250,39 @@ def etk_bound(
     common = math.lcm(*moduli)
     scaled = [num * (common // m) for num, m in zip(numerators, moduli)]
 
-    partials: list[float] = []
-    buf: list[float] = []
     rows: list[tuple[tuple[int, ...], float, float]] = []
     max_abs = 0.0
     last = spec.s - 1
-    for prefix in itertools.product(*(range(m) for m in moduli[:-1])):
-        base_row = np.ones(n, dtype=np.complex128)
-        prefix_w = 1.0
-        for i, p in enumerate(prefix):
-            base_row *= values[i][p]
-            prefix_w *= weights[i][p]
-        s_vec = values[last] @ base_row / n
-        abs_vec = np.abs(s_vec)
-        near = np.nonzero(abs_vec < _ZERO_SNAP)[0]
-        if near.size:
-            pref_res = np.zeros(n, dtype=np.int64)
+
+    def terms():
+        nonlocal max_abs
+        for prefix in itertools.product(*(range(m) for m in moduli[:-1])):
+            base_row = np.ones(n, dtype=np.complex128)
+            prefix_w = 1.0
             for i, p in enumerate(prefix):
-                pref_res += scaled[i][p]
-            for j in near:
-                if _is_full_coset((pref_res + scaled[last][j]) % common, common):
-                    abs_vec[j] = 0.0
-        start = 1 if all(p == 0 for p in prefix) else 0  # puncture the zero vector
-        terms = prefix_w * weights[last] * abs_vec
-        if abs_vec[start:].size:
+                base_row *= values[i][p]
+                prefix_w *= weights[i][p]
+            s_vec = values[last] @ base_row / n
+            abs_vec = np.abs(s_vec)
+            near = np.nonzero(abs_vec < _ZERO_SNAP)[0]
+            if near.size:
+                pref_res = np.zeros(n, dtype=np.int64)
+                for i, p in enumerate(prefix):
+                    pref_res += scaled[i][p]
+                for j in near:
+                    if is_full_coset((pref_res + scaled[last][j]) % common, common):
+                        abs_vec[j] = 0.0
+            start = 1 if all(p == 0 for p in prefix) else 0  # puncture the zero vector
+            # the last modulus is at least 2, so every row keeps a term
             max_abs = max(max_abs, float(abs_vec[start:].max()))
-        buf.extend(terms[start:].tolist())
-        while len(buf) >= chunk_size:
-            partials.append(math.fsum(buf[:chunk_size]))
-            del buf[:chunk_size]
-        if per_index:
-            rows.extend(
-                (prefix + (j,), float(prefix_w * weights[last][j]), float(abs_vec[j]))
-                for j in range(start, len(abs_vec))
-            )
-    if buf:
-        partials.append(math.fsum(buf))
-    weighted = math.fsum(partials)
+            if per_index:
+                rows.extend(
+                    (prefix + (j,), float(prefix_w * weights[last][j]), float(abs_vec[j]))
+                    for j in range(start, len(abs_vec))
+                )
+            yield from (prefix_w * weights[last] * abs_vec)[start:].tolist()
+
+    weighted = math.fsum(terms())
     return BoundReport(
         variant=variant,
         epsilon=eps,

@@ -26,8 +26,6 @@ from .oracle import (
 )
 from .pointfile import read_point_set, write_point_set
 from .sequences import (
-    DigitalConfig,
-    GeneratorMatrix,
     HaltonConfig,
     PointSet,
     VdcConfig,
@@ -61,8 +59,9 @@ class ReportRow:
     """One (g, variant) line of a bound report.
 
     bound_total is epsilon + weighted_sum by construction; margin is present
-    only when the exact oracle ran.  runtime_ms is wall-clock and is the one
-    field excluded from determinism guarantees.
+    only when the exact oracle ran.  runtime_ms is the wall-clock time of
+    etk_bound alone, without the oracle, and is the one field excluded from
+    determinism guarantees.
     """
 
     variant: str
@@ -147,16 +146,8 @@ def cmd_gen(args) -> int:
         config = HaltonConfig(_parse_ints(args.bases, "--bases"))
         points = generate_points(config, args.n)
     elif args.kind == "digital":
-        base = args.base
-        if args.identity:
-            matrices = tuple(GeneratorMatrix.identity(base, args.m) for _ in range(args.s))
-        else:
-            import random
-
-            rng = random.Random(args.seed)
-            matrices = tuple(GeneratorMatrix.random(base, args.m, rng) for _ in range(args.s))
         label = "identity" if args.identity else f"seed={args.seed}"
-        config = DigitalConfig(base, matrices, label=f"digital:{base},s={args.s},m={args.m},{label}")
+        config = config_from_string(f"digital:{args.base},s={args.s},m={args.m},{label}")
         points = generate_points(config, args.n)
     else:  # hybrid
         walsh_part = config_from_string(args.walsh) if args.walsh else None
@@ -211,13 +202,13 @@ def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> 
             rep: BoundReport = etk_bound(
                 spec, g, points, variant, per_index=args.per_k, budget=budget
             )
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
             exact = margin = None
             if args.oracle:
                 if variant not in oracle_cache:
                     oracle_cache[variant] = _oracle(points, variant, None)
                 exact = oracle_cache[variant].value
                 margin = rep.total - exact
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
             rows.append(
                 ReportRow(
                     variant=variant,

@@ -18,6 +18,7 @@ from .badic import (
     DigitVector,
     delta_size,
     enumerate_delta,
+    int_digits,
     monna,
     radical_inverse,
     vb,
@@ -205,22 +206,12 @@ class BadicInterval:
         return True
 
 
-def _digits_msd(n: int, base: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        n, d = divmod(n, base)
-        out.append(d)
-    if n:
-        raise ValueError(f"{n} leftover digits beyond length {length}")
-    return tuple(reversed(out))
-
-
 def _cell_value(j: int, k: int, base: int, v: int, tag: str) -> complex:
     """conj(xi_k) on the cell [j b^-v, (j+1) b^-v).
 
     The fraction digits of j b^-v are j's digits most significant first.
     """
-    x = DigitVector(base, _digits_msd(j, base, v))
+    x = DigitVector(base, tuple(reversed(int_digits(j, base, v))))
     phase = walsh_phase(k, x, base) if tag != BADIC else gamma_phase(k, x, base)
     return phase.conjugate().to_complex()
 

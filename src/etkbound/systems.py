@@ -4,16 +4,21 @@ Every system function here has modulus-one values e(phi) for an exact
 rational phase phi, so evaluation is split in two: phase computation in
 Fraction arithmetic (always exact) and a single conversion to complex at the
 end.  Full character sums then cancel exactly instead of accumulating float
-noise.
+noise.  The scalar phases are the reference for phase_numerators, the table
+kernel that gives the same phases as integer numerators over b^g for a whole
+point column, and is_full_coset is the one exact-zero test for phase sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .badic import DigitVector, check_base, radical_inverse, vb
 
@@ -24,7 +29,9 @@ __all__ = [
     "PhaseFraction",
     "chi_phase",
     "gamma_phase",
+    "is_full_coset",
     "phase_counter_sum",
+    "phase_numerators",
     "walsh_phase",
     "xi_eval",
     "xi_phase",
@@ -74,9 +81,6 @@ class PhaseFraction:
             return _QUARTER[self.numerator * (4 // self.modulus)]
         t = 2.0 * math.pi * self.numerator / self.modulus
         return complex(math.cos(t), math.sin(t))
-
-
-ZERO_PHASE = PhaseFraction(0, 1)
 
 
 @dataclass(frozen=True)
@@ -181,24 +185,77 @@ def xi_eval(spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ..
     return xi_phase(spec, k, x).to_complex()
 
 
+def phase_numerators(xs: Sequence[DigitVector], base: int, tag: str, g: int) -> np.ndarray:
+    """Integer phase numerators over modulus b^g, shape (b^g, len(xs)).
+
+    Row k holds b^g times the phase of index k (walsh_phase or chi_phase,
+    by tag) at every point of the column xs.  Digits past a vector's stored
+    precision read as 0 and digits from position g on never matter, since
+    indices below b^g read at most g digits.  Integer arithmetic only, so
+    the table carries no rounding, and it is filled in place.
+    """
+    check_base(base)
+    if tag not in _TAGS:
+        raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
+    modulus = base**g
+    pad = (0,) * g
+    digits = np.fromiter(
+        itertools.chain.from_iterable((x.digits + pad)[:g] for x in xs),
+        dtype=np.int64,
+        count=len(xs) * g,
+    ).reshape(len(xs), g)
+    powers = base ** np.arange(g, dtype=np.int64)
+    kdigits = np.arange(modulus, dtype=np.int64)[:, None] // powers % base
+    table = np.empty((modulus, len(xs)), dtype=np.int64)
+    if tag == WALSH:
+        # (sum_j k_j x_j) mod b, lifted from modulus b to b^g
+        np.matmul(kdigits, digits.T, out=table)
+        table %= base
+        table *= modulus // base
+        return table
+    # vb(k) = v on rows b^(v-1) <= k < b^v, where the phase is
+    # rev_v(k) z_v / b^v with z_v the integer of the first v digits
+    table[0] = 0
+    z = np.zeros(len(xs), dtype=np.int64)
+    for v in range(1, g + 1):
+        z += digits[:, v - 1] * powers[v - 1]
+        lo, hi = base ** (v - 1), base**v
+        rev = kdigits[lo:hi, :v] @ powers[v - 1 :: -1]
+        rows = table[lo:hi]
+        np.multiply.outer(rev, z, out=rows)
+        rows %= hi
+        rows *= modulus // hi
+    return table
+
+
+def is_full_coset(residues: np.ndarray, modulus: int) -> bool:
+    """True when the residues mod `modulus` are uniform on one full coset.
+
+    A multiset {r0 + j M/d : j < d}, d >= 2, with equal counts is a shifted
+    full set of d-th roots of unity, so its phase sum e(r/M) is exactly zero.
+    """
+    u, counts = np.unique(residues, return_counts=True)
+    d = len(u)
+    if d < 2 or modulus % d or counts.min() != counts.max():
+        return False
+    return bool(np.all(np.diff(u) == modulus // d))
+
+
 def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
     """Sum of count * e(phase) over a phase multiset, exact where structure allows.
 
-    A multiset whose phases form one full coset {phi_0 + j/d : j < d}, d >= 2,
-    with equal counts sums to exactly zero; full character sums have that
+    A multiset whose phases form one full coset with equal counts (see
+    is_full_coset) sums to exactly zero; full character sums have that
     shape, so they return complex 0.0 with no float residue.  Everything else
     falls back to compensated (exactly rounded) float summation.
     """
     items = [(p.fraction, n) for p, n in counts.items() if n]
     if not items:
         return 0j
-    d = len(items)
-    if d >= 2:
-        phases = {fr for fr, _ in items}
-        step = Fraction(1, d)
-        counts_equal = len({n for _, n in items}) == 1
-        if counts_equal and all((fr + step) % 1 in phases for fr in phases):
-            return 0j
+    modulus = math.lcm(*(fr.denominator for fr, _ in items))
+    residues = [fr.numerator * (modulus // fr.denominator) for fr, _ in items]
+    if is_full_coset(np.repeat(residues, [n for _, n in items]), modulus):
+        return 0j
     if all(fr.denominator in (1, 2, 4) for fr, _ in items):
         # quarter phases have exact unit values, so this sum has no rounding
         return complex(sum(n * PhaseFraction.from_fraction(fr).to_complex() for fr, n in items))

@@ -19,7 +19,6 @@ from .badic import DEFAULT_BUDGET, enumerate_delta
 from .bounds import (
     EXTREME,
     STAR,
-    _phase_numerators,
     cb_constant,
     corollary_bound,
     epsilon_fraction,
@@ -46,7 +45,7 @@ from .sequences import (
     generate_points,
     hybrid_points,
 )
-from .systems import BADIC, WALSH, HybridSystemSpec, xi_phase
+from .systems import BADIC, WALSH, HybridSystemSpec, phase_numerators, xi_phase
 
 __all__ = [
     "SUITES",
@@ -201,7 +200,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
         anchors = [e.anchor_digits()[0] for e in cells]
         limits = np.array([fc_upper_bound(k, base) for k in range(1, grid)])
         for tag in (WALSH, BADIC):
-            table = _phase_numerators(anchors, base, tag, depth)
+            table = phase_numerators(anchors, base, tag, depth)
             values = np.exp(-2j * np.pi * table[1:] / grid)
             coeffs = np.cumsum(values, axis=1) / grid
             over = np.abs(coeffs) - limits[:, None]

@@ -157,12 +157,18 @@ def test_etk_bound_matches_slow_reference():
     assert abs(rep.weighted_sum - slow) < 1e-12
 
 
-def test_etk_bound_chunking_is_reproducible():
-    spec = HybridSystemSpec.single(2, WALSH)
-    pts = generate_points(VdcConfig(2), 11)
-    a = etk_bound(spec, (4,), pts, STAR, chunk_size=4)
-    b = etk_bound(spec, (4,), pts, STAR, chunk_size=65536)
-    assert a.total == b.total
+def test_etk_bound_per_index_keeps_the_bound_bit_identical():
+    """The per-index table is a by-product; the weighted sum is one exactly rounded sum."""
+    cases = [
+        (HybridSystemSpec.single(2, WALSH), (4,), generate_points(VdcConfig(2), 11)),
+        (HybridSystemSpec(((2, WALSH), (3, BADIC))), (3, 2), generate_points(HaltonConfig((2, 3)), 37)),
+    ]
+    for spec, g, pts in cases:
+        for variant in (EXTREME, STAR):
+            a = etk_bound(spec, g, pts, variant)
+            b = etk_bound(spec, g, pts, variant, per_index=True)
+            assert (a.epsilon, a.weighted_sum, a.total) == (b.epsilon, b.weighted_sum, b.total)
+            assert math.fsum(w * x for _, w, x in b.per_index) == b.weighted_sum
 
 
 def test_etk_bound_validates_input():

@@ -1,9 +1,11 @@
 """Point-file round trips and the command-line surface."""
 
+import hashlib
 import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,6 +103,44 @@ def test_cli_gen_examples_match_spec_shapes(tmp_path):
     assert code == 0
     data = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(data) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--base", "2", "--s", "2", "--m", "8", "--seed", "5", "--n", "64"), "f9514a0823493df5"),
+        (("--base", "3", "--s", "2", "--m", "8", "--seed", "7", "--n", "81"), "f240d4ec718df3f0"),
+        (("--base", "2", "--m", "8", "--identity", "--n", "16"), "7a06b5166e07cc4b"),
+        (("--base", "2", "--n", "8"), "d0e0eadbc971f463"),
+    ],
+)
+def test_cli_gen_digital_output_is_pinned(argv, digest):
+    """gen digital is the generator string digital:B,s=S,m=M,seed=K|identity, byte for byte."""
+    code, out, _ = run_cli("gen", "digital", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_cli_runtime_ms_excludes_the_oracle(monkeypatch, tmp_path):
+    import etkbound.cli as cli
+
+    exact_oracle = cli._oracle
+
+    def slow_oracle(*args):
+        time.sleep(0.3)
+        return exact_oracle(*args)
+
+    monkeypatch.setattr(cli, "_oracle", slow_oracle)
+    pfile = tmp_path / "pts.txt"
+    run_cli("gen", "halton", "--bases", "2,3", "--n", "64", "--out", str(pfile))
+    code, out, _ = run_cli(
+        "bound", str(pfile), "--g", "1", "--g", "1", "--variant", "extreme", "--oracle",
+        "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2
+    assert all(row["runtime_ms"] < 300 for row in rows)
 
 
 def test_cli_bound_json_schema(tmp_path):

@@ -2,9 +2,13 @@
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from etkbound.badic import DigitVector
 from etkbound.systems import (
@@ -14,8 +18,10 @@ from etkbound.systems import (
     PhaseFraction,
     chi_phase,
     gamma_phase,
+    is_full_coset,
     phase_counter_sum,
     phase_multiset,
+    phase_numerators,
     walsh_phase,
     xi_eval,
     xi_phase,
@@ -166,3 +172,56 @@ def test_walsh_full_period_sum_vanishes():
             for n in range(base**g)
         ]
         assert phase_counter_sum(phase_multiset(phases)) == 0j
+
+
+@st.composite
+def digit_columns(draw):
+    """A base, a resolution g and a column of digit vectors shorter and longer than g."""
+    base = draw(st.integers(2, 7))
+    g = draw(st.integers(1, 4))
+    digits = st.lists(st.integers(0, base - 1), max_size=g + 2)
+    column = draw(st.lists(digits.map(lambda d: DigitVector(base, tuple(d))), min_size=1, max_size=5))
+    return base, g, column
+
+
+@given(digit_columns(), st.sampled_from((WALSH, BADIC)))
+def test_phase_table_kernel_matches_scalar_phases(case, tag):
+    base, g, column = case
+    modulus = base**g
+    table = phase_numerators(column, base, tag, g)
+    assert table.shape == (modulus, len(column))
+    scalar = walsh_phase if tag == WALSH else chi_phase
+    for k in range(modulus):
+        for i, x in enumerate(column):
+            assert Fraction(int(table[k, i]), modulus) == scalar(k, x, base).fraction
+
+
+@st.composite
+def residue_multisets(draw):
+    """Residues mod M: either a (possibly disturbed) repeated full coset, or arbitrary."""
+    modulus = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([d for d in range(1, modulus + 1) if modulus % d == 0]))
+        r0 = draw(st.integers(0, modulus - 1))
+        residues = [(r0 + j * (modulus // d)) % modulus for j in range(d)]
+        residues *= draw(st.integers(1, 3))
+        residues += draw(st.lists(st.integers(0, modulus - 1), max_size=2))
+    else:
+        residues = draw(st.lists(st.integers(0, modulus - 1), min_size=1, max_size=12))
+    return modulus, draw(st.permutations(residues))
+
+
+@given(residue_multisets())
+def test_coset_detector_matches_fraction_rotation(case):
+    """True exactly when the phase multiset is invariant under rotation by 1/d, d >= 2.
+
+    Such a multiset's sum of e(phase) equals itself times e(1/d) != 1, so it is exactly 0.
+    """
+    modulus, residues = case
+    phases = Counter(Fraction(r, modulus) for r in residues)
+    d = len(phases)
+    rotated = Counter({(fr + Fraction(1, d)) % 1: n for fr, n in phases.items()})
+    want = d >= 2 and rotated == phases
+    assert is_full_coset(np.array(residues), modulus) == want
+    if want:
+        assert abs(sum(cmath.exp(2j * cmath.pi * r / modulus) for r in residues)) < 1e-12
