@@ -8,6 +8,7 @@ brute-force oracle to validate it on small point sets.
 from .badic import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    DigitColumn,
     DigitVector,
     delta_size,
     enumerate_delta,
@@ -77,6 +78,7 @@ __all__ = [
     "BudgetExceededError",
     "CapExceededError",
     "DigitalConfig",
+    "DigitColumn",
     "DigitVector",
     "DiscrepancyResult",
     "DominationReport",

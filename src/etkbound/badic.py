@@ -4,7 +4,9 @@ A digit vector stores finitely many base-b digits d_0, d_1, ... and is read
 two ways: as the point sum_j d_j b^(-j-1) of the unit interval, and as the
 truncated b-adic integer sum_j d_j b^j.  Both readings use the same digit
 order, so the digit-mirroring (Monna) map is the identity on digit vectors
-and all arithmetic here stays in integers and Fractions.
+and all arithmetic here stays in integers and Fractions.  A digit column is
+many digit vectors of one base as a single integer matrix, the form in which
+point sets are generated, written, read and turned into phase tables.
 """
 
 from __future__ import annotations
@@ -13,10 +15,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_BUDGET",
     "BudgetExceededError",
+    "DigitColumn",
     "DigitVector",
     "add_with_carry",
     "add_without_carry",
@@ -149,6 +155,95 @@ class DigitVector:
 
     def __repr__(self) -> str:
         return f"DigitVector(base={self.base}, digits={self.digits})"
+
+
+def _check_column_base(base: int) -> None:
+    check_base(base)
+    if base >= 2**63:
+        raise ValueError(f"base {base} is too large for a digit matrix")
+
+
+@dataclass(frozen=True, eq=False)
+class DigitColumn:
+    """N base-b digit vectors stored as one N x P integer matrix.
+
+    Row n holds vector n's digits in DigitVector order (d_0, the least
+    significant digit of the b-adic integer, first) and is zero past
+    counts[n], the vector's stored precision.  The matrix is the vectors
+    zero-padded to a common length, and counts keeps the trailing zeros they
+    really store.  Digits use the smallest unsigned dtype that holds b - 1,
+    so bases must stay below 2^63.
+    """
+
+    base: int
+    digits: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_column_base(self.base)
+        digits = np.asarray(self.digits)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if digits.ndim != 2 or counts.shape != digits.shape[:1]:
+            raise ValueError(f"digit matrix {digits.shape} does not match counts {counts.shape}")
+        out = (digits < 0) | (digits >= self.base)
+        if out.any():
+            raise ValueError(f"digit {digits[out][0]} out of range for base {self.base}")
+        width = digits.shape[1]
+        if np.any((counts < 0) | (counts > width)):
+            raise ValueError(f"digit counts must lie in [0, {width}]")
+        if np.any(digits[np.arange(width) >= counts[:, None]]):
+            raise ValueError("digits past a vector's count must be zero")
+        object.__setattr__(self, "digits", digits.astype(np.min_scalar_type(self.base - 1)))
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_flat(cls, base: int, flat: np.ndarray, counts: np.ndarray) -> "DigitColumn":
+        """Column from all digits in row order, row n taking the next counts[n] of them."""
+        flat = np.asarray(flat)
+        counts = np.asarray(counts, dtype=np.int64)
+        width = int(counts.max()) if counts.size else 0
+        digits = np.zeros((counts.size, width), dtype=flat.dtype)
+        digits[np.arange(width) < counts[:, None]] = flat
+        return cls(base, digits, counts)
+
+    @classmethod
+    def from_vectors(cls, vectors: Sequence[DigitVector], base: int) -> "DigitColumn":
+        for v in vectors:
+            if v.base != base:
+                raise ValueError(f"coordinate base {v.base} does not match {base}")
+        counts = np.fromiter((v.precision for v in vectors), dtype=np.int64, count=len(vectors))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(v.digits for v in vectors),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        return cls.from_flat(base, flat, counts)
+
+    @classmethod
+    def from_integers(cls, n: np.ndarray, base: int) -> "DigitColumn":
+        """Digits of nonnegative integers by repeated division; counts are vb(n).
+
+        Row i is int_digits(n[i], base), zero-padded to the longest row.
+        """
+        _check_column_base(base)
+        q = np.asarray(n, dtype=np.int64)
+        if np.any(q < 0):
+            raise ValueError("expected nonnegative integers")
+        counts = np.zeros(q.shape, dtype=np.int64)
+        cols = []
+        while q.any():
+            counts += q > 0
+            q, d = np.divmod(q, base)
+            cols.append(d)
+        digits = np.stack(cols, axis=1) if cols else np.zeros((q.size, 0), dtype=np.int64)
+        return cls(base, digits, counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def vectors(self) -> tuple[DigitVector, ...]:
+        rows = self.digits.tolist()
+        return tuple(DigitVector(self.base, row[:c]) for row, c in zip(rows, self.counts.tolist()))
 
 
 def monna(z: DigitVector) -> Fraction:

@@ -216,7 +216,9 @@ def etk_bound(
     slowest) and is never materialized; the weighted terms of each prefix row
     feed one exactly rounded sum, so the result is bit-reproducible and does
     not depend on per_index.  Memory is one row of b_s^{g_s} terms plus
-    per-coordinate tables of b_i^{g_i} x N entries.
+    per-coordinate tables of b_i^{g_i} x N entries.  The budget caps both
+    the index box |Delta| and the table entries N * sum_i b_i^{g_i}, and
+    either check fails before anything is allocated.
     """
     _check_variant(variant)
     g = tuple(g)
@@ -234,13 +236,15 @@ def etk_bound(
     size = delta_size(spec.bases, g)
     if budget is not None and size > budget:
         raise BudgetExceededError(f"index domain size {size} exceeds budget {budget}")
+    moduli = [b**gi for b, gi in zip(spec.bases, g)]
+    cells = n * sum(moduli)
+    if budget is not None and cells > budget:
+        raise BudgetExceededError(f"phase tables of {cells} entries exceed budget {budget}")
     eps = epsilon_term(spec.bases, g, star)
 
-    moduli = [b**gi for b, gi in zip(spec.bases, g)]
-    columns = [[pt[i] for pt in points.points] for i in range(spec.s)]
     numerators = [
-        phase_numerators(col, b, tag, gi)
-        for col, (b, tag), gi in zip(columns, spec.coordinates, g)
+        phase_numerators(col.digits, b, tag, gi)
+        for col, (b, tag), gi in zip(points.columns, spec.coordinates, g)
     ]
     values = [np.exp(2j * np.pi * num / m) for num, m in zip(numerators, moduli)]
     weights = [

@@ -4,19 +4,29 @@ Layout: a ``#bases b_1,...,b_s`` header, an optional ``#generator`` comment
 carrying provenance, then one point per line with single-space separated
 coordinates.  A coordinate is ``0.`` followed by its digits most significant
 first, concatenated for bases up to 10 and dash-separated above that
-(``0.101`` is 5/8 in base 2).  Digit strings are written verbatim from the
-stored vectors, so read(write(ps)) reproduces the point set bit for bit,
-trailing zeros included.
+(``0.101`` is 5/8 in base 2).  Digits are ASCII decimal.  Digit strings are
+written verbatim from the stored digits, so read(write(ps)) reproduces the
+point set bit for bit, trailing zeros included.
+
+Both directions work on whole digit columns: the writer renders every
+character of a column in one array and the reader parses a column's digits
+in one pass, checking ranges and arity in bulk.  format_coordinate and
+parse_coordinate are the per-coordinate reference; the reader also uses
+parse_coordinate to word the error for the first bad line.
 """
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import Sequence, TextIO
 
-from .badic import DigitVector
+import numpy as np
+
+from .badic import DigitColumn, DigitVector, check_base
 from .sequences import PointSet
 
 __all__ = ["format_coordinate", "parse_coordinate", "read_point_set", "write_point_set"]
+
+_ZERO = ord("0")
 
 
 def format_coordinate(x: DigitVector) -> str:
@@ -25,31 +35,111 @@ def format_coordinate(x: DigitVector) -> str:
     return "0." + "-".join(str(d) for d in x.digits)
 
 
+def _decimal(text: str) -> int:
+    # int() alone would also take "+1", "1_0" and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def parse_coordinate(text: str, base: int) -> DigitVector:
     if not text.startswith("0."):
         raise ValueError(f"coordinate {text!r} must start with '0.'")
     body = text[2:]
     if not body:
         return DigitVector(base, ())
-    if base <= 10:
-        digits = tuple(int(ch) for ch in body)
-    else:
-        digits = tuple(int(part) for part in body.split("-"))
-    return DigitVector(base, digits)  # digit range re-checked by the constructor
+    parts = body if base <= 10 else body.split("-")
+    return DigitVector(base, tuple(map(_decimal, parts)))  # range checked by the constructor
+
+
+def _column_chars(col: DigitColumn) -> tuple[np.ndarray, np.ndarray]:
+    """Every character a column's coordinates could use, and which ones they do use.
+
+    Row n is "0." and then, per digit slot, a dash (bases above 10) and the
+    digit's decimal text right-aligned in len(str(b-1)) characters.  The mask
+    keeps "0.", the dashes between the first counts[n] digits, and those
+    digits without leading zeros.
+    """
+    n, p = col.digits.shape
+    place = 10 ** np.arange(len(str(col.base - 1)) - 1, -1, -1)
+    d = col.digits.astype(np.int64)[:, :, None]
+    chars = (d // place % 10 + _ZERO).astype(np.uint8)
+    stored = np.arange(p) < col.counts[:, None]
+    keep = ((d >= place) | (place == 1)) & stored[:, :, None]
+    if col.base > 10:
+        chars = np.concatenate([np.full((n, p, 1), ord("-"), dtype=np.uint8), chars], axis=2)
+        dash = stored & (np.arange(p) > 0)
+        keep = np.concatenate([dash[:, :, None], keep], axis=2)
+    prefix = np.broadcast_to(np.array([_ZERO, ord(".")], dtype=np.uint8), (n, 2))
+    chars = np.concatenate([prefix, chars.reshape(n, -1)], axis=1)
+    keep = np.concatenate([np.ones((n, 2), dtype=bool), keep.reshape(n, -1)], axis=1)
+    return chars, keep
 
 
 def write_point_set(points: PointSet, fh: TextIO) -> None:
     fh.write("#bases " + ",".join(str(b) for b in points.bases) + "\n")
     if points.provenance:
         fh.write(f"#generator {points.provenance}\n")
-    for pt in points.points:
-        fh.write(" ".join(format_coordinate(x) for x in pt) + "\n")
+    n = points.n_points
+    chars, keep = [], []
+    for i, col in enumerate(points.columns):
+        c, k = _column_chars(col)
+        sep = "\n" if i == points.s - 1 else " "
+        chars += [c, np.full((n, 1), ord(sep), dtype=np.uint8)]
+        keep += [k, np.ones((n, 1), dtype=bool)]
+    text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
+    fh.write(text.tobytes().decode("ascii"))
+
+
+def _parse_column(tokens: Sequence[str], base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All digits of a column in row order, the per-row digit counts, and the rows that fail.
+
+    A row fails exactly when parse_coordinate rejects its token.
+    """
+    n = len(tokens)
+    bad = np.fromiter((not t.startswith("0.") for t in tokens), dtype=bool, count=n)
+    bodies = [t[2:] for t in tokens]
+    if base <= 10:
+        counts = np.fromiter(map(len, bodies), dtype=np.int64, count=n)
+        # one byte per character; anything but '0'..'9' wraps to 10 or more
+        raw = "".join(bodies).encode("latin-1", "replace")
+        flat = np.frombuffer(raw, dtype=np.uint8) - np.uint8(_ZERO)
+    else:
+        counts = np.fromiter((b.count("-") + 1 if b else 0 for b in bodies), dtype=np.int64, count=n)
+        joined = "-".join(filter(None, bodies))
+        parts = joined.split("-") if joined else []
+        # a part that is not a digit below b reads as b
+        flat = np.fromiter(
+            (min(int(p), base) if p.isascii() and p.isdigit() else base for p in parts),
+            dtype=np.int64,
+            count=len(parts),
+        )
+    out = flat >= base
+    if out.any():
+        bad[np.repeat(np.arange(n), counts)[out]] = True
+    return flat, counts, bad
+
+
+def _line_error(lineno: int, line: str, bases: tuple[int, ...]) -> Exception:
+    """The error for a line the bulk parser rejected, worded by the reference parser."""
+    parts = line.split(" ")
+    if len(parts) != len(bases):
+        return ValueError(f"line {lineno}: {len(parts)} coordinates, expected {len(bases)}")
+    try:
+        for p, b in zip(parts, bases):
+            parse_coordinate(p, b)
+    except ValueError as exc:
+        return ValueError(f"line {lineno}: {exc}")
+    return RuntimeError(f"line {lineno}: bulk and reference parsers disagree on {line!r}")
 
 
 def read_point_set(fh: TextIO) -> PointSet:
     bases: tuple[int, ...] | None = None
     provenance = ""
-    rows = []
+    rows: list[str] = []
+    linenos: list[int] = []
+    # an error on a header line, reported unless a point line before it is bad
+    header_error: ValueError | None = None
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
@@ -57,23 +147,42 @@ def read_point_set(fh: TextIO) -> PointSet:
         if line.startswith("#"):
             if line.startswith("#bases"):
                 try:
-                    bases = tuple(int(p) for p in line[len("#bases") :].strip().split(","))
+                    header = tuple(int(p) for p in line[len("#bases") :].strip().split(","))
+                    for b in header:
+                        check_base(b)
                 except ValueError:
-                    raise ValueError(f"line {lineno}: malformed #bases header {line!r}") from None
+                    header_error = ValueError(f"line {lineno}: malformed #bases header {line!r}")
+                    break
+                if rows and header != bases:
+                    header_error = ValueError(f"line {lineno}: #bases header changes the bases")
+                    break
+                bases = header
             elif line.startswith("#generator"):
                 provenance = line[len("#generator") :].strip()
             continue
         if bases is None:
             raise ValueError(f"line {lineno}: points before the #bases header")
-        parts = line.split(" ")
-        if len(parts) != len(bases):
-            raise ValueError(f"line {lineno}: {len(parts)} coordinates, expected {len(bases)}")
-        try:
-            rows.append(tuple(parse_coordinate(p, b) for p, b in zip(parts, bases)))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        rows.append(line)
+        linenos.append(lineno)
+
+    if rows:
+        s = len(bases)
+        arity = np.fromiter((row.count(" ") + 1 for row in rows), dtype=np.int64, count=len(rows))
+        wrong = np.flatnonzero(arity != s)
+        first_bad = int(wrong[0]) if wrong.size else len(rows)
+        # every row before first_bad has s tokens, so column i is every s-th token
+        tokens = " ".join(rows[:first_bad]).split(" ") if first_bad else []
+        parsed = [_parse_column(tokens[i::s], b) for i, b in enumerate(bases)]
+        for _, _, bad in parsed:
+            if bad.any():
+                first_bad = min(first_bad, int(np.argmax(bad)))
+        if first_bad < len(rows):
+            raise _line_error(linenos[first_bad], rows[first_bad], bases)
+    if header_error is not None:
+        raise header_error
     if bases is None:
         raise ValueError("missing #bases header")
     if not rows:
         raise ValueError("point file has no points")
-    return PointSet(bases, tuple(rows), provenance=provenance)
+    columns = [DigitColumn.from_flat(b, flat, counts) for (flat, counts, _), b in zip(parsed, bases)]
+    return PointSet.from_columns(columns, provenance=provenance)

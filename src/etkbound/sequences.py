@@ -1,7 +1,10 @@
 """Digital point constructions: van der Corput, Halton, matrix sequences, hybrids.
 
-All generators emit exact DigitVector coordinates, so downstream analysis
-(phases, discrepancy grids) never touches floats.
+All generators emit exact digits, so downstream analysis (phases,
+discrepancy grids) never touches floats.  Each config builds whole digit
+columns for points 0..N-1 at once (`columns`); its scalar `point(n)` and the
+functions van_der_corput, halton and digital_point are the reference those
+columns are tested against.
 """
 
 from __future__ import annotations
@@ -9,9 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .badic import DigitVector, check_base, int_digits, monna_pseudoinverse
+import numpy as np
+
+from .badic import DigitColumn, DigitVector, check_base, int_digits, monna_pseudoinverse
 from .systems import BADIC, WALSH, HybridSystemSpec
 
 __all__ = [
@@ -95,27 +101,50 @@ def digital_point(
     return tuple(DigitVector(base, C.apply(digits)) for C in matrices)
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """Finite list of s-dimensional points, each coordinate an exact digit vector."""
+    """Finite list of s-dimensional points, stored as one digit column per coordinate.
 
-    bases: tuple[int, ...]
-    points: tuple[tuple[DigitVector, ...], ...]
-    provenance: str = ""
+    columns[i] is a DigitColumn: an N x P_i matrix of base-b_i digits (d_0
+    first, zero past each point's digit count) plus the per-point counts,
+    which keep stored trailing zeros.  Generation, point files and phase
+    tables work on these matrices.  `points` is the same set as one tuple of
+    DigitVector per point; it is a view built on first access and cached,
+    read by the exact oracle and the scalar reference code.  The constructor
+    takes that tuple form, from_columns the matrices.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", tuple(self.bases))
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
-        if not self.bases:
+    def __init__(
+        self,
+        bases: Sequence[int],
+        points: Sequence[Sequence[DigitVector]],
+        provenance: str = "",
+    ) -> None:
+        bases = tuple(bases)
+        points = tuple(tuple(p) for p in points)
+        for pt in points:
+            if len(pt) != len(bases):
+                raise ValueError(f"point of dimension {len(pt)} in a {len(bases)}-dim set")
+        columns = [
+            DigitColumn.from_vectors([pt[i] for pt in points], b) for i, b in enumerate(bases)
+        ]
+        self._set(columns, provenance)
+        self.__dict__["points"] = points
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[DigitColumn], provenance: str = "") -> "PointSet":
+        ps = cls.__new__(cls)
+        ps._set(columns, provenance)
+        return ps
+
+    def _set(self, columns: Sequence[DigitColumn], provenance: str) -> None:
+        columns = tuple(columns)
+        if not columns:
             raise ValueError("a point set needs at least one coordinate")
-        for b in self.bases:
-            check_base(b)
-        for pt in self.points:
-            if len(pt) != len(self.bases):
-                raise ValueError(f"point of dimension {len(pt)} in a {len(self.bases)}-dim set")
-            for xi, b in zip(pt, self.bases):
-                if xi.base != b:
-                    raise ValueError(f"coordinate base {xi.base} does not match {b}")
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("digit columns of different lengths")
+        self.columns = columns
+        self.bases = tuple(c.base for c in columns)
+        self.provenance = provenance
 
     @property
     def s(self) -> int:
@@ -123,7 +152,23 @@ class PointSet:
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.columns[0])
+
+    @cached_property
+    def points(self) -> tuple[tuple[DigitVector, ...], ...]:
+        return tuple(zip(*(c.vectors() for c in self.columns)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return (self.bases, self.points, self.provenance) == (
+            other.bases,
+            other.points,
+            other.provenance,
+        )
+
+    def __repr__(self) -> str:
+        return f"PointSet(bases={self.bases}, n_points={self.n_points}, provenance={self.provenance!r})"
 
     @classmethod
     def from_values(
@@ -157,6 +202,9 @@ class VdcConfig:
     def point(self, n: int) -> tuple[DigitVector, ...]:
         return (van_der_corput(self.base, n),)
 
+    def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
+        return (DigitColumn.from_integers(np.arange(n_points), self.base),)
+
     def describe(self) -> str:
         return f"vdc:{self.base}"
 
@@ -180,6 +228,9 @@ class HaltonConfig:
 
     def point(self, n: int) -> tuple[DigitVector, ...]:
         return halton(self.halton_bases, n)
+
+    def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
+        return tuple(DigitColumn.from_integers(np.arange(n_points), b) for b in self.halton_bases)
 
     def describe(self) -> str:
         return "halton:" + ",".join(str(b) for b in self.halton_bases)
@@ -215,6 +266,27 @@ class DigitalConfig:
     def point(self, n: int) -> tuple[DigitVector, ...]:
         return digital_point(self.matrices, self.base, n, self.precision)
 
+    def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
+        """All points as y_i = C_i digits(n) mod b, one matrix product per coordinate.
+
+        The digits of n come from repeated division, never from powers of b,
+        so no intermediate overflows; columns of digits(n) past vb(n_points-1)
+        are zero and are left out of the product.
+        """
+        base, m = self.base, self.precision
+        if n_points > base**m:
+            raise ValueError(f"{m + 1} digits do not fit in precision {m}")
+        digits = DigitColumn.from_integers(np.arange(n_points), base).digits
+        width = digits.shape[1]
+        # int64 holds every dot product of `width` digit pairs unless b is huge
+        work = np.int64 if width * (base - 1) ** 2 < 2**63 else object
+        digits = digits.astype(work)
+        counts = np.full(n_points, m)
+        return tuple(
+            DigitColumn(base, digits @ np.array(C.rows, dtype=work)[:, :width].T % base, counts)
+            for C in self.matrices
+        )
+
     def describe(self) -> str:
         return self.label or f"digital:{self.base},s={len(self.matrices)},m={self.precision}"
 
@@ -229,8 +301,7 @@ def generate_points(config: GeneratorConfig, n_points: int) -> PointSet:
     """First n_points points of a configured generator as a PointSet."""
     if n_points < 1:
         raise ValueError(f"need at least one point, got {n_points}")
-    pts = tuple(config.point(n) for n in range(n_points))
-    return PointSet(config.bases, pts, provenance=config.describe())
+    return PointSet.from_columns(config.columns(n_points), provenance=config.describe())
 
 
 def hybrid_points(
@@ -262,16 +333,15 @@ def hybrid_points(
         for pb, sb in zip(part.bases, slots):
             if pb != sb:
                 raise ValueError(f"part base {pb} does not match spec base {sb}")
-    pts = []
-    for n in range(n_points):
-        w = iter(walsh_part.point(n)) if walsh_part is not None else iter(())
-        b = iter(badic_part.point(n)) if badic_part is not None else iter(())
-        pts.append(tuple(next(w) if tag == WALSH else next(b) for tag in spec.tags))
+    parts = {
+        tag: iter(part.columns(n_points) if part is not None else ())
+        for tag, part in ((WALSH, walsh_part), (BADIC, badic_part))
+    }
     prov = "hybrid[{}|{}]".format(
         walsh_part.describe() if walsh_part else "-",
         badic_part.describe() if badic_part else "-",
     )
-    return PointSet(spec.bases, tuple(pts), provenance=prov)
+    return PointSet.from_columns([next(parts[tag]) for tag in spec.tags], provenance=prov)
 
 
 def config_from_string(text: str) -> GeneratorConfig:

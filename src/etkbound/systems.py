@@ -6,17 +6,17 @@ Fraction arithmetic (always exact) and a single conversion to complex at the
 end.  Full character sums then cancel exactly instead of accumulating float
 noise.  The scalar phases are the reference for phase_numerators, the table
 kernel that gives the same phases as integer numerators over b^g for a whole
-point column, and is_full_coset is the one exact-zero test for phase sums.
+digit matrix (one coordinate of a point set), and is_full_coset is the one
+exact-zero test for phase sums.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -185,40 +185,40 @@ def xi_eval(spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ..
     return xi_phase(spec, k, x).to_complex()
 
 
-def phase_numerators(xs: Sequence[DigitVector], base: int, tag: str, g: int) -> np.ndarray:
-    """Integer phase numerators over modulus b^g, shape (b^g, len(xs)).
+def phase_numerators(digits: np.ndarray, base: int, tag: str, g: int) -> np.ndarray:
+    """Integer phase numerators over modulus b^g, shape (b^g, N).
 
-    Row k holds b^g times the phase of index k (walsh_phase or chi_phase,
-    by tag) at every point of the column xs.  Digits past a vector's stored
-    precision read as 0 and digits from position g on never matter, since
-    indices below b^g read at most g digits.  Integer arithmetic only, so
-    the table carries no rounding, and it is filled in place.
+    `digits` is an N x P digit matrix, point n's digits d_0 first and zero
+    past its stored precision (DigitColumn.digits).  Row k of the result
+    holds b^g times the phase of index k (walsh_phase or chi_phase, by tag)
+    at every point.  Digits from position g on never matter, since indices
+    below b^g read at most g digits, and missing ones read as 0.  Integer
+    arithmetic only, so the table carries no rounding, and it is filled in
+    place.
     """
     check_base(base)
     if tag not in _TAGS:
         raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
     modulus = base**g
-    pad = (0,) * g
-    digits = np.fromiter(
-        itertools.chain.from_iterable((x.digits + pad)[:g] for x in xs),
-        dtype=np.int64,
-        count=len(xs) * g,
-    ).reshape(len(xs), g)
+    n = len(digits)
+    width = min(g, digits.shape[1])
+    x = np.zeros((n, g), dtype=np.int64)
+    x[:, :width] = digits[:, :width]
     powers = base ** np.arange(g, dtype=np.int64)
     kdigits = np.arange(modulus, dtype=np.int64)[:, None] // powers % base
-    table = np.empty((modulus, len(xs)), dtype=np.int64)
+    table = np.empty((modulus, n), dtype=np.int64)
     if tag == WALSH:
         # (sum_j k_j x_j) mod b, lifted from modulus b to b^g
-        np.matmul(kdigits, digits.T, out=table)
+        np.matmul(kdigits, x.T, out=table)
         table %= base
         table *= modulus // base
         return table
     # vb(k) = v on rows b^(v-1) <= k < b^v, where the phase is
     # rev_v(k) z_v / b^v with z_v the integer of the first v digits
     table[0] = 0
-    z = np.zeros(len(xs), dtype=np.int64)
+    z = np.zeros(n, dtype=np.int64)
     for v in range(1, g + 1):
-        z += digits[:, v - 1] * powers[v - 1]
+        z += x[:, v - 1] * powers[v - 1]
         lo, hi = base ** (v - 1), base**v
         rev = kdigits[lo:hi, :v] @ powers[v - 1 :: -1]
         rows = table[lo:hi]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .badic import DEFAULT_BUDGET, enumerate_delta
+from .badic import DEFAULT_BUDGET, DigitColumn, enumerate_delta
 from .bounds import (
     EXTREME,
     STAR,
@@ -197,7 +197,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
     for base in bases:
         grid = base**depth
         cells = sorted(elint_partition((base,), (depth,)), key=lambda e: e.lower[0])
-        anchors = [e.anchor_digits()[0] for e in cells]
+        anchors = DigitColumn.from_vectors([e.anchor_digits()[0] for e in cells], base).digits
         limits = np.array([fc_upper_bound(k, base) for k in range(1, grid)])
         for tag in (WALSH, BADIC):
             table = phase_numerators(anchors, base, tag, depth)

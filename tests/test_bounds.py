@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from etkbound.badic import enumerate_delta
+from etkbound.badic import BudgetExceededError, enumerate_delta
 from etkbound.bounds import (
     EXTREME,
     STAR,
@@ -180,3 +180,13 @@ def test_etk_bound_validates_input():
         etk_bound(spec, (2, 2), pts, STAR)
     with pytest.raises(ValueError):
         etk_bound(spec, (2,), pts, "anchored")
+
+
+def test_etk_bound_budget_counts_phase_table_entries():
+    """The budget caps N * sum_i b_i^g_i as well as |Delta|, before any table exists."""
+    pts = generate_points(HaltonConfig((2, 3)), 10)
+    spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
+    entries = 10 * (2**3 + 3**2)  # 170, while |Delta| is 72
+    etk_bound(spec, (3, 2), pts, budget=entries)
+    with pytest.raises(BudgetExceededError, match="phase tables of 170 entries"):
+        etk_bound(spec, (3, 2), pts, budget=entries - 1)

@@ -3,13 +3,17 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import etkbound
 from etkbound.badic import DigitVector
 from etkbound.cli import main
 from etkbound.pointfile import (
@@ -62,6 +66,85 @@ def test_read_rejects_malformed_input():
         read_point_set(io.StringIO("#bases 2,3\n0.1\n"))  # wrong arity
     with pytest.raises(ValueError):
         read_point_set(io.StringIO("#bases 2\n"))  # no points
+
+
+@st.composite
+def point_sets(draw):
+    """Digit vectors of any stored length, trailing zeros included, in one- to three-digit bases."""
+    bases = draw(st.lists(st.integers(2, 17) | st.sampled_from((99, 100, 1000)), min_size=1, max_size=3))
+    vectors = [
+        st.lists(st.integers(0, b - 1), max_size=6).map(lambda d, b=b: DigitVector(b, tuple(d)))
+        for b in bases
+    ]
+    pts = draw(st.lists(st.tuples(*vectors), min_size=1, max_size=12))
+    return PointSet(bases, pts, provenance=draw(st.sampled_from(("", "hand"))))
+
+
+@given(point_sets())
+def test_bulk_point_file_matches_scalar_reference(pts):
+    buf = io.StringIO()
+    write_point_set(pts, buf)
+    lines = buf.getvalue().splitlines()
+    body = lines[2:] if pts.provenance else lines[1:]
+    assert body == [" ".join(format_coordinate(x) for x in pt) for pt in pts.points]
+    back = read_point_set(io.StringIO(buf.getvalue()))
+    assert back.bases == pts.bases and back.provenance == pts.provenance
+    assert [[x.digits for x in pt] for pt in back.points] == [
+        [parse_coordinate(t, b).digits for t, b in zip(line.split(" "), pts.bases)] for line in body
+    ]
+
+
+def _deep_file(line: str, at: int = 5000) -> str:
+    """A 6000-point file in bases 2 and 16 whose line `at` is replaced."""
+    code, out, _ = run_cli("gen", "halton", "--bases", "2,16", "--n", "6000")
+    assert code == 0
+    lines = out.split("\n")
+    lines[at - 1] = line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0.102 0.1-2", "line 5000: digit 2 out of range for base 2"),
+        ("0.1", "line 5000: 1 coordinates, expected 2"),
+        ("0.1 0.1-x-3", "line 5000: invalid literal for int() with base 10: 'x'"),
+        ("0.1 0.1-16", "line 5000: digit 16 out of range for base 16"),
+        ("0.1 0.1--3", "line 5000: invalid literal for int() with base 10: ''"),
+        ("0.1 1.3", "line 5000: coordinate '1.3' must start with '0.'"),
+        # digits are ASCII decimal; int() alone would read these as 3 and 10
+        ("0.1 0.+3", "line 5000: invalid literal for int() with base 10: '+3'"),
+        ("0.1 0.1_0", "line 5000: invalid literal for int() with base 10: '1_0'"),
+    ],
+)
+def test_reader_reports_the_first_bad_line_deep_in_a_file(tmp_path, line, message):
+    text = _deep_file(line)
+    with pytest.raises(ValueError) as exc:
+        read_point_set(io.StringIO(text))
+    assert str(exc.value) == message
+    # a later bad line does not hide the first one
+    lines = text.split("\n")
+    lines[5500] = "0.2 0.1"
+    with pytest.raises(ValueError) as exc:
+        read_point_set(io.StringIO("\n".join(lines)))
+    assert str(exc.value) == message
+    pfile = tmp_path / "bad.pts"
+    pfile.write_text(text)
+    code, _, err = run_cli("bound", str(pfile), "--g", "1")
+    assert code == 1 and message in err
+
+
+def test_reader_header_errors_come_in_line_order():
+    with pytest.raises(ValueError, match="line 3: #bases header changes the bases"):
+        read_point_set(io.StringIO("#bases 2\n0.1\n#bases 3\n0.1\n"))
+    with pytest.raises(ValueError, match="line 2: digit 2"):
+        read_point_set(io.StringIO("#bases 2\n0.2\n#bases x\n"))
+    with pytest.raises(ValueError, match="line 3: malformed #bases header"):
+        read_point_set(io.StringIO("#bases 2\n0.1\n#bases x\n"))
+    with pytest.raises(ValueError, match="line 1: malformed #bases header '#bases 2,1'"):
+        read_point_set(io.StringIO("#bases 2,1\n0.1 0.\n"))
+    pts = read_point_set(io.StringIO("#bases 3\n#bases 2\n0.1\n#bases 2\n0.01\n"))
+    assert pts.bases == (2,) and pts.n_points == 2
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
@@ -119,6 +202,53 @@ def test_cli_gen_digital_output_is_pinned(argv, digest):
     code, out, _ = run_cli("gen", "digital", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("vdc", "--base", "3", "--n", "100"), "21b293d837741436"),
+        (("vdc", "--base", "12", "--n", "200"), "e124878ca5cf729c"),
+        (("halton", "--bases", "2,3,5", "--n", "300"), "25b452c206750b52"),
+        (("halton", "--bases", "11,16", "--n", "500"), "d437c2918603aaa1"),
+        (
+            ("hybrid", "--walsh", "digital:2,m=16,seed=101", "--badic", "halton:3,5", "--n", "512"),
+            "343645fabff1e3b9",
+        ),
+        (
+            ("hybrid", "--walsh", "halton:2,13", "--badic", "digital:3,s=2,m=6,seed=4",
+             "--tags", "b,w,b,w", "--n", "300"),
+            "e55dab8a949d363d",
+        ),
+        (("digital", "--base", "10", "--m", "32", "--n", "50"), "65dccfa3d1ab4ee2"),
+        (("digital", "--base", "17", "--s", "2", "--m", "3", "--seed", "3", "--n", "200"),
+         "f1bc83d61980993f"),
+    ],
+)
+def test_cli_gen_output_is_pinned(argv, digest):
+    """vdc, halton, hybrid and wide-precision digital files, byte for byte as the per-point generators wrote them."""
+    code, out, _ = run_cli("gen", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_cli_gen_digital_n_past_precision_exits_one():
+    code, _, err = run_cli("gen", "digital", "--base", "2", "--m", "4", "--n", "17")
+    assert code == 1
+    assert "5 digits do not fit in precision 4" in err
+    code, out, _ = run_cli("gen", "digital", "--base", "2", "--m", "4", "--n", "16")
+    assert code == 0 and len(out.splitlines()) == 2 + 16
+
+
+def test_cli_bound_budget_caps_phase_tables(tmp_path):
+    """|Delta| = 2^20 passes the default budget, but the tables would hold 2^20 x 4096 entries."""
+    pfile = tmp_path / "pts.txt"
+    run_cli("gen", "vdc", "--base", "2", "--n", "4096", "--out", str(pfile))
+    start = time.perf_counter()
+    code, _, err = run_cli("bound", str(pfile), "--tags", "w", "--g", "20")
+    assert code == 1
+    assert "phase tables of 4294967296 entries exceed budget 16777216" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_cli_runtime_ms_excludes_the_oracle(monkeypatch, tmp_path):
@@ -225,10 +355,14 @@ def test_cli_stdin_dash(tmp_path, monkeypatch):
 
 def test_cli_subprocess_entry_point(tmp_path):
     """python -m invocation works end to end."""
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(etkbound.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "etkbound", "gen", "vdc", "--base", "2", "--n", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("#bases 2")

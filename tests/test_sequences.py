@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etkbound.badic import DigitVector, radical_inverse
+from etkbound.badic import DigitColumn, DigitVector, radical_inverse
 from etkbound.sequences import (
     DigitalConfig,
     GeneratorMatrix,
@@ -145,3 +148,110 @@ def test_config_from_string_rejects_garbage():
     for text in ("sobol:2", "vdc:", "vdc:1", "digital:2,s=0", "halton:2;3"):
         with pytest.raises(ValueError):
             config_from_string(text)
+
+
+def test_point_set_stores_digit_columns():
+    """Each coordinate is one zero-padded digit matrix plus the stored digit counts."""
+    pts = (
+        (DigitVector(2, (1, 0, 0)), DigitVector(12, (11,))),
+        (DigitVector(2, ()), DigitVector(12, (3, 0, 7, 0))),
+    )
+    ps = PointSet((2, 12), pts, "hand")
+    col2, col12 = ps.columns
+    assert col2.digits.dtype == np.uint8 and col2.digits.tolist() == [[1, 0, 0], [0, 0, 0]]
+    assert col2.counts.tolist() == [3, 0]
+    assert col12.digits.tolist() == [[11, 0, 0, 0], [3, 0, 7, 0]]
+    assert col12.counts.tolist() == [1, 4]
+    assert DigitColumn.from_integers(np.arange(1), 300).digits.dtype == np.uint16
+
+
+def test_point_set_view_is_cached_and_exact():
+    ps = generate_points(HaltonConfig((2, 13)), 40)
+    view = ps.points
+    assert ps.points is view
+    assert view[37] == halton((2, 13), 37)
+    assert [x.digits for x in view[37]] == [x.digits for x in halton((2, 13), 37)]
+    rebuilt = PointSet(ps.bases, view, ps.provenance)
+    assert rebuilt == ps
+    assert all((a.digits == b.digits).all() for a, b in zip(rebuilt.columns, ps.columns))
+
+
+def test_digital_columns_reject_n_past_precision():
+    cfg = config_from_string("digital:2,m=4,seed=3")
+    assert generate_points(cfg, 16).n_points == 16
+    with pytest.raises(ValueError, match="5 digits do not fit in precision 4"):
+        generate_points(cfg, 17)
+
+
+def test_digital_columns_do_not_overflow_at_default_precision():
+    """b^m for b = 10, m = 32 is far past int64; the digits never need it."""
+    cfg = config_from_string("digital:10,s=2,m=32,seed=11")
+    ps = generate_points(cfg, 1200)
+    for n in (0, 1, 9, 10, 999, 1000, 1199):
+        assert [x.digits for x in ps.points[n]] == [x.digits for x in cfg.point(n)]
+    # a digit product (b-1)^2 past 2^63 falls back to exact Python integers
+    cfg = config_from_string("digital:4294967311,s=2,m=3,seed=1")
+    assert _digits(generate_points(cfg, 7).points) == _digits(cfg.point(n) for n in range(7))
+    with pytest.raises(ValueError, match="too large for a digit matrix"):
+        generate_points(VdcConfig(2**63), 2)
+
+
+def _configs(max_coords: int):
+    """vdc, Halton and digital (seeded or identity) configs in bases 2-17, m 1-32."""
+    bases = st.integers(2, 17)
+    vdc = bases.map(VdcConfig)
+    halton_cfg = st.lists(bases, min_size=1, max_size=max_coords).map(lambda b: HaltonConfig(tuple(b)))
+
+    @st.composite
+    def digital(draw):
+        base, m = draw(bases), draw(st.integers(1, 32))
+        s = draw(st.integers(1, max_coords))
+        if draw(st.booleans()):
+            return config_from_string(f"digital:{base},s={s},m={m}")
+        return config_from_string(f"digital:{base},s={s},m={m},seed={draw(st.integers(0, 10**6))}")
+
+    return st.one_of(vdc, halton_cfg, digital())
+
+
+def _n_points(draw, *configs) -> int:
+    cap = 60
+    for cfg in configs:
+        if isinstance(cfg, DigitalConfig):
+            cap = min(cap, cfg.base**cfg.precision)
+    return draw(st.integers(1, cap))
+
+
+def _digits(points):
+    return [[x.digits for x in pt] for pt in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bulk_generation_matches_scalar_points(data):
+    cfg = data.draw(_configs(3))
+    n = _n_points(data.draw, cfg)
+    ps = generate_points(cfg, n)
+    assert ps.bases == cfg.bases
+    assert _digits(ps.points) == _digits(cfg.point(i) for i in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bulk_hybrid_matches_scalar_interleaving(data):
+    walsh_part = data.draw(_configs(2))
+    badic_part = data.draw(_configs(2))
+    tags = data.draw(
+        st.permutations((WALSH,) * len(walsh_part.bases) + (BADIC,) * len(badic_part.bases))
+    )
+    w_bases, b_bases = iter(walsh_part.bases), iter(badic_part.bases)
+    spec = HybridSystemSpec.from_tags(
+        [next(w_bases) if t == WALSH else next(b_bases) for t in tags], tags
+    )
+    n = _n_points(data.draw, walsh_part, badic_part)
+    ps = hybrid_points(spec, walsh_part, badic_part, n)
+    want = []
+    for i in range(n):
+        w, b = iter(walsh_part.point(i)), iter(badic_part.point(i))
+        want.append([next(w) if t == WALSH else next(b) for t in tags])
+    assert ps.bases == spec.bases
+    assert _digits(ps.points) == _digits(want)

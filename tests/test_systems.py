@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from etkbound.badic import DigitVector
+from etkbound.badic import DigitColumn, DigitVector
 from etkbound.systems import (
     BADIC,
     WALSH,
@@ -188,7 +188,7 @@ def digit_columns(draw):
 def test_phase_table_kernel_matches_scalar_phases(case, tag):
     base, g, column = case
     modulus = base**g
-    table = phase_numerators(column, base, tag, g)
+    table = phase_numerators(DigitColumn.from_vectors(column, base).digits, base, tag, g)
     assert table.shape == (modulus, len(column))
     scalar = walsh_phase if tag == WALSH else chi_phase
     for k in range(modulus):
