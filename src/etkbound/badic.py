@@ -172,7 +172,8 @@ class DigitColumn:
     counts[n], the vector's stored precision.  The matrix is the vectors
     zero-padded to a common length, and counts keeps the trailing zeros they
     really store.  Digits use the smallest unsigned dtype that holds b - 1,
-    so bases must stay below 2^63.
+    so bases must stay below 2^63.  Because d_0 is the leading fraction
+    digit, the lexicographic order of the rows is the order of the values.
     """
 
     base: int
@@ -244,6 +245,16 @@ class DigitColumn:
     def vectors(self) -> tuple[DigitVector, ...]:
         rows = self.digits.tolist()
         return tuple(DigitVector(self.base, row[:c]) for row, c in zip(rows, self.counts.tolist()))
+
+    def value_ranks(self) -> tuple[list[Fraction], np.ndarray]:
+        """Distinct point values in increasing order, and each row's index among them.
+
+        One sort of the rows ranks the column (row order is value order), so
+        only the distinct values become Fractions.
+        """
+        rows, ranks = np.unique(self.digits, axis=0, return_inverse=True)
+        values = [DigitVector(self.base, row).value for row in rows.tolist()]
+        return values, ranks.reshape(-1)
 
 
 def monna(z: DigitVector) -> Fraction:

@@ -9,6 +9,7 @@ complex conversions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +29,6 @@ from .systems import (
     HybridSystemSpec,
     PhaseFraction,
     gamma_phase,
-    phase_multiset,
     phase_counter_sum,
     walsh_phase,
     xi_phase,
@@ -323,4 +323,4 @@ def partition_inner_product(
         anchor = e.anchor_digits()
         diff = xi_phase(spec, tuple(k), anchor).fraction - xi_phase(spec, tuple(l), anchor).fraction
         phases.append(PhaseFraction.from_fraction(diff))
-    return phase_counter_sum(phase_multiset(phases)) / size
+    return phase_counter_sum(Counter(phases)) / size

@@ -2,15 +2,17 @@
 
 The supremum over boxes is attained, or approached one-sidedly, at corners of
 the critical grid built from the point coordinates, so both discrepancy
-variants reduce to finite enumerations.  Counting runs in numpy integers for
-speed; every near-maximal candidate is then re-evaluated in Fraction
-arithmetic, so the reported value is exact.
+variants reduce to finite enumerations.  One engine runs both: it ranks the
+points on every axis's grid straight from the digit columns, counts each box
+exactly, screens the deviations in float64 and re-evaluates every
+near-maximal candidate in Fraction arithmetic, so the reported value is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -33,9 +35,6 @@ __all__ = [
 # Float maxima are trusted only up to this slack; everything within it is
 # re-checked exactly.  The same slack defines domination failure.
 DOMINATION_SLACK = 1e-9
-
-_STAR_CAPS = {1: 256, 2: 256, 3: 64}
-_EXTREME_CAPS = {1: 64, 2: 64}
 
 
 class CapExceededError(RuntimeError):
@@ -61,10 +60,6 @@ class DiscrepancyResult:
     attained: bool
 
 
-def _columns(points: PointSet) -> list[list[Fraction]]:
-    return [[pt[i].value for pt in points.points] for i in range(points.s)]
-
-
 def _check_cap(points: PointSet, caps: dict[int, int], variant: str, max_points: int | None) -> None:
     s, n = points.s, points.n_points
     if n < 1:
@@ -76,71 +71,38 @@ def _check_cap(points: PointSet, caps: dict[int, int], variant: str, max_points:
         raise CapExceededError(f"{n} points exceed the s={s} {variant} oracle cap of {cap}")
 
 
+# A closure is the pair of comparisons (lo ? rank, rank ? hi) on grid indices.
+_HALF_OPEN = (np.less_equal, np.less)
+_CLOSED = (np.less_equal, np.less_equal)
+_OPEN = (np.less, np.less)
+
+
+def _star_boxes(size: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(size, dtype=np.int64), np.arange(size)
+
+
+def _extreme_boxes(size: int) -> tuple[np.ndarray, np.ndarray]:
+    # thin boxes lo == hi come after every proper pair, so that within a
+    # closure a tied proper box stays the witness
+    lo, hi = np.triu_indices(size, 1)
+    return np.r_[lo, np.arange(size)], np.r_[hi, np.arange(size)]
+
+
+# variant -> (point caps per dimension, per-axis boxes on a grid of a given
+# size, closures in witness order)
+_VARIANTS = {
+    STAR: ({1: 256, 2: 256, 3: 64}, _star_boxes, (_HALF_OPEN, _CLOSED)),
+    EXTREME: ({1: 64, 2: 64}, _extreme_boxes, (_CLOSED, _OPEN)),
+}
+
+
 def star_discrepancy_exact(points: PointSet, max_points: int | None = None) -> DiscrepancyResult:
     """Exact star discrepancy: anchored boxes [0, v).
 
-    Per corner of the critical grid (distinct coordinate values plus 1) both
-    the strict count (the box [0,v) itself) and the boundary-inclusive count
-    (the limit from just above v) are evaluated.
+    Per corner of the critical grid both the box [0,v) itself and the
+    boundary-inclusive [0,v] (the limit from just above v) are evaluated.
     """
-    _check_cap(points, _STAR_CAPS, STAR, max_points)
-    n = points.n_points
-    cols = _columns(points)
-    grids = [sorted(set(col) | {Fraction(1)}) for col in cols]
-    strict_m, leq_m = [], []
-    for col, grid in zip(cols, grids):
-        pos = {v: j for j, v in enumerate(grid)}
-        ranks = np.array([pos[v] for v in col], dtype=np.int32)
-        idx = np.arange(len(grid), dtype=np.int32)[:, None]
-        strict_m.append((ranks[None, :] < idx).astype(np.int32))
-        leq_m.append((ranks[None, :] <= idx).astype(np.int32))
-    counts = {
-        "strict": _joint_counts(strict_m),
-        "leq": _joint_counts(leq_m),
-    }
-    vols = _volume_tensor(grids)
-    best = None
-    for closure, count in counts.items():
-        vals = np.abs(count / n - vols)
-        cutoff = float(vals.max()) - DOMINATION_SLACK
-        for idx in np.argwhere(vals >= cutoff):
-            corner = tuple(grid[j] for grid, j in zip(grids, idx))
-            vol = Fraction(1)
-            for v in corner:
-                vol *= v
-            exact = abs(Fraction(int(count[tuple(idx)]), n) - vol)
-            strict_count = int(counts["strict"][tuple(idx)])
-            attained = closure == "strict" or int(count[tuple(idx)]) == strict_count
-            key = (exact, attained)
-            if best is None or key > best[0]:
-                best = (key, corner, closure, attained)
-    (exact, _), corner, closure, attained = best
-    witness = BoxWitness(
-        lower=(Fraction(0),) * points.s,
-        upper=corner,
-        closure="inner" if closure == "strict" else "outer",
-    )
-    return DiscrepancyResult(STAR, float(exact), exact, witness, attained)
-
-
-def _joint_counts(members: list[np.ndarray]) -> np.ndarray:
-    """Corner-count tensor from per-coordinate membership matrices (grid x N)."""
-    if len(members) == 1:
-        return members[0].sum(axis=1)
-    if len(members) == 2:
-        return members[0] @ members[1].T
-    if len(members) == 3:
-        return np.einsum("an,bn,cn->abc", *members)
-    raise CapExceededError(f"joint counting supports s <= 3, got s = {len(members)}")
-
-
-def _volume_tensor(grids: list[list[Fraction]]) -> np.ndarray:
-    axes = [np.array([float(v) for v in grid]) for grid in grids]
-    if len(axes) == 1:
-        return axes[0]
-    if len(axes) == 2:
-        return np.multiply.outer(axes[0], axes[1])
-    return np.einsum("a,b,c->abc", *axes)
+    return _discrepancy_exact(points, STAR, max_points)
 
 
 def extreme_discrepancy_exact(points: PointSet, max_points: int | None = None) -> DiscrepancyResult:
@@ -150,76 +112,89 @@ def extreme_discrepancy_exact(points: PointSet, max_points: int | None = None) -
     (u,v) counts: |count/N - vol| is convex in the count and any mixed
     per-axis boundary choice lies between those two, so the pair of extremes
     dominates every boundary variant; both are one-sided limits of real boxes.
+    Pairs include u = v, where [u,u] is the limit of ever thinner boxes.
     """
-    _check_cap(points, _EXTREME_CAPS, EXTREME, max_points)
+    return _discrepancy_exact(points, EXTREME, max_points)
+
+
+def _discrepancy_exact(points: PointSet, variant: str, max_points: int | None) -> DiscrepancyResult:
+    """Enumerate the critical grid {0} + point values + {1} of every axis.
+
+    Counts are exact integers (sums of 0/1 products, exact in float64); the
+    float deviation screens candidates, which are then valued in Fractions.
+    The witness is the first exact maximizer, in (closure, index) order, that
+    a half-open box attains, else the first exact maximizer.
+    """
+    caps, boxes, closures = _VARIANTS[variant]
+    _check_cap(points, caps, variant, max_points)
     n = points.n_points
-    cols = _columns(points)
-    grids = [sorted(set(col) | {Fraction(0), Fraction(1)}) for col in cols]
-    pair_idx, closed_m, open_m, lengths = [], [], [], []
-    for col, grid in zip(cols, grids):
-        pos = {v: j for j, v in enumerate(grid)}
-        ranks = np.array([pos[v] for v in col], dtype=np.int32)
-        pairs = [(a, c) for a in range(len(grid)) for c in range(a + 1, len(grid))]
-        lo = np.array([a for a, _ in pairs], dtype=np.int32)[:, None]
-        hi = np.array([c for _, c in pairs], dtype=np.int32)[:, None]
-        closed_m.append(((ranks[None, :] >= lo) & (ranks[None, :] <= hi)).astype(np.float32))
-        open_m.append(((ranks[None, :] > lo) & (ranks[None, :] < hi)).astype(np.float32))
-        pair_idx.append(pairs)
-        lengths.append(np.array([float(grid[c] - grid[a]) for a, c in pairs]))
-    if points.s == 1:
-        counts = {
-            "closed": closed_m[0].sum(axis=1),
-            "open": open_m[0].sum(axis=1),
-        }
-        vols = lengths[0]
-    else:
-        counts = {
-            "closed": np.rint(closed_m[0] @ closed_m[1].T),
-            "open": np.rint(open_m[0] @ open_m[1].T),
-        }
-        vols = np.multiply.outer(lengths[0], lengths[1])
-    cands = []
-    for count in counts.values():
-        vals = np.abs(count / n - vols)
-        cutoff = float(vals.max()) - DOMINATION_SLACK
-        for idx in np.argwhere(vals >= cutoff):
-            box = tuple(
-                (grids[i][pair_idx[i][j][0]], grids[i][pair_idx[i][j][1]])
-                for i, j in enumerate(idx)
-            )
-            vol = Fraction(1)
-            for lo_v, hi_v in box:
-                vol *= hi_v - lo_v
-            c_here = int(count[tuple(idx)])
-            cands.append((abs(Fraction(c_here, n) - vol), box, c_here))
-    exact = max(val for val, _, _ in cands)
-    # the point-level scan runs only on exact maximizers, stopping at the
-    # first genuinely attained half-open box
-    box, attained = None, False
-    for val, bx, c_here in cands:
-        if val != exact:
-            continue
-        if box is None:
-            box = bx
-        if _half_open_count(cols, bx) == c_here:
-            box, attained = bx, True
-            break
+    grids, ranks, axes = [], [], []
+    vols = np.ones(())
+    for col in points.columns:
+        values, r = col.value_ranks()
+        shift = int(values[0] != 0)
+        grid = [Fraction(0)] * shift + values + [Fraction(1)]
+        lo, hi = boxes(len(grid))
+        at = np.array([float(v) for v in grid])
+        vols = np.multiply.outer(vols, at[hi] - at[lo])
+        grids.append(grid)
+        ranks.append(r + shift)
+        axes.append((lo, hi))
+    found = []
+    for closure in closures:
+        box_lo, box_hi = _screen(ranks, axes, vols, closure)
+        found.append((box_lo, box_hi, _box_counts(ranks, box_lo, box_hi, closure)))
+    box_lo, box_hi, counts = (np.concatenate(parts) for parts in zip(*found))
+    devs = [
+        abs(Fraction(c, n) - prod(grid[b] - grid[a] for grid, a, b in zip(grids, row_lo, row_hi)))
+        for c, row_lo, row_hi in zip(counts.tolist(), box_lo.tolist(), box_hi.tolist())
+    ]
+    exact = max(devs)
+    tops = np.flatnonzero([d == exact for d in devs])
+    hits = tops[_box_counts(ranks, box_lo[tops], box_hi[tops], _HALF_OPEN) == counts[tops]]
+    attained = hits.size > 0
+    k = hits[0] if attained else tops[0]
     witness = BoxWitness(
-        lower=tuple(lo for lo, _ in box),
-        upper=tuple(hi for _, hi in box),
+        lower=tuple(grid[a] for grid, a in zip(grids, box_lo[k])),
+        upper=tuple(grid[b] for grid, b in zip(grids, box_hi[k])),
         closure="inner" if attained else "outer",
     )
-    return DiscrepancyResult(EXTREME, float(exact), exact, witness, attained)
+    return DiscrepancyResult(variant, float(exact), exact, witness, attained)
 
 
-def _half_open_count(cols: list[list[Fraction]], box: list[tuple[Fraction, Fraction]]) -> int:
-    """Exact number of points in the half-open box prod [lo, hi)."""
-    n = len(cols[0])
-    total = 0
-    for row in range(n):
-        if all(lo <= col[row] < hi for col, (lo, hi) in zip(cols, box)):
-            total += 1
-    return total
+def _screen(ranks: list[np.ndarray], axes, vols: np.ndarray, closure) -> tuple[np.ndarray, ...]:
+    """Per-axis grid indices (boxes x axes) of the boxes whose float deviation
+    |count/N - vol| in this closure lies within the slack of the largest."""
+    dev = _joint_counts([_members(r, lo, hi, closure) for r, (lo, hi) in zip(ranks, axes)])
+    dev /= len(ranks[0])  # N
+    dev -= vols
+    np.abs(dev, out=dev)
+    idx = np.argwhere(dev >= dev.max() - DOMINATION_SLACK).T
+    box_lo = np.stack([lo[j] for (lo, _), j in zip(axes, idx)], axis=1)
+    box_hi = np.stack([hi[j] for (_, hi), j in zip(axes, idx)], axis=1)
+    return box_lo, box_hi
+
+
+def _members(ranks: np.ndarray, lo: np.ndarray, hi: np.ndarray, closure) -> np.ndarray:
+    """Boolean membership matrix (boxes x N) of the points' grid ranks in one closure."""
+    lower, upper = closure
+    return lower(lo[:, None], ranks[None, :]) & upper(ranks[None, :], hi[:, None])
+
+
+def _box_counts(ranks: list[np.ndarray], box_lo: np.ndarray, box_hi: np.ndarray, closure):
+    """Points in each listed box; row k of box_lo/box_hi holds box k's per-axis grid indices."""
+    inside = [_members(r, box_lo[:, i], box_hi[:, i], closure) for i, r in enumerate(ranks)]
+    return np.logical_and.reduce(inside).sum(axis=1)
+
+
+def _joint_counts(members: list[np.ndarray]) -> np.ndarray:
+    """Count tensor over every combination of per-axis boxes."""
+    n = members[0].shape[1]
+    joint = np.ones((1, n), dtype=bool)
+    for m in members[:-1]:
+        joint = (joint[:, None, :] & m[None, :, :]).reshape(-1, n)
+    counts = joint.astype(np.float64) @ members[-1].T.astype(np.float64)
+    return counts.reshape([len(m) for m in members])
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,10 @@ class PointSet:
 
     columns[i] is a DigitColumn: an N x P_i matrix of base-b_i digits (d_0
     first, zero past each point's digit count) plus the per-point counts,
-    which keep stored trailing zeros.  Generation, point files and phase
-    tables work on these matrices.  `points` is the same set as one tuple of
-    DigitVector per point; it is a view built on first access and cached,
-    read by the exact oracle and the scalar reference code.  The constructor
+    which keep stored trailing zeros.  Generation, point files, phase tables
+    and the exact oracle work on these matrices.  `points` is the same set as
+    one tuple of DigitVector per point; it is a view built on first access
+    and cached, read by the scalar reference code.  The constructor
     takes that tuple form, from_columns the matrices.
     """
 

@@ -13,7 +13,6 @@ exact-zero test for phase sums.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -262,8 +261,3 @@ def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
     re = math.fsum(n * math.cos(2.0 * math.pi * float(fr)) for fr, n in items)
     im = math.fsum(n * math.sin(2.0 * math.pi * float(fr)) for fr, n in items)
     return complex(re, im)
-
-
-def phase_multiset(phases: Iterable[PhaseFraction]) -> Counter:
-    """Group a stream of exact phases by value."""
-    return Counter(phases)

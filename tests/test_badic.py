@@ -6,6 +6,7 @@ import pytest
 
 from etkbound.badic import (
     BudgetExceededError,
+    DigitColumn,
     DigitVector,
     add_with_carry,
     add_without_carry,
@@ -51,6 +52,15 @@ def test_digit_vector_trailing_zeros_do_not_matter():
     assert a == b
     assert hash(a) == hash(b)
     assert a.digit(7) == 0
+
+
+def test_value_ranks_order_rows_by_value():
+    """uint16 digits 255 and 256 differ in their low byte the other way round."""
+    digits = [(5, 256), (5,), (), (5, 255, 7), (4, 999), (5, 256, 0), (0, 1)]
+    vectors = [DigitVector(1000, d) for d in digits]
+    values, ranks = DigitColumn.from_vectors(vectors, 1000).value_ranks()
+    assert values == sorted({v.value for v in vectors})
+    assert [values[r] for r in ranks] == [v.value for v in vectors]
 
 
 def test_digit_vector_value_and_as_integer():
