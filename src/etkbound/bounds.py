@@ -2,10 +2,10 @@
 
 The headline entry point is etk_bound: discrepancy of a point set is at most
 epsilon(g) plus the weighted sum of exponential-sum moduli over the punctured
-index box.  Sums are streamed in index order and reduced by one exactly
-rounded sum, so results are bit-reproducible; per-coordinate phase tables are
-exact integers, and sums whose phases form a full coset are snapped to an
-exact zero instead of float noise.
+index box.  The sums contract the joint histogram of the points' cells with
+one exact integer phase table per coordinate and feed one exactly rounded
+sum, so results are bit-reproducible; sums whose phases are balanced snap to
+an exact zero instead of float noise.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .badic import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    DigitColumn,
     check_base,
     delta_size,
     vb,
@@ -28,7 +29,7 @@ from .badic import (
 from .sequences import PointSet
 from .systems import (
     HybridSystemSpec,
-    is_full_coset,
+    is_balanced,
     phase_counter_sum,
     phase_numerators,
     xi_phase,
@@ -38,7 +39,6 @@ __all__ = [
     "EXTREME",
     "STAR",
     "BoundReport",
-    "ExpSumValue",
     "cb_constant",
     "corollary_bound",
     "epsilon_fraction",
@@ -166,27 +166,19 @@ def corollary_bound(
     return eps + max_abs_sum * out
 
 
-@dataclass(frozen=True)
-class ExpSumValue:
-    """Normalized exponential sum (1/N) sum_n xi_k(x_n); |value| <= 1."""
-
-    value: complex
-    n_points: int
-
-
-def exp_sum(spec: HybridSystemSpec, k: tuple[int, ...], points: PointSet) -> ExpSumValue:
-    """Exact-phase exponential sum of xi_k over a point set.
+def exp_sum(spec: HybridSystemSpec, k: tuple[int, ...], points: PointSet) -> complex:
+    """Exact-phase exponential sum (1/N) sum_n xi_k(x_n) of one index; |value| <= 1.
 
     Phases are grouped before conversion, so full character sums cancel to an
-    exact complex zero; everything else is compensated float summation.
+    exact complex zero; everything else is compensated float summation.  This
+    scalar path is the reference etk_bound is tested against.
     """
     if points.bases != spec.bases:
         raise ValueError(f"point set bases {points.bases} do not match system {spec.bases}")
-    n = points.n_points
-    if n < 1:
+    if points.n_points < 1:
         raise ValueError("empty point set")
     counter = Counter(xi_phase(spec, tuple(k), pt) for pt in points.points)
-    return ExpSumValue(value=phase_counter_sum(counter) / n, n_points=n)
+    return phase_counter_sum(counter) / points.n_points
 
 
 @dataclass(frozen=True)
@@ -210,15 +202,18 @@ def etk_bound(
     per_index: bool = False,
     budget: int | None = DEFAULT_BUDGET,
 ) -> BoundReport:
-    """Stream the weighted inequality over the punctured index box.
+    """Evaluate the weighted inequality over the punctured index box.
 
-    The index stream runs in mixed-radix lexicographic order (coordinate 1
-    slowest) and is never materialized; the weighted terms of each prefix row
-    feed one exactly rounded sum, so the result is bit-reproducible and does
-    not depend on per_index.  Memory is one row of b_s^{g_s} terms plus
-    per-coordinate tables of b_i^{g_i} x N entries.  The budget caps both
-    the index box |Delta| and the table entries N * sum_i b_i^{g_i}, and
-    either check fails before anything is allocated.
+    Every xi_k in the box is constant on the resolution-g cells, so the sums
+    are the joint histogram of the occupied cells contracted, axis by axis,
+    with one phase table of b_i^{g_i} indices by U_i <= min(N, b_i^{g_i})
+    cells: memory is O(|Delta| + sum_i b_i^{g_i} U_i), with no table over the
+    N points.  Sums below _ZERO_SNAP whose exact integer phases are balanced
+    snap to 0.0.  The weighted terms feed one exactly rounded sum, so the
+    result is bit-reproducible and does not depend on per_index, whose rows
+    run in mixed-radix lexicographic order (coordinate 1 slowest).  The
+    budget caps |Delta| and N * sum_i b_i^{g_i}, and either check fails
+    before anything is allocated.
     """
     _check_variant(variant)
     g = tuple(g)
@@ -242,56 +237,46 @@ def etk_bound(
         raise BudgetExceededError(f"phase tables of {cells} entries exceed budget {budget}")
     eps = epsilon_term(spec.bases, g, star)
 
-    numerators = [
-        phase_numerators(col.digits, b, tag, gi)
-        for col, (b, tag), gi in zip(points.columns, spec.coordinates, g)
-    ]
-    values = [np.exp(2j * np.pi * num / m) for num, m in zip(numerators, moduli)]
-    weights = [
-        np.array([(rho_star if star else rho)(k, b) for k in range(m)])
-        for b, m in zip(spec.bases, moduli)
-    ]
+    occupied, ranks, tables = [], [], []
+    for col, (b, tag), gi in zip(points.columns, spec.coordinates, g):
+        width = min(gi, col.digits.shape[1])
+        index = col.digits[:, :width].astype(np.int64) @ b ** np.arange(width, dtype=np.int64)
+        cells_i, rank = np.unique(index, return_inverse=True)
+        occupied.append(len(cells_i))
+        ranks.append(rank)
+        tables.append(phase_numerators(DigitColumn.from_integers(cells_i, b).digits, b, tag, gi))
+    hist = np.bincount(np.ravel_multi_index(ranks, occupied), minlength=math.prod(occupied))
+    sums = hist.reshape(occupied)
+    # each step contracts cell axis 0 and appends index axis i, so the axes end in order
+    for num, m in zip(tables, moduli):
+        sums = np.tensordot(sums, np.exp(2j * np.pi * np.arange(m) / m)[num], axes=(0, 1))
+    abs_sums = np.abs(sums / n)
+
+    # re-test the near-zero sums on exact integer phases, one residue per point (its
+    # cell's); the smallest type holding a sum of s residues keeps each sort short
     common = math.lcm(*moduli)
-    scaled = [num * (common // m) for num, m in zip(numerators, moduli)]
+    small = np.min_scalar_type(-spec.s * common)
+    scaled = [(num * (common // m)).astype(small) for num, m in zip(tables, moduli)]
+    for k in zip(*np.nonzero(abs_sums < _ZERO_SNAP)):
+        residues = sum(t[ki][rank] for t, ki, rank in zip(scaled, k, ranks))
+        if is_balanced(residues, common):
+            abs_sums[k] = 0.0
+    abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
 
-    rows: list[tuple[tuple[int, ...], float, float]] = []
-    max_abs = 0.0
-    last = spec.s - 1
-
-    def terms():
-        nonlocal max_abs
-        for prefix in itertools.product(*(range(m) for m in moduli[:-1])):
-            base_row = np.ones(n, dtype=np.complex128)
-            prefix_w = 1.0
-            for i, p in enumerate(prefix):
-                base_row *= values[i][p]
-                prefix_w *= weights[i][p]
-            s_vec = values[last] @ base_row / n
-            abs_vec = np.abs(s_vec)
-            near = np.nonzero(abs_vec < _ZERO_SNAP)[0]
-            if near.size:
-                pref_res = np.zeros(n, dtype=np.int64)
-                for i, p in enumerate(prefix):
-                    pref_res += scaled[i][p]
-                for j in near:
-                    if is_full_coset((pref_res + scaled[last][j]) % common, common):
-                        abs_vec[j] = 0.0
-            start = 1 if all(p == 0 for p in prefix) else 0  # puncture the zero vector
-            # the last modulus is at least 2, so every row keeps a term
-            max_abs = max(max_abs, float(abs_vec[start:].max()))
-            if per_index:
-                rows.extend(
-                    (prefix + (j,), float(prefix_w * weights[last][j]), float(abs_vec[j]))
-                    for j in range(start, len(abs_vec))
-                )
-            yield from (prefix_w * weights[last] * abs_vec)[start:].tolist()
-
-    weighted = math.fsum(terms())
+    weight = rho_star if star else rho
+    axis_weights = [np.array([weight(k, b) for k in range(m)]) for b, m in zip(spec.bases, moduli)]
+    weights = math.prod(np.ix_(*axis_weights))
+    terms = (weights * abs_sums).reshape(-1, moduli[-1])
+    weighted = math.fsum(itertools.chain.from_iterable(row.tolist() for row in terms))
+    rows = None
+    if per_index:
+        box = itertools.islice(itertools.product(*map(range, moduli)), 1, None)
+        rows = tuple(zip(box, weights.ravel()[1:].tolist(), abs_sums.ravel()[1:].tolist()))
     return BoundReport(
         variant=variant,
         epsilon=eps,
         weighted_sum=weighted,
         total=eps + weighted,
-        max_abs_sum=max_abs,
-        per_index=tuple(rows) if per_index else None,
+        max_abs_sum=float(abs_sums.max()),
+        per_index=rows,
     )

@@ -6,12 +6,13 @@ Fraction arithmetic (always exact) and a single conversion to complex at the
 end.  Full character sums then cancel exactly instead of accumulating float
 noise.  The scalar phases are the reference for phase_numerators, the table
 kernel that gives the same phases as integer numerators over b^g for a whole
-digit matrix (one coordinate of a point set), and is_full_coset is the one
+digit matrix (one coordinate of a point set), and is_balanced is the one
 exact-zero test for phase sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ __all__ = [
     "PhaseFraction",
     "chi_phase",
     "gamma_phase",
-    "is_full_coset",
+    "is_balanced",
     "phase_counter_sum",
     "phase_numerators",
     "walsh_phase",
@@ -227,33 +228,46 @@ def phase_numerators(digits: np.ndarray, base: int, tag: str, g: int) -> np.ndar
     return table
 
 
-def is_full_coset(residues: np.ndarray, modulus: int) -> bool:
-    """True when the residues mod `modulus` are uniform on one full coset.
+@functools.lru_cache(maxsize=256)
+def _prime_steps(modulus: int) -> tuple[int, ...]:
+    """M/p for each prime p dividing M: the steps of the rotations of prime order."""
+    primes, m = [], modulus
+    for p in range(2, math.isqrt(m) + 1):
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+    return tuple(modulus // p for p in primes + ([m] if m > 1 else []))
 
-    A multiset {r0 + j M/d : j < d}, d >= 2, with equal counts is a shifted
-    full set of d-th roots of unity, so its phase sum e(r/M) is exactly zero.
+
+def is_balanced(residues: np.ndarray, modulus: int) -> bool:
+    """True when the residue multiset mod M is unchanged by a rotation r -> r + M/p.
+
+    For a prime p dividing M it then splits into rotated regular p-gons, so
+    its phase sum of e(r/M) is exactly zero.  Every full coset with equal
+    counts is balanced, and for a prime-power M so is every vanishing sum:
+    Phi_M(x) = Phi_p(x^(M/p)), so its counts repeat with period M/p.
     """
-    u, counts = np.unique(residues, return_counts=True)
-    d = len(u)
-    if d < 2 or modulus % d or counts.min() != counts.max():
-        return False
-    return bool(np.all(np.diff(u) == modulus // d))
+    r = np.sort(np.asarray(residues) % modulus)
+    for step in _prime_steps(modulus):
+        i = np.searchsorted(r, modulus - step)  # r[i:] + step wrap past M to the front
+        if np.array_equal(np.concatenate((r[i:] + (step - modulus), r[:i] + step)), r):
+            return True
+    return False
 
 
 def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
     """Sum of count * e(phase) over a phase multiset, exact where structure allows.
 
-    A multiset whose phases form one full coset with equal counts (see
-    is_full_coset) sums to exactly zero; full character sums have that
-    shape, so they return complex 0.0 with no float residue.  Everything else
-    falls back to compensated (exactly rounded) float summation.
+    A balanced phase multiset (see is_balanced) sums to exactly zero; full
+    character sums have that shape, so they return complex 0.0 with no float
+    residue.  Everything else falls back to compensated (exactly rounded)
+    float summation.
     """
     items = [(p.fraction, n) for p, n in counts.items() if n]
-    if not items:
-        return 0j
     modulus = math.lcm(*(fr.denominator for fr, _ in items))
     residues = [fr.numerator * (modulus // fr.denominator) for fr, _ in items]
-    if is_full_coset(np.repeat(residues, [n for _, n in items]), modulus):
+    if is_balanced(np.repeat(residues, [n for _, n in items]), modulus):
         return 0j
     if all(fr.denominator in (1, 2, 4) for fr, _ in items):
         # quarter phases have exact unit values, so this sum has no rounding

@@ -196,8 +196,8 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
     result = SuiteResult("fc-bounds", 0)
     for base in bases:
         grid = base**depth
-        cells = sorted(elint_partition((base,), (depth,)), key=lambda e: e.lower[0])
-        anchors = DigitColumn.from_vectors([e.anchor_digits()[0] for e in cells], base).digits
+        # row a holds the digits of a/b^depth, the a-th cell's lower corner
+        anchors = DigitColumn.from_integers(np.arange(grid), base).digits[:, ::-1]
         limits = np.array([fc_upper_bound(k, base) for k in range(1, grid)])
         for tag in (WALSH, BADIC):
             table = phase_numerators(anchors, base, tag, depth)

@@ -1,11 +1,15 @@
 """Weights, truncation terms, exponential sums, and the streamed bound."""
 
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from etkbound.badic import BudgetExceededError, enumerate_delta
+from etkbound.badic import BudgetExceededError, DigitVector, enumerate_delta
 from etkbound.bounds import (
     EXTREME,
     STAR,
@@ -20,7 +24,7 @@ from etkbound.bounds import (
     rho_vec,
     weight_sum,
 )
-from etkbound.sequences import HaltonConfig, VdcConfig, generate_points
+from etkbound.sequences import HaltonConfig, PointSet, VdcConfig, generate_points
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec
 
 
@@ -98,7 +102,7 @@ def test_corollary_bound_monotone_in_b():
 def test_exp_sum_zero_index_is_one():
     spec = HybridSystemSpec.single(2, WALSH)
     pts = generate_points(VdcConfig(2), 5)
-    assert exp_sum(spec, (0,), pts).value == 1 + 0j
+    assert exp_sum(spec, (0,), pts) == 1 + 0j
 
 
 def test_exp_sum_full_period_cancels_exactly():
@@ -106,7 +110,7 @@ def test_exp_sum_full_period_cancels_exactly():
         spec = HybridSystemSpec.single(base, tag)
         pts = generate_points(VdcConfig(base), base**3)
         for k in range(1, base**3):
-            assert exp_sum(spec, (k,), pts).value == 0j
+            assert exp_sum(spec, (k,), pts) == 0j
 
 
 def test_exp_sum_matches_direct_mean():
@@ -118,7 +122,7 @@ def test_exp_sum_matches_direct_mean():
     pts = generate_points(HaltonConfig((2, 3)), 11)
     for k in [(1, 1), (3, 2), (0, 4)]:
         direct = sum(xi_eval(spec, k, x) for x in pts.points) / pts.n_points
-        assert abs(exp_sum(spec, k, pts).value - direct) < 1e-13
+        assert abs(exp_sum(spec, k, pts) - direct) < 1e-13
 
 
 def test_etk_bound_report_structure():
@@ -151,7 +155,7 @@ def test_etk_bound_matches_slow_reference():
     g = (2, 2)
     rep = etk_bound(spec, g, pts, EXTREME)
     slow = math.fsum(
-        rho_vec(k, spec.bases) * abs(exp_sum(spec, k, pts).value)
+        rho_vec(k, spec.bases) * abs(exp_sum(spec, k, pts))
         for k in enumerate_delta(spec.bases, g, star=True)
     )
     assert abs(rep.weighted_sum - slow) < 1e-12
@@ -190,3 +194,64 @@ def test_etk_bound_budget_counts_phase_table_entries():
     etk_bound(spec, (3, 2), pts, budget=entries)
     with pytest.raises(BudgetExceededError, match="phase tables of 170 entries"):
         etk_bound(spec, (3, 2), pts, budget=entries - 1)
+
+
+@st.composite
+def bound_inputs(draw):
+    """A hybrid system, a resolution and a point set with repeats and ragged digit widths.
+
+    |Delta| stays at most 343; points are at most 12, drawn from at most 8
+    distinct ones, so most cells are empty.
+    """
+    s = draw(st.integers(1, 3))
+    cap = {1: 343, 2: 49, 3: 7}[s]
+    coords, g = [], []
+    for _ in range(s):
+        base = draw(st.integers(2, 7))
+        coords.append((base, draw(st.sampled_from((WALSH, BADIC)))))
+        g.append(draw(st.integers(1, max(gi for gi in range(1, 6) if base**gi <= cap))))
+    point = st.tuples(
+        *(
+            st.lists(st.integers(0, b - 1), max_size=gi + 2).map(functools.partial(DigitVector, b))
+            for (b, _), gi in zip(coords, g)
+        )
+    )
+    distinct = draw(st.lists(point, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
+    points = PointSet([b for b, _ in coords], [distinct[i] for i in picks])
+    return HybridSystemSpec(tuple(coords)), tuple(g), points
+
+
+# at k = 2 the phases are 0, 0, 1/2, 1/2, 1/4, 3/4: no full coset, but the sum is exactly 0
+@example(
+    (
+        HybridSystemSpec.single(2, BADIC),
+        (2,),
+        PointSet((2,), [(DigitVector(2, d),) for d in [(0, 0), (0, 0), (0, 1), (0, 1), (1,), (1, 1)]]),
+    )
+)
+@given(bound_inputs())
+@settings(max_examples=100, deadline=None)
+def test_etk_bound_matches_scalar_exp_sum(case):
+    """Every per-index |S| is the scalar reference's, and its exact zeros stay exact."""
+    spec, g, points = case
+    rep = etk_bound(spec, g, points, per_index=True)
+    assert [k for k, _, _ in rep.per_index] == list(enumerate_delta(spec.bases, g, star=True))
+    for k, _, abs_sum in rep.per_index:
+        want = exp_sum(spec, k, points)
+        assert abs(abs_sum - abs(want)) <= 1e-13
+        if want == 0j:
+            assert abs_sum == 0.0
+
+
+def test_etk_bound_allocates_no_table_over_the_points():
+    """N = 4096 in w,b with g = (8,5) stays below 16 MiB, one int64 table of 256 x 4096."""
+    pts = generate_points(HaltonConfig((2, 3)), 4096)
+    spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
+    tracemalloc.start()
+    try:
+        etk_bound(spec, (8, 5), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

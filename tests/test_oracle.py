@@ -134,24 +134,25 @@ def test_no_random_box_beats_the_oracle():
 
 
 def test_witness_box_reproduces_the_value():
-    pts = generate_points(HaltonConfig((3, 2)), 7)
-    res = extreme_discrepancy_exact(pts)
-    lo, hi = res.witness.lower, res.witness.upper
-    n = pts.n_points
-    if res.witness.closure == "outer":
+    """An outer witness is the closed box [a, b], an inner one the half-open box [a, b)."""
+    halton = generate_points(HaltonConfig((3, 2)), 7)
+    # base 2: (7/8, 1/4) and (1/8, 7/8); the witness is [0, 7/8)^2, empty, volume 49/64
+    corners = read_point_set(io.StringIO("#bases 2,2\n0.111 0.01\n0.001 0.111\n"))
+    closures = []
+    for pts in (halton, corners):
+        res = extreme_discrepancy_exact(pts)
+        lo, hi = res.witness.lower, res.witness.upper
+        closures.append(res.witness.closure)
+        below = operator.le if res.witness.closure == "outer" else operator.lt
         count = sum(
-            all(a <= x <= b for x, a, b in zip(row, lo, hi)) for row in pts.values()
+            all(a <= x and below(x, b) for x, a, b in zip(row, lo, hi)) for row in pts.values()
         )
         vol = 1
         for a, b in zip(lo, hi):
             vol *= b - a
-        assert abs(Fraction(count, n) - vol) == res.exact
-    else:
-        count = sum(all(a < x < b for x, a, b in zip(row, lo, hi)) for row in pts.values())
-        vol = 1
-        for a, b in zip(lo, hi):
-            vol *= b - a
-        assert abs(Fraction(count, n) - vol) == res.exact
+        assert abs(Fraction(count, pts.n_points) - vol) == res.exact
+    assert closures == ["outer", "inner"]
+    assert res.exact == Fraction(49, 64)
 
 
 def test_star_witness_anchored_at_zero():

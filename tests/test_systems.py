@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from etkbound.badic import DigitColumn, DigitVector
@@ -18,7 +18,7 @@ from etkbound.systems import (
     PhaseFraction,
     chi_phase,
     gamma_phase,
-    is_full_coset,
+    is_balanced,
     phase_counter_sum,
     phase_numerators,
     walsh_phase,
@@ -211,16 +211,26 @@ def residue_multisets(draw):
 
 
 @given(residue_multisets())
-def test_coset_detector_matches_fraction_rotation(case):
-    """True exactly when the phase multiset is invariant under rotation by 1/d, d >= 2.
+@example((4, [0, 0, 2, 2, 1, 3]))  # half-turn pairs of different multiplicities: balanced
+@example((12, [0, 0, 6, 6, 0, 4, 8]))  # a pair and a triangle: sums to 0, but not balanced
+def test_balance_detector_matches_fraction_rotation(case):
+    """True exactly when the phase multiset is invariant under rotation by 1/p, p prime, p | M.
 
-    Such a multiset's sum of e(phase) equals itself times e(1/d) != 1, so it is exactly 0.
+    Such a multiset splits into rotated regular p-gons, so its sum of e(phase)
+    is exactly 0.  Every full coset (invariant under rotation by 1/d, d >= 2,
+    d the number of distinct phases) is balanced.
     """
     modulus, residues = case
     phases = Counter(Fraction(r, modulus) for r in residues)
-    d = len(phases)
-    rotated = Counter({(fr + Fraction(1, d)) % 1: n for fr, n in phases.items()})
-    want = d >= 2 and rotated == phases
-    assert is_full_coset(np.array(residues), modulus) == want
+
+    def invariant(d):
+        return Counter({(fr + Fraction(1, d)) % 1: n for fr, n in phases.items()}) == phases
+
+    primes = [p for p in range(2, modulus + 1) if modulus % p == 0]
+    primes = [p for p in primes if all(p % q for q in range(2, p))]
+    want = any(map(invariant, primes))
+    assert is_balanced(np.array(residues), modulus) == want
+    if len(phases) >= 2 and invariant(len(phases)):
+        assert want
     if want:
         assert abs(sum(cmath.exp(2j * cmath.pi * r / modulus) for r in residues)) < 1e-12

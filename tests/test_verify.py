@@ -1,8 +1,11 @@
 """The verification suites themselves, at reduced trial counts."""
 
+import numpy as np
 import pytest
 
+from etkbound.badic import DigitColumn
 from etkbound.bounds import EXTREME, STAR
+from etkbound.fourier import elint_partition
 from etkbound.verify import (
     SUITES,
     check_fc_bounds,
@@ -29,6 +32,16 @@ def test_fourier_suite_clean():
 def test_fc_suite_small_depth():
     res = check_fc_bounds(bases=(2, 3), depth=3)
     assert res.ok and res.checks == 2 * (7 * 8 + 26 * 27)
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_fc_anchors_are_the_digit_reversed_integers(base, depth):
+    """Row a of the fc-bounds anchors is the lower corner of the a-th cell by value."""
+    cells = sorted(elint_partition((base,), (depth,)), key=lambda e: e.lower[0])
+    want = DigitColumn.from_vectors([e.anchor_digits()[0] for e in cells], base).digits
+    got = DigitColumn.from_integers(np.arange(base**depth), base).digits[:, ::-1]
+    assert np.array_equal(got, want)
 
 
 def test_weights_suite_clean():
