@@ -252,10 +252,10 @@ def etk_bound(
         sums = np.tensordot(sums, np.exp(2j * np.pi * np.arange(m) / m)[num], axes=(0, 1))
     abs_sums = np.abs(sums / n)
 
-    # re-test the near-zero sums on exact integer phases, one residue per point (its
-    # cell's); the smallest type holding a sum of s residues keeps each sort short
+    # re-test near-zero sums on exact integer phases, one residue per point (its cell's),
+    # in the smallest signed type that holds a sum of s residues and the modulus itself
     common = math.lcm(*moduli)
-    small = np.min_scalar_type(-spec.s * common)
+    small = np.min_scalar_type(-1 - max(spec.s * (common - 1), common))
     scaled = [(num * (common // m)).astype(small) for num, m in zip(tables, moduli)]
     for k in zip(*np.nonzero(abs_sums < _ZERO_SNAP)):
         residues = sum(t[ki][rank] for t, ki, rank in zip(scaled, k, ranks))

@@ -161,6 +161,34 @@ def test_etk_bound_matches_slow_reference():
     assert abs(rep.weighted_sum - slow) < 1e-12
 
 
+# b^g = 2^7 and 2^15 are the edges of the int8 and int16 types that hold the exact residues
+@pytest.mark.parametrize("tag", [WALSH, BADIC])
+def test_etk_bound_full_period_sums_vanish_at_the_int8_residue_edge(tag):
+    """N = 2^7 van der Corput points at g = 7: every sum in the punctured box is exactly 0."""
+    spec = HybridSystemSpec.single(2, tag)
+    rep = etk_bound(spec, (7,), generate_points(VdcConfig(2), 2**7), per_index=True)
+    assert len(rep.per_index) == 2**7 - 1
+    assert all(abs_sum == 0.0 for _, _, abs_sum in rep.per_index)
+    assert rep.weighted_sum == 0.0
+
+
+@pytest.mark.parametrize("base, g", [(8, 5), (32, 3), (2, 15)])
+@pytest.mark.parametrize("tag", [WALSH, BADIC])
+def test_etk_bound_exact_zeros_at_the_residue_type_edges(base, g, tag):
+    """The points j/b at b^g = 2^15: |S_1| = 0 exactly, and sampled sums match exp_sum."""
+    spec = HybridSystemSpec.single(base, tag)
+    pts = generate_points(VdcConfig(base), base)
+    rep = etk_bound(spec, (g,), pts, per_index=True)
+    for k in (1, 2, 3, base, base + 1, 2**14, 2**15 - 1):
+        index, _, abs_sum = rep.per_index[k - 1]
+        want = exp_sum(spec, index, pts)
+        assert index == (k,)
+        assert abs(abs_sum - abs(want)) <= 1e-13
+        if want == 0j:
+            assert abs_sum == 0.0
+    assert rep.per_index[0][2] == 0.0
+
+
 def test_etk_bound_per_index_keeps_the_bound_bit_identical():
     """The per-index table is a by-product; the weighted sum is one exactly rounded sum."""
     cases = [
