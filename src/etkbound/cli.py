@@ -364,6 +364,8 @@ def cmd_discrepancy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     results = run_suites(args.suite, trials=args.trials, seed=args.seed, budget=_budget(args))
     failed = False
     for result in results:
@@ -433,9 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES)
-    verify.add_argument("--trials", type=int, default=100, help="domination sweep size")
+    verify.add_argument("--trials", type=int, default=100, help="domination sweep size, >= 1")
     verify.add_argument("--seed", type=int, default=1, help="sweep seed")
-    verify.add_argument("--budget", type=int, help="index enumeration budget")
+    verify.add_argument(
+        "--budget", type=int, help="index enumeration budget, read only by the domination sweep"
+    )
     verify.set_defaults(func=cmd_verify)
 
     return parser

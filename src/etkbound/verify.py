@@ -27,15 +27,13 @@ from .bounds import (
     weight_sum,
 )
 from .fourier import (
-    Elint,
     elint_contains,
     elint_fourier_coeff,
     elint_partition,
     fc_upper_bound,
     partition_inner_product,
-    reconstruct_indicator,
 )
-from .oracle import DOMINATION_SLACK, DominationReport, domination_check, star_discrepancy_exact
+from .oracle import DominationReport, domination_check, star_discrepancy_exact
 from .sequences import (
     DigitalConfig,
     GeneratorMatrix,
@@ -45,7 +43,7 @@ from .sequences import (
     generate_points,
     hybrid_points,
 )
-from .systems import BADIC, WALSH, HybridSystemSpec, phase_numerators, xi_phase
+from .systems import BADIC, WALSH, HybridSystemSpec, phase_numerators
 
 __all__ = [
     "SUITES",
@@ -73,63 +71,73 @@ class SuiteResult:
         return not self.failures
 
 
-def _spec(pairs) -> HybridSystemSpec:
-    return HybridSystemSpec(tuple(pairs))
-
-
 # (spec, g) menus: bases 2 and 3 with both tags and mixed-tag pairs, index
 # boxes up to 81 cells, kept small enough for exhaustive pairwise checks.
 _ORTHO_CONFIGS = (
-    (_spec(((2, WALSH),)), (6,)),
-    (_spec(((2, BADIC),)), (5,)),
-    (_spec(((3, WALSH),)), (4,)),
-    (_spec(((3, BADIC),)), (3,)),
-    (_spec(((2, WALSH), (3, BADIC))), (2, 2)),
-    (_spec(((2, BADIC), (3, WALSH))), (3, 1)),
-    (_spec(((2, WALSH), (2, BADIC))), (3, 3)),
-    (_spec(((3, BADIC), (3, BADIC))), (2, 2)),
+    (HybridSystemSpec(((2, WALSH),)), (6,)),
+    (HybridSystemSpec(((2, BADIC),)), (5,)),
+    (HybridSystemSpec(((3, WALSH),)), (4,)),
+    (HybridSystemSpec(((3, BADIC),)), (3,)),
+    (HybridSystemSpec(((2, WALSH), (3, BADIC))), (2, 2)),
+    (HybridSystemSpec(((2, BADIC), (3, WALSH))), (3, 1)),
+    (HybridSystemSpec(((2, WALSH), (2, BADIC))), (3, 3)),
+    (HybridSystemSpec(((3, BADIC), (3, BADIC))), (2, 2)),
 )
 
 _FOURIER_CONFIGS = (
-    (_spec(((2, WALSH),)), (4,)),
-    (_spec(((2, BADIC),)), (5,)),
-    (_spec(((3, BADIC),)), (3,)),
-    (_spec(((5, WALSH),)), (2,)),
-    (_spec(((2, WALSH), (3, BADIC))), (2, 1)),
-    (_spec(((2, BADIC), (2, WALSH))), (2, 2)),
-    (_spec(((3, WALSH), (2, BADIC))), (1, 2)),
+    (HybridSystemSpec(((2, WALSH),)), (4,)),
+    (HybridSystemSpec(((2, BADIC),)), (5,)),
+    (HybridSystemSpec(((3, BADIC),)), (3,)),
+    (HybridSystemSpec(((5, WALSH),)), (2,)),
+    (HybridSystemSpec(((2, WALSH), (3, BADIC))), (2, 1)),
+    (HybridSystemSpec(((2, BADIC), (2, WALSH))), (2, 2)),
+    (HybridSystemSpec(((3, WALSH), (2, BADIC))), (1, 2)),
 )
 
 _RECONSTRUCTION_CONFIGS = (
-    (_spec(((2, WALSH),)), (2,)),
-    (_spec(((2, BADIC),)), (2,)),
-    (_spec(((3, WALSH),)), (1,)),
-    (_spec(((3, BADIC),)), (1,)),
-    (_spec(((2, WALSH), (2, BADIC))), (1, 1)),
-    (_spec(((3, BADIC), (2, WALSH))), (1, 1)),
+    (HybridSystemSpec(((2, WALSH),)), (2,)),
+    (HybridSystemSpec(((2, BADIC),)), (2,)),
+    (HybridSystemSpec(((3, WALSH),)), (1,)),
+    (HybridSystemSpec(((3, BADIC),)), (1,)),
+    (HybridSystemSpec(((2, WALSH), (2, BADIC))), (1, 1)),
+    (HybridSystemSpec(((3, BADIC), (2, WALSH))), (1, 1)),
 )
+
+
+def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]) -> np.ndarray:
+    """Mean of xi_k over each elint: rows k in enumerate_delta(g), columns elint_partition(cells).
+
+    xi_k is constant on the resolution-max(g, cells) elints.  Their anchors are c's
+    digits, unreversed (unlike fc-bounds); the per-axis integer tables are lifted to
+    their lcm and outer-summed, coordinate 1 slowest, before one exp.  Fine cell c'
+    lies in elint c when c' mod b^cells = c, so the refinement axes average out.
+    """
+    common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
+    total = np.zeros((1, 1), dtype=np.int64)
+    for (base, tag), gi, ci in zip(spec.coordinates, g, cells):
+        anchors = DigitColumn.from_integers(np.arange(base ** max(gi, ci)), base).digits
+        axis = phase_numerators(anchors, base, tag, gi) * (common // base**gi)
+        total = np.add.outer(total, axis).transpose(0, 2, 1, 3).reshape(len(total) * len(axis), -1)
+    values = np.exp(2j * np.pi * (total % common) / common)
+    split = [n for b, gi, ci in zip(spec.bases, g, cells) for n in (b ** max(gi - ci, 0), b**ci)]
+    means = values.reshape(len(values), *split).mean(axis=tuple(range(1, 2 * spec.s, 2)))
+    return means.reshape(len(values), -1)
 
 
 def check_orthonormality(tol: float = 1e-12) -> SuiteResult:
     """Pairwise inner products over the tiling equal the identity matrix."""
     result = SuiteResult("orthonormality", 0)
     for spec, g in _ORTHO_CONFIGS:
-        indices = list(enumerate_delta(spec.bases, g))
-        anchors = [e.anchor_digits() for e in elint_partition(spec.bases, g)]
-        table = np.array(
-            [[xi_phase(spec, k, a).to_complex() for a in anchors] for k in indices]
-        )
-        gram = table @ table.conj().T / len(anchors)
-        err = np.abs(gram - np.eye(len(indices))).max()
-        result.checks += len(indices) ** 2
+        table = _xi_table(spec, g, g)
+        err = np.abs(table @ table.conj().T / table.shape[1] - np.eye(len(table))).max()
+        result.checks += len(table) ** 2
         if err > tol:
             result.failures.append(f"{spec.bases}/{spec.tags} g={g}: gram error {err:.3e}")
-        # spot-check the exact-phase route against the matrix route
-        k, l = indices[0], indices[-1]
+        # spot-check the exact-phase route: xi_0 and the last index are orthogonal
+        k, l = (0,) * spec.s, tuple(b**gi - 1 for b, gi in zip(spec.bases, g))
         exact = partition_inner_product(spec, g, k, l)
-        want = 1.0 if k == l else 0.0
         result.checks += 1
-        if abs(exact - want) > tol:
+        if abs(exact) > tol:
             result.failures.append(f"{spec.bases}/{spec.tags} g={g}: ip(k0,klast) = {exact}")
     return result
 
@@ -138,25 +146,14 @@ def check_fourier(tol: float = 1e-12) -> SuiteResult:
     """Coefficient formula equals direct integration; zero outside the box exactly."""
     result = SuiteResult("fourier", 0)
     for spec, g in _FOURIER_CONFIGS:
-        g_fine = tuple(gi + 1 for gi in g)
-        fine_measure = 1.0
-        for b, gi in zip(spec.bases, g_fine):
-            fine_measure /= b**gi
-        inside = [b**gi for b, gi in zip(spec.bases, g)]
-        for e in elint_partition(spec.bases, g):
-            for k in enumerate_delta(spec.bases, g_fine):
+        # the integral of conj(xi_k) over an elint is its measure times the conjugate mean
+        means = _xi_table(spec, tuple(gi + 1 for gi in g), g)
+        integrals = (means.conj() / means.shape[1]).T.tolist()
+        for e, column in zip(elint_partition(spec.bases, g), integrals):
+            for k, direct in zip(enumerate_delta(spec.bases, tuple(gi + 1 for gi in g)), column):
                 coeff = elint_fourier_coeff(e, k, spec)
-                direct = 0j
-                for refinement in enumerate_delta(spec.bases, tuple(1 for _ in g)):
-                    sub = Elint(
-                        spec.bases,
-                        g_fine,
-                        tuple(c + j * m for c, j, m in zip(e.c, refinement, inside)),
-                    )
-                    direct += xi_phase(spec, k, sub.anchor_digits()).conjugate().to_complex()
-                direct *= fine_measure
                 result.checks += 1
-                if any(ki >= m for ki, m in zip(k, inside)):
+                if any(ki >= b**gi for ki, b, gi in zip(k, spec.bases, g)):
                     if coeff != 0:
                         result.failures.append(f"{spec.bases} g={g} k={k}: nonzero outside box")
                     if abs(direct) > tol:
@@ -173,10 +170,12 @@ def check_reconstruction(tol: float = 1e-10) -> SuiteResult:
     result = SuiteResult("reconstruction", 0)
     for spec, g in _RECONSTRUCTION_CONFIGS:
         g_fine = tuple(gi + 1 for gi in g)
+        elints = list(elint_partition(spec.bases, g))
+        indices = list(enumerate_delta(spec.bases, g))
+        coeffs = np.array([[elint_fourier_coeff(e, k, spec) for k in indices] for e in elints])
         probes = [cell.anchor_digits() for cell in elint_partition(spec.bases, g_fine)]
-        for e in elint_partition(spec.bases, g):
-            for x in probes:
-                got = reconstruct_indicator(e, spec, x)
+        for e, row in zip(elints, (coeffs @ _xi_table(spec, g, g_fine)).real.tolist()):
+            for x, got in zip(probes, row):
                 want = 1.0 if elint_contains(e, x) else 0.0
                 result.checks += 1
                 if abs(got - want) > tol:

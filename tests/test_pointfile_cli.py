@@ -330,6 +330,15 @@ def test_cli_verify_exit_codes():
     assert code == 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_verify_rejects_an_empty_sweep(trials):
+    """A sweep that checks nothing must not report a pass."""
+    code, out, err = run_cli("verify", "domination", "--trials", trials)
+    assert code == 1
+    assert "--trials must be at least 1" in err
+    assert "passed" not in out
+
+
 def test_cli_budget_env(monkeypatch, tmp_path):
     pfile = tmp_path / "pts.txt"
     run_cli("gen", "vdc", "--base", "2", "--n", "4", "--out", str(pfile))

@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
-from etkbound.badic import DigitColumn
+from etkbound.badic import DigitColumn, enumerate_delta
 from etkbound.bounds import EXTREME, STAR
-from etkbound.fourier import elint_partition
+from etkbound.fourier import (
+    Elint,
+    elint_fourier_coeff,
+    elint_partition,
+    partition_inner_product,
+    reconstruct_indicator,
+)
+from etkbound.systems import BADIC, WALSH, HybridSystemSpec, xi_phase
 from etkbound.verify import (
     SUITES,
+    _xi_table,
     check_fc_bounds,
     check_fourier,
     check_orthonormality,
@@ -21,12 +29,93 @@ from etkbound.verify import (
 
 def test_orthonormality_suite_clean():
     res = check_orthonormality()
-    assert res.ok and res.checks > 1000
+    assert res.ok and res.checks == 24947
 
 
 def test_fourier_suite_clean():
-    assert check_fourier().ok
-    assert check_reconstruction().ok
+    fourier, reconstruction = check_fourier(), check_reconstruction()
+    assert fourier.ok and fourier.checks == 10624
+    assert reconstruction.ok and reconstruction.checks == 398
+
+
+def test_fc_suite_default_grid():
+    res = check_fc_bounds()
+    assert res.ok and res.checks == 793440
+
+
+# one single-axis and two mixed-tag systems, with index boxes small enough for
+# the scalar exact-phase references
+_SINGLE = HybridSystemSpec(((3, BADIC),))
+_MIXED = HybridSystemSpec(((2, WALSH), (3, BADIC)))
+_MIXED_SWAPPED = HybridSystemSpec(((3, WALSH), (2, BADIC)))
+_TABLE_CONFIGS = [(_SINGLE, (2,)), (_MIXED, (2, 1)), (_MIXED_SWAPPED, (1, 2))]
+
+
+def _fine(g):
+    return tuple(gi + 1 for gi in g)
+
+
+@pytest.mark.parametrize("spec, g", _TABLE_CONFIGS)
+@pytest.mark.parametrize("refine", [0, 1])
+def test_xi_table_is_xi_at_the_elint_anchors(spec, g, refine):
+    """At cells at least as fine as g, the table holds xi_k at each elint's lower corner."""
+    cells = tuple(gi + refine for gi in g)
+    table = _xi_table(spec, g, cells)
+    indices = list(enumerate_delta(spec.bases, g))
+    elints = list(elint_partition(spec.bases, cells))
+    assert table.shape == (len(indices), len(elints))
+    for row, k in enumerate(indices):
+        for col, e in enumerate(elints):
+            want = xi_phase(spec, k, e.anchor_digits()).to_complex()
+            assert abs(table[row, col] - want) <= 1e-15
+
+
+def _refinement_integral(spec, g, e, k):
+    """Integral of conj(xi_k) over elint e by refinement: the exact phases of its b^s subcells."""
+    g_fine = _fine(g)
+    inside = [b**gi for b, gi in zip(spec.bases, g)]
+    fine_measure = 1.0
+    for b, gi in zip(spec.bases, g_fine):
+        fine_measure /= b**gi
+    direct = 0j
+    for refinement in enumerate_delta(spec.bases, tuple(1 for _ in g)):
+        sub = Elint(
+            spec.bases, g_fine, tuple(c + j * m for c, j, m in zip(e.c, refinement, inside))
+        )
+        direct += xi_phase(spec, k, sub.anchor_digits()).conjugate().to_complex()
+    return direct * fine_measure
+
+
+@pytest.mark.parametrize("spec, g", _TABLE_CONFIGS)
+def test_fourier_integrals_match_the_refinement_loop(spec, g):
+    means = _xi_table(spec, _fine(g), g)
+    integrals = means.conj() / means.shape[1]
+    for row, k in enumerate(enumerate_delta(spec.bases, _fine(g))):
+        for col, e in enumerate(elint_partition(spec.bases, g)):
+            assert abs(integrals[row, col] - _refinement_integral(spec, g, e, k)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec, g", [(_SINGLE, (1,)), (_MIXED, (1, 1))])
+def test_reconstruction_series_matches_reconstruct_indicator(spec, g):
+    elints = list(elint_partition(spec.bases, g))
+    coeffs = np.array(
+        [[elint_fourier_coeff(e, k, spec) for k in enumerate_delta(spec.bases, g)] for e in elints]
+    )
+    series = (coeffs @ _xi_table(spec, g, _fine(g))).real
+    probes = [cell.anchor_digits() for cell in elint_partition(spec.bases, _fine(g))]
+    for e, row in zip(elints, series):
+        for x, got in zip(probes, row):
+            assert abs(got - reconstruct_indicator(e, spec, x)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec, g", [(_SINGLE, (2,)), (_MIXED, (1, 1))])
+def test_gram_matrix_matches_partition_inner_product(spec, g):
+    table = _xi_table(spec, g, g)
+    gram = table @ table.conj().T / table.shape[1]
+    indices = list(enumerate_delta(spec.bases, g))
+    for row, k in enumerate(indices):
+        for col, l in enumerate(indices):
+            assert abs(gram[row, col] - partition_inner_product(spec, g, k, l)) <= 1e-15
 
 
 def test_fc_suite_small_depth():
