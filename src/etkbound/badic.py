@@ -353,20 +353,19 @@ def enumerate_delta(
     bases: tuple[int, ...],
     g: tuple[int, ...],
     star: bool = False,
-    budget: int | None = DEFAULT_BUDGET,
 ):
     """Stream the index vectors k with 0 <= k_i < b_i^{g_i}, coordinate 1 slowest.
 
     Mixed-radix lexicographic order; `star` drops the zero vector.  Fails fast
-    with BudgetExceededError when the domain size exceeds `budget` (pass None
-    to disable the check).  The stream is a plain generator and can be
-    re-created cheaply by calling again.
+    with BudgetExceededError when the domain size exceeds DEFAULT_BUDGET.
+    The stream is a plain generator and can be re-created cheaply by calling
+    again.
     """
     bases = tuple(bases)
     g = tuple(g)
     size = delta_size(bases, g)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(f"domain size {size} exceeds budget {budget}")
+    if size > DEFAULT_BUDGET:
+        raise BudgetExceededError(f"domain size {size} exceeds budget {DEFAULT_BUDGET}")
     ranges = [range(b**gi) for b, gi in zip(bases, g)]
     it = itertools.product(*ranges)
     if star:

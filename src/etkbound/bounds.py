@@ -212,8 +212,9 @@ def etk_bound(
     snap to 0.0.  The weighted terms feed one exactly rounded sum, so the
     result is bit-reproducible and does not depend on per_index, whose rows
     run in mixed-radix lexicographic order (coordinate 1 slowest).  The
-    budget caps |Delta| and N * sum_i b_i^{g_i}, and either check fails
-    before anything is allocated.
+    budget caps |Delta| before anything is allocated, and the table entries
+    sum_i b_i^{g_i} U_i after the cells are counted and before any table is
+    built.
     """
     _check_variant(variant)
     g = tuple(g)
@@ -232,19 +233,23 @@ def etk_bound(
     if budget is not None and size > budget:
         raise BudgetExceededError(f"index domain size {size} exceeds budget {budget}")
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
-    cells = n * sum(moduli)
-    if budget is not None and cells > budget:
-        raise BudgetExceededError(f"phase tables of {cells} entries exceed budget {budget}")
     eps = epsilon_term(spec.bases, g, star)
 
-    occupied, ranks, tables = [], [], []
-    for col, (b, tag), gi in zip(points.columns, spec.coordinates, g):
+    cells, ranks = [], []
+    for col, b, gi in zip(points.columns, spec.bases, g):
         width = min(gi, col.digits.shape[1])
         index = col.digits[:, :width].astype(np.int64) @ b ** np.arange(width, dtype=np.int64)
         cells_i, rank = np.unique(index, return_inverse=True)
-        occupied.append(len(cells_i))
+        cells.append(cells_i)
         ranks.append(rank)
-        tables.append(phase_numerators(DigitColumn.from_integers(cells_i, b).digits, b, tag, gi))
+    occupied = [len(c) for c in cells]
+    entries = sum(m * u for m, u in zip(moduli, occupied))
+    if budget is not None and entries > budget:
+        raise BudgetExceededError(f"phase tables of {entries} entries exceed budget {budget}")
+    tables = [
+        phase_numerators(DigitColumn.from_integers(c, b).digits, b, tag, gi)
+        for c, (b, tag), gi in zip(cells, spec.coordinates, g)
+    ]
     hist = np.bincount(np.ravel_multi_index(ranks, occupied), minlength=math.prod(occupied))
     sums = hist.reshape(occupied)
     # each step contracts cell axis 0 and appends index axis i, so the axes end in order

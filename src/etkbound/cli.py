@@ -1,8 +1,9 @@
 """Command-line front end: gen, bound, discrepancy, verify.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure.  The
-index-enumeration budget defaults to the ETKBOUND_BUDGET environment variable
-when set, and --budget overrides both.
+Exit codes: 0 success, 1 usage or input error, 2 verification failure.  Only
+bound takes a budget, on its index box and phase-table entries: --budget,
+else the ETKBOUND_BUDGET environment variable, else 2^24; a value below 1 is
+a usage error.
 """
 
 from __future__ import annotations
@@ -99,17 +100,18 @@ def _parse_tags(text: str, s: int) -> tuple[str, ...]:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise UsageError(f"{BUDGET_ENV} must be positive, got {value}")
+    if args.budget is not None:
+        value, source = args.budget, "--budget"
+    else:
+        raw = os.environ.get(BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            value, source = int(raw), BUDGET_ENV
+        except ValueError:
+            raise UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+    if value < 1:
+        raise UsageError(f"{source} must be positive, got {value}")
     return value
 
 
@@ -179,10 +181,10 @@ def _variants(choice: str) -> list[str]:
     return [EXTREME, STAR] if choice == "both" else [choice]
 
 
-def _oracle(points: PointSet, variant: str, max_points: int | None) -> DiscrepancyResult:
+def _oracle(points: PointSet, variant: str) -> DiscrepancyResult:
     if variant == STAR:
-        return star_discrepancy_exact(points, max_points=max_points)
-    return extreme_discrepancy_exact(points, max_points=max_points)
+        return star_discrepancy_exact(points)
+    return extreme_discrepancy_exact(points)
 
 
 def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> list[ReportRow]:
@@ -206,7 +208,7 @@ def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> 
             exact = margin = None
             if args.oracle:
                 if variant not in oracle_cache:
-                    oracle_cache[variant] = _oracle(points, variant, None)
+                    oracle_cache[variant] = _oracle(points, variant)
                 exact = oracle_cache[variant].value
                 margin = rep.total - exact
             rows.append(
@@ -315,7 +317,7 @@ def cmd_discrepancy(args) -> int:
     entries = []
     for variant in _variants(args.variant):
         start = time.perf_counter()
-        result = _oracle(points, variant, None)
+        result = _oracle(points, variant)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         entries.append((variant, result, elapsed_ms))
     if args.format == "json":
@@ -366,7 +368,7 @@ def cmd_discrepancy(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    results = run_suites(args.suite, trials=args.trials, seed=args.seed, budget=_budget(args))
+    results = run_suites(args.suite, trials=args.trials, seed=args.seed)
     failed = False
     for result in results:
         status = "ok" if result.ok else "FAIL"
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--oracle", action="store_true", help="also run the exact oracle")
     bound.add_argument("--per-k", action="store_true", help="include the per-index table")
     bound.add_argument("--format", choices=("csv", "json"), default="csv")
-    bound.add_argument("--budget", type=int, help="index enumeration budget")
+    bound.add_argument("--budget", type=int, help="cap on the index box and phase-table entries")
     bound.add_argument("--out", help="output path (default stdout)")
     bound.set_defaults(func=cmd_bound)
 
@@ -437,9 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=SUITES)
     verify.add_argument("--trials", type=int, default=100, help="domination sweep size, >= 1")
     verify.add_argument("--seed", type=int, default=1, help="sweep seed")
-    verify.add_argument(
-        "--budget", type=int, help="index enumeration budget, read only by the domination sweep"
-    )
     verify.set_defaults(func=cmd_verify)
 
     return parser

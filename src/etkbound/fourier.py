@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .badic import (
-    DEFAULT_BUDGET,
     DigitVector,
     delta_size,
     enumerate_delta,
@@ -114,13 +113,11 @@ def elint_contains(e: Elint, x: Sequence) -> bool:
     return True
 
 
-def elint_partition(
-    bases: tuple[int, ...], g: tuple[int, ...], budget: int | None = DEFAULT_BUDGET
-):
+def elint_partition(bases: tuple[int, ...], g: tuple[int, ...]):
     """Stream the elints of resolution g; they tile the unit cube exactly once."""
     bases = tuple(bases)
     g = tuple(g)
-    for c in enumerate_delta(bases, g, budget=budget):
+    for c in enumerate_delta(bases, g):
         yield Elint(bases, g, c)
 
 
@@ -147,9 +144,7 @@ def elint_fourier_coeff(e: Elint, k: tuple[int, ...], spec: HybridSystemSpec) ->
     return float(e.measure) * phase.conjugate().to_complex()
 
 
-def step_representation(
-    k: tuple[int, ...], spec: HybridSystemSpec, budget: int | None = DEFAULT_BUDGET
-) -> list[tuple[Elint, complex]]:
+def step_representation(k: tuple[int, ...], spec: HybridSystemSpec) -> list[tuple[Elint, complex]]:
     """xi_k as a step function: its value on each elint of resolution vb(k_i).
 
     For k != 0 the listed values sum to zero (the function integrates to 0).
@@ -158,7 +153,7 @@ def step_representation(
         raise ValueError(f"expected {spec.s} index components, got {len(k)}")
     g = tuple(vb(ki, b) for ki, b in zip(k, spec.bases))
     out = []
-    for e in elint_partition(spec.bases, g, budget=budget):
+    for e in elint_partition(spec.bases, g):
         value = xi_phase(spec, tuple(k), e.anchor_digits()).to_complex()
         out.append((e, value))
     return out
@@ -269,12 +264,7 @@ def interval_fourier_coeff(I: BadicInterval, k: tuple[int, ...], spec: HybridSys
     return total
 
 
-def reconstruct_indicator(
-    e: Elint,
-    spec: HybridSystemSpec,
-    x: Point,
-    budget: int | None = DEFAULT_BUDGET,
-) -> float:
+def reconstruct_indicator(e: Elint, spec: HybridSystemSpec, x: Point) -> float:
     """Pointwise sum of coeff(e,k) xi_k(x) over the full index box of resolution g.
 
     The truncated series is exact for elint indicators, so the return value is
@@ -282,7 +272,7 @@ def reconstruct_indicator(
     """
     _check_spec_matches(spec, e.bases)
     total = 0j
-    for k in enumerate_delta(e.bases, e.g, budget=budget):
+    for k in enumerate_delta(e.bases, e.g):
         coeff = elint_fourier_coeff(e, k, spec)
         total += coeff * xi_phase(spec, k, tuple(x)).to_complex()
     return total.real
@@ -302,7 +292,6 @@ def partition_inner_product(
     g: tuple[int, ...],
     k: tuple[int, ...],
     l: tuple[int, ...],
-    budget: int | None = DEFAULT_BUDGET,
 ) -> complex:
     """Inner product of xi_k and conj(xi_l) as the exact sum over the resolution-g tiling.
 
@@ -319,7 +308,7 @@ def partition_inner_product(
             if not 0 <= ki < b**gi:
                 raise ValueError(f"index {ki} outside the resolution-{gi} domain of base {b}")
     phases = []
-    for e in elint_partition(spec.bases, g, budget=budget):
+    for e in elint_partition(spec.bases, g):
         anchor = e.anchor_digits()
         diff = xi_phase(spec, tuple(k), anchor).fraction - xi_phase(spec, tuple(l), anchor).fraction
         phases.append(PhaseFraction.from_fraction(diff))

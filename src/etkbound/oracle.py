@@ -16,7 +16,6 @@ from math import prod
 
 import numpy as np
 
-from .badic import DEFAULT_BUDGET
 from .bounds import BoundReport, EXTREME, STAR, _check_variant, etk_bound
 from .sequences import PointSet
 from .systems import HybridSystemSpec
@@ -212,9 +211,6 @@ def domination_check(
     g: tuple[int, ...],
     points: PointSet,
     variant: str = EXTREME,
-    *,
-    budget: int | None = DEFAULT_BUDGET,
-    max_points: int | None = None,
 ) -> DominationReport:
     """Evaluate the streamed bound and the exact discrepancy, and compare.
 
@@ -222,8 +218,8 @@ def domination_check(
     truth and only float summation noise may push it below zero.
     """
     _check_variant(variant)
-    report = etk_bound(spec, g, points, variant, budget=budget)
+    report = etk_bound(spec, g, points, variant)
     oracle_fn = star_discrepancy_exact if variant == STAR else extreme_discrepancy_exact
-    disc = oracle_fn(points, max_points=max_points)
+    disc = oracle_fn(points)
     margin = report.total - disc.value
     return DominationReport(report, disc, margin, ok=margin >= -DOMINATION_SLACK)

@@ -69,9 +69,6 @@ class PhaseFraction:
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.modulus)
 
-    def __add__(self, other: "PhaseFraction") -> "PhaseFraction":
-        return PhaseFraction.from_fraction(self.fraction + other.fraction)
-
     def conjugate(self) -> "PhaseFraction":
         return PhaseFraction.from_fraction(-self.fraction)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .badic import DEFAULT_BUDGET, DigitColumn, enumerate_delta
+from .badic import DigitColumn, enumerate_delta
 from .bounds import (
     EXTREME,
     STAR,
@@ -314,12 +314,7 @@ def _draw_trial(rng: random.Random, variant: str):
     return spec, g, points, label
 
 
-def domination_sweep(
-    variant: str,
-    trials: int = 100,
-    seed: int = 1,
-    budget: int | None = DEFAULT_BUDGET,
-) -> SuiteResult:
+def domination_sweep(variant: str, trials: int = 100, seed: int = 1) -> SuiteResult:
     """Seeded random configurations: bound >= exact discrepancy, every trial.
 
     Each trial also verifies the exact truncation-term bound (epsilon at most
@@ -331,7 +326,7 @@ def domination_sweep(
     worst = math.inf
     for _ in range(trials):
         spec, g, points, label = _draw_trial(rng, variant)
-        rep: DominationReport = domination_check(spec, g, points, variant, budget=budget)
+        rep: DominationReport = domination_check(spec, g, points, variant)
         result.checks += 1
         worst = min(worst, rep.margin)
         if not rep.ok:
@@ -366,12 +361,7 @@ def full_period_report(base: int, g: int, tag: str):
 SUITES = ("orthonormality", "fourier", "fc-bounds", "weights", "domination", "all")
 
 
-def run_suites(
-    name: str,
-    trials: int = 100,
-    seed: int = 1,
-    budget: int | None = DEFAULT_BUDGET,
-) -> list[SuiteResult]:
+def run_suites(name: str, trials: int = 100, seed: int = 1) -> list[SuiteResult]:
     """Run one named suite (or all of them) and collect the results."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}, expected one of {SUITES}")
@@ -386,6 +376,6 @@ def run_suites(
     if name in ("weights", "all"):
         out.append(check_weights())
     if name in ("domination", "all"):
-        out.append(domination_sweep(EXTREME, trials=trials, seed=seed, budget=budget))
-        out.append(domination_sweep(STAR, trials=trials, seed=seed + 1, budget=budget))
+        out.append(domination_sweep(EXTREME, trials=trials, seed=seed))
+        out.append(domination_sweep(STAR, trials=trials, seed=seed + 1))
     return out

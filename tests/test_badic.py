@@ -170,5 +170,5 @@ def test_delta_size_and_enumeration_order():
 
 
 def test_enumerate_delta_budget():
-    with pytest.raises(BudgetExceededError):
-        list(enumerate_delta((2, 2), (3, 3), budget=10))
+    with pytest.raises(BudgetExceededError, match="domain size 33554432 exceeds budget 16777216"):
+        enumerate_delta((2,), (25,))

@@ -214,13 +214,21 @@ def test_etk_bound_validates_input():
         etk_bound(spec, (2,), pts, "anchored")
 
 
-def test_etk_bound_budget_counts_phase_table_entries():
-    """The budget caps N * sum_i b_i^g_i as well as |Delta|, before any table exists."""
+def test_etk_bound_budget_counts_phase_table_entries(monkeypatch):
+    """The budget caps the tables as built, sum_i b_i^g_i U_i, before any table exists."""
+    import etkbound.bounds as bounds
+
     pts = generate_points(HaltonConfig((2, 3)), 10)
     spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
-    entries = 10 * (2**3 + 3**2)  # 170, while |Delta| is 72
+    entries = 8 * 8 + 9 * 9  # 145: 10 points fill 8 of 8 and 9 of 9 cells; |Delta| is 72
     etk_bound(spec, (3, 2), pts, budget=entries)
-    with pytest.raises(BudgetExceededError, match="phase tables of 170 entries"):
+    etk_bound(spec, (3, 2), pts, budget=150)  # N * sum_i b_i^g_i = 170 would refuse this
+
+    def no_tables(*args):
+        raise AssertionError("phase table built past the budget")
+
+    monkeypatch.setattr(bounds, "phase_numerators", no_tables)
+    with pytest.raises(BudgetExceededError, match="phase tables of 145 entries exceed budget 144"):
         etk_bound(spec, (3, 2), pts, budget=entries - 1)
 
 

@@ -351,6 +351,49 @@ def test_cli_budget_env(monkeypatch, tmp_path):
     monkeypatch.setenv("ETKBOUND_BUDGET", "zz")
     code, _, err = run_cli("bound", str(pfile), "--g", "3")
     assert code == 1
+    monkeypatch.delenv("ETKBOUND_BUDGET")
+    for value in ("0", "-5"):
+        code, _, err = run_cli("bound", str(pfile), "--g", "3", "--budget", value)
+        assert code == 1
+        assert f"--budget must be positive, got {value}" in err
+
+
+def test_cli_verify_reads_no_budget(monkeypatch):
+    code, _, err = run_cli("verify", "fourier", "--budget", "5")
+    assert code == 1 and "unrecognized arguments: --budget 5" in err
+    monkeypatch.setenv("ETKBOUND_BUDGET", "zz")
+    code, out, _ = run_cli("verify", "weights")
+    assert code == 0 and "all suites passed" in out
+
+
+def test_budget_and_cap_knobs_stay_where_they_are():
+    """Only etk_bound takes a budget and only the two oracle entry points a point cap."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    knobs = {"budget": set(), "max_points": set()}
+    for info in pkgutil.iter_modules(etkbound.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"etkbound.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:  # exception classes have no signature
+                continue
+            for knob, owners in knobs.items():
+                if knob in params:
+                    owners.add(name)
+    assert knobs == {
+        "budget": {"etk_bound"},
+        "max_points": {"star_discrepancy_exact", "extreme_discrepancy_exact"},
+    }
+    code, out, _ = run_cli("verify", "--help")
+    assert code == 0 and "--trials" in out and "--budget" not in out
 
 
 def test_cli_stdin_dash(tmp_path, monkeypatch):

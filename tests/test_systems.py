@@ -33,9 +33,7 @@ def test_phase_fraction_normalizes_mod_one():
     assert PhaseFraction(2, 4) == PhaseFraction(1, 2)
 
 
-def test_phase_fraction_add_and_conjugate():
-    p = PhaseFraction(1, 3) + PhaseFraction(1, 2)
-    assert p.fraction == Fraction(5, 6)
+def test_phase_fraction_conjugate():
     assert PhaseFraction(1, 3).conjugate().fraction == Fraction(2, 3)
     assert PhaseFraction(0, 1).conjugate() == PhaseFraction(0, 1)
 
@@ -73,7 +71,7 @@ def test_walsh_phase_is_digitwise():
             v = DigitVector.from_int(b, base, precision=2)
             w = add_without_carry(u, v)
             lhs = walsh_phase(k, w, base).fraction
-            rhs = (walsh_phase(k, u, base) + walsh_phase(k, v, base)).fraction
+            rhs = (walsh_phase(k, u, base).fraction + walsh_phase(k, v, base).fraction) % 1
             assert lhs == rhs
 
 
@@ -88,7 +86,7 @@ def test_chi_phase_character_property():
             v = DigitVector.from_int(b, base, precision=5)
             w = add_with_carry(u, v)
             lhs = chi_phase(k, w, base).fraction
-            rhs = (chi_phase(k, u, base) + chi_phase(k, v, base)).fraction
+            rhs = (chi_phase(k, u, base).fraction + chi_phase(k, v, base).fraction) % 1
             assert lhs == rhs
 
 
