@@ -246,15 +246,21 @@ class DigitColumn:
         rows = self.digits.tolist()
         return tuple(DigitVector(self.base, row[:c]) for row, c in zip(rows, self.counts.tolist()))
 
-    def value_ranks(self) -> tuple[list[Fraction], np.ndarray]:
+    def value_ranks(self) -> tuple[list[int], np.ndarray]:
         """Distinct point values in increasing order, and each row's index among them.
 
-        One sort of the rows ranks the column (row order is value order), so
-        only the distinct values become Fractions.
+        A value is returned as its integer numerator over b^P, P the width of
+        the digit matrix.  One sort of the rows ranks the column (row order is
+        value order), so only the distinct rows are read as integers.
         """
         rows, ranks = np.unique(self.digits, axis=0, return_inverse=True)
-        values = [DigitVector(self.base, row).value for row in rows.tolist()]
-        return values, ranks.reshape(-1)
+        nums = []
+        for row in rows.tolist():
+            num = 0
+            for d in row:
+                num = num * self.base + d
+            nums.append(num)
+        return nums, ranks.reshape(-1)
 
 
 def monna(z: DigitVector) -> Fraction:

@@ -152,7 +152,7 @@ def corollary_bound(
     """Closed-form bound: epsilon + B prod_i (c g_i ln b_i + 1), c = 2.43 or 1.22.
 
     B is any uniform upper bound on the exponential-sum moduli; with
-    B = max |S_N| this dominates the streamed bound for the same data.
+    B = max |S_N| this dominates the bound for the same data.
     """
     _check_variant(variant)
     if max_abs_sum < 0:

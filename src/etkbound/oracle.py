@@ -4,8 +4,9 @@ The supremum over boxes is attained, or approached one-sidedly, at corners of
 the critical grid built from the point coordinates, so both discrepancy
 variants reduce to finite enumerations.  One engine runs both: it ranks the
 points on every axis's grid straight from the digit columns, counts each box
-exactly, screens the deviations in float64 and re-evaluates every
-near-maximal candidate in Fraction arithmetic, so the reported value is exact.
+exactly, screens the deviations in float64 block by block and re-evaluates
+every near-maximal candidate in integer arithmetic, so the reported value is
+exact.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ __all__ = [
 # re-checked exactly.  The same slack defines domination failure.
 DOMINATION_SLACK = 1e-9
 
+# Scratch bytes one block of the screen, or one chunk of box counts, may take,
+# so the oracle's memory stays bounded whatever the number of boxes.
+_BLOCK_BYTES = 1 << 20
+
 
 class CapExceededError(RuntimeError):
     """The point set is too large for exact enumeration at this dimension."""
@@ -52,11 +57,15 @@ class BoxWitness:
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
+    """candidates counts the boxes re-valued exactly, ties the exact maximizers among them."""
+
     variant: str
     value: float
     exact: Fraction
     witness: BoxWitness
     attained: bool
+    candidates: int
+    ties: int
 
 
 def _check_cap(points: PointSet, caps: dict[int, int], variant: str, max_points: int | None) -> None:
@@ -120,55 +129,84 @@ def _discrepancy_exact(points: PointSet, variant: str, max_points: int | None) -
     """Enumerate the critical grid {0} + point values + {1} of every axis.
 
     Counts are exact integers (sums of 0/1 products, exact in float64); the
-    float deviation screens candidates, which are then valued in Fractions.
-    The witness is the first exact maximizer, in (closure, index) order, that
-    a half-open box attains, else the first exact maximizer.
+    float deviation screens candidates, which are then valued in integers:
+    grid values are numerators over D_i = b_i^{P_i}, so with D = prod D_i a
+    box's deviation is |count D - N prod(hi - lo)| / (N D).  The witness is
+    the first exact maximizer, in (closure, index) order, that a half-open
+    box attains, else the first exact maximizer.
     """
     caps, boxes, closures = _VARIANTS[variant]
     _check_cap(points, caps, variant, max_points)
     n = points.n_points
-    grids, ranks, axes = [], [], []
-    vols = np.ones(())
+    grids, ranks, axes, widths = [], [], [], []
     for col in points.columns:
-        values, r = col.value_ranks()
-        shift = int(values[0] != 0)
-        grid = [Fraction(0)] * shift + values + [Fraction(1)]
+        nums, r = col.value_ranks()
+        scale = col.base ** col.digits.shape[1]
+        shift = int(nums[0] != 0)
+        grid = [0] * shift + nums + [scale]
         lo, hi = boxes(len(grid))
-        at = np.array([float(v) for v in grid])
-        vols = np.multiply.outer(vols, at[hi] - at[lo])
+        at = np.array([x / scale for x in grid])
         grids.append(grid)
         ranks.append(r + shift)
         axes.append((lo, hi))
+        widths.append(at[hi] - at[lo])
     found = []
     for closure in closures:
-        box_lo, box_hi = _screen(ranks, axes, vols, closure)
+        box_lo, box_hi = _screen(ranks, axes, widths, closure)
         found.append((box_lo, box_hi, _box_counts(ranks, box_lo, box_hi, closure)))
     box_lo, box_hi, counts = (np.concatenate(parts) for parts in zip(*found))
+    scale = prod(grid[-1] for grid in grids)
     devs = [
-        abs(Fraction(c, n) - prod(grid[b] - grid[a] for grid, a, b in zip(grids, row_lo, row_hi)))
+        abs(c * scale - n * prod(grid[b] - grid[a] for grid, a, b in zip(grids, row_lo, row_hi)))
         for c, row_lo, row_hi in zip(counts.tolist(), box_lo.tolist(), box_hi.tolist())
     ]
-    exact = max(devs)
-    tops = np.flatnonzero([d == exact for d in devs])
+    top = max(devs)
+    tops = np.flatnonzero([d == top for d in devs])
     hits = tops[_box_counts(ranks, box_lo[tops], box_hi[tops], _HALF_OPEN) == counts[tops]]
     attained = hits.size > 0
     k = hits[0] if attained else tops[0]
     witness = BoxWitness(
-        lower=tuple(grid[a] for grid, a in zip(grids, box_lo[k])),
-        upper=tuple(grid[b] for grid, b in zip(grids, box_hi[k])),
+        lower=tuple(Fraction(grid[a], grid[-1]) for grid, a in zip(grids, box_lo[k])),
+        upper=tuple(Fraction(grid[b], grid[-1]) for grid, b in zip(grids, box_hi[k])),
         closure="inner" if attained else "outer",
     )
-    return DiscrepancyResult(variant, float(exact), exact, witness, attained)
+    exact = Fraction(top, n * scale)
+    return DiscrepancyResult(variant, float(exact), exact, witness, attained, len(devs), tops.size)
 
 
-def _screen(ranks: list[np.ndarray], axes, vols: np.ndarray, closure) -> tuple[np.ndarray, ...]:
+def _screen(ranks: list[np.ndarray], axes, widths: list[np.ndarray], closure) -> tuple[np.ndarray, ...]:
     """Per-axis grid indices (boxes x axes) of the boxes whose float deviation
-    |count/N - vol| in this closure lies within the slack of the largest."""
-    dev = _joint_counts([_members(r, lo, hi, closure) for r, (lo, hi) in zip(ranks, axes)])
-    dev /= len(ranks[0])  # N
-    dev -= vols
-    np.abs(dev, out=dev)
-    idx = np.argwhere(dev >= dev.max() - DOMINATION_SLACK).T
+    |count/N - vol| in this closure lies within the slack of the largest.
+
+    The first axis's boxes go in blocks of about _BLOCK_BYTES of counts,
+    volumes and joint membership rows, keeping the entries near the running
+    maximum; the other axes' membership rows are built once.  Candidates come
+    out in row-major order, as from one whole count tensor.
+    """
+    n = len(ranks[0])
+    shape = [len(lo) for lo, _ in axes]
+    inner = prod(shape[1:])
+    step = max(1, _BLOCK_BYTES // (8 * (prod(shape[1:-1]) * n + 2 * inner)))
+    rest = [_members(r, lo, hi, closure) for r, (lo, hi) in zip(ranks[1:], axes[1:])]
+    if rest:  # every block multiplies by the last axis's rows as floats
+        rest[-1] = rest[-1].astype(np.float64)
+    (lo0, hi0), top = axes[0], -np.inf
+    flat, near = [], []
+    for start in range(0, shape[0], step):
+        block = slice(start, start + step)
+        dev = _joint_counts([_members(ranks[0], lo0[block], hi0[block], closure), *rest])
+        dev /= n
+        vols = np.ones(())
+        for w in (widths[0][block], *widths[1:]):
+            vols = np.multiply.outer(vols, w)
+        dev -= vols
+        np.abs(dev, out=dev)
+        top = max(top, dev.max())
+        keep = np.flatnonzero(dev >= top - DOMINATION_SLACK)
+        flat.append(keep + start * inner)
+        near.append(dev.reshape(-1)[keep])
+    flat, near = np.concatenate(flat), np.concatenate(near)
+    idx = np.unravel_index(flat[near >= top - DOMINATION_SLACK], shape)
     box_lo = np.stack([lo[j] for (lo, _), j in zip(axes, idx)], axis=1)
     box_hi = np.stack([hi[j] for (_, hi), j in zip(axes, idx)], axis=1)
     return box_lo, box_hi
@@ -181,18 +219,28 @@ def _members(ranks: np.ndarray, lo: np.ndarray, hi: np.ndarray, closure) -> np.n
 
 
 def _box_counts(ranks: list[np.ndarray], box_lo: np.ndarray, box_hi: np.ndarray, closure):
-    """Points in each listed box; row k of box_lo/box_hi holds box k's per-axis grid indices."""
-    inside = [_members(r, box_lo[:, i], box_hi[:, i], closure) for i, r in enumerate(ranks)]
-    return np.logical_and.reduce(inside).sum(axis=1)
+    """Points in each listed box; row k of box_lo/box_hi holds box k's per-axis grid indices.
+
+    Boxes are counted in chunks of about _BLOCK_BYTES of membership flags.
+    """
+    step = max(1, _BLOCK_BYTES // (len(ranks) * len(ranks[0])))
+    return np.concatenate([
+        np.logical_and.reduce([
+            _members(r, box_lo[k : k + step, i], box_hi[k : k + step, i], closure)
+            for i, r in enumerate(ranks)
+        ]).sum(axis=1)
+        for k in range(0, len(box_lo), step)
+    ])
 
 
 def _joint_counts(members: list[np.ndarray]) -> np.ndarray:
-    """Count tensor over every combination of per-axis boxes."""
+    """Count tensor over every combination of per-axis boxes; the last axis's
+    membership rows may come as float64 already."""
     n = members[0].shape[1]
     joint = np.ones((1, n), dtype=bool)
     for m in members[:-1]:
         joint = (joint[:, None, :] & m[None, :, :]).reshape(-1, n)
-    counts = joint.astype(np.float64) @ members[-1].T.astype(np.float64)
+    counts = joint.astype(np.float64) @ members[-1].T.astype(np.float64, copy=False)
     return counts.reshape([len(m) for m in members])
 
 
@@ -212,7 +260,7 @@ def domination_check(
     points: PointSet,
     variant: str = EXTREME,
 ) -> DominationReport:
-    """Evaluate the streamed bound and the exact discrepancy, and compare.
+    """Evaluate the bound and the exact discrepancy, and compare.
 
     The inequality guarantees bound >= discrepancy; margin is bound minus
     truth and only float summation noise may push it below zero.

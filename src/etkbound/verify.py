@@ -319,7 +319,7 @@ def domination_sweep(variant: str, trials: int = 100, seed: int = 1) -> SuiteRes
 
     Each trial also verifies the exact truncation-term bound (epsilon at most
     2 s delta, star half that) and that the closed-form corollary evaluated at
-    B = max |S_N| dominates the streamed bound.
+    B = max |S_N| dominates the bound.
     """
     result = SuiteResult(f"domination-{variant}", 0, summary=f"seed={seed}")
     rng = random.Random(seed)
@@ -343,7 +343,7 @@ def domination_sweep(variant: str, trials: int = 100, seed: int = 1) -> SuiteRes
         result.checks += 1
         if closed < rep.bound.total - 1e-12:
             result.failures.append(
-                f"{label}: corollary {closed:.12f} < streamed {rep.bound.total:.12f}"
+                f"{label}: corollary {closed:.12f} < bound {rep.bound.total:.12f}"
             )
     result.summary = f"seed={seed}, worst margin {worst:.3e}"
     return result

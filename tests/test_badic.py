@@ -58,9 +58,14 @@ def test_value_ranks_order_rows_by_value():
     """uint16 digits 255 and 256 differ in their low byte the other way round."""
     digits = [(5, 256), (5,), (), (5, 255, 7), (4, 999), (5, 256, 0), (0, 1)]
     vectors = [DigitVector(1000, d) for d in digits]
-    values, ranks = DigitColumn.from_vectors(vectors, 1000).value_ranks()
+    nums, ranks = DigitColumn.from_vectors(vectors, 1000).value_ranks()
+    assert all(type(x) is int for x in nums)
+    values = [Fraction(x, 1000**3) for x in nums]  # the widest vector has 3 digits
     assert values == sorted({v.value for v in vectors})
     assert [values[r] for r in ranks] == [v.value for v in vectors]
+    # a column of width 0 holds only the value 0, over b^0 = 1
+    nums, ranks = DigitColumn.from_vectors([DigitVector(2, ())] * 2, 2).value_ranks()
+    assert (nums, ranks.tolist()) == ([0], [0, 0])
 
 
 def test_digit_vector_value_and_as_integer():
