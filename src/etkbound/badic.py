@@ -355,6 +355,18 @@ def delta_size(bases: tuple[int, ...], g: tuple[int, ...]) -> int:
     return prod(b**gi for b, gi in zip(bases, g))
 
 
+def _check_budget(bases: tuple[int, ...], g: tuple[int, ...], limit: int | None, noun: str) -> None:
+    """Raise BudgetExceededError when delta_size(bases, g) is above limit (None: no limit).
+
+    The message names a size past 64 bits as the product b1^g1*b2^g2: 2^99999
+    in decimal has 30103 digits, past Python's int-to-str conversion limit.
+    """
+    size = delta_size(bases, g)
+    if limit is not None and size > limit:
+        text = str(size) if size < 1 << 64 else "*".join(f"{b}^{gi}" for b, gi in zip(bases, g))
+        raise BudgetExceededError(f"{noun} {text} exceeds budget {limit}")
+
+
 def enumerate_delta(
     bases: tuple[int, ...],
     g: tuple[int, ...],
@@ -369,9 +381,7 @@ def enumerate_delta(
     """
     bases = tuple(bases)
     g = tuple(g)
-    size = delta_size(bases, g)
-    if size > DEFAULT_BUDGET:
-        raise BudgetExceededError(f"domain size {size} exceeds budget {DEFAULT_BUDGET}")
+    _check_budget(bases, g, DEFAULT_BUDGET, "domain size")
     ranges = [range(b**gi) for b, gi in zip(bases, g)]
     it = itertools.product(*ranges)
     if star:

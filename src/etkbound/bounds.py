@@ -22,8 +22,8 @@ from .badic import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     DigitColumn,
+    _check_budget,
     check_base,
-    delta_size,
     vb,
 )
 from .sequences import PointSet
@@ -229,9 +229,7 @@ def etk_bound(
     if n < 1:
         raise ValueError("empty point set")
     star = variant == STAR
-    size = delta_size(spec.bases, g)
-    if budget is not None and size > budget:
-        raise BudgetExceededError(f"index domain size {size} exceeds budget {budget}")
+    _check_budget(spec.bases, g, budget, "index domain size")
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
     eps = epsilon_term(spec.bases, g, star)
 

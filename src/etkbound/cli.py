@@ -15,10 +15,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .badic import DEFAULT_BUDGET, BudgetExceededError
-from .bounds import EXTREME, STAR, BoundReport, etk_bound
+from .bounds import EXTREME, STAR, etk_bound
 from .oracle import (
     CapExceededError,
     DiscrepancyResult,
@@ -37,7 +36,7 @@ from .sequences import (
 from .systems import BADIC, WALSH, HybridSystemSpec
 from .verify import SUITES, run_suites
 
-__all__ = ["ReportRow", "main"]
+__all__ = ["main"]
 
 BUDGET_ENV = "ETKBOUND_BUDGET"
 
@@ -53,28 +52,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass
-class ReportRow:
-    """One (g, variant) line of a bound report.
-
-    bound_total is epsilon + weighted_sum by construction; margin is present
-    only when the exact oracle ran.  runtime_ms is the wall-clock time of
-    etk_bound alone, without the oracle, and is the one field excluded from
-    determinism guarantees.
-    """
-
-    variant: str
-    n_points: int
-    g: tuple[int, ...]
-    epsilon: float
-    weighted_sum: float
-    bound_total: float
-    exact_discrepancy: float | None
-    margin: float | None
-    runtime_ms: float
-    per_index: list[tuple[tuple[int, ...], float, float]] | None = None
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -156,21 +133,12 @@ def cmd_gen(args) -> int:
         badic_part = config_from_string(args.badic) if args.badic else None
         if walsh_part is None and badic_part is None:
             raise UsageError("hybrid needs at least one of --walsh/--badic")
-        w_bases = walsh_part.bases if walsh_part else ()
-        b_bases = badic_part.bases if badic_part else ()
+        widths = [len(part.bases) if part else 0 for part in (walsh_part, badic_part)]
         if args.tags:
-            tags = _parse_tags(args.tags, len(w_bases) + len(b_bases))
+            tags = _parse_tags(args.tags, sum(widths))
         else:
-            tags = (WALSH,) * len(w_bases) + (BADIC,) * len(b_bases)
-        w_iter, b_iter = iter(w_bases), iter(b_bases)
-        try:
-            bases = tuple(
-                next(w_iter) if t == WALSH else next(b_iter) for t in tags
-            )
-        except StopIteration:
-            raise UsageError("--tags does not match the part dimensions")
-        spec = HybridSystemSpec.from_tags(bases, tags)
-        points = hybrid_points(spec, walsh_part, badic_part, args.n)
+            tags = (WALSH,) * widths[0] + (BADIC,) * widths[1]
+        points = hybrid_points(tags, walsh_part, badic_part, args.n)
     buf = io.StringIO()
     write_point_set(points, buf)
     _write_output(buf.getvalue(), args.out)
@@ -187,7 +155,58 @@ def _oracle(points: PointSet, variant: str) -> DiscrepancyResult:
     return extreme_discrepancy_exact(points)
 
 
-def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> list[ReportRow]:
+# CSV columns per report; list fields join with their separator, runtime_ms
+# prints to the microsecond and every other cell is csv's own str()
+_CSV_COLUMNS = {
+    "bound": (
+        "variant", "n", "g", "epsilon", "weighted_sum", "bound_total",
+        "exact_discrepancy", "margin", "runtime_ms",
+    ),
+    "discrepancy": (
+        "variant", "n", "value", "exact", "witness_lower", "witness_upper",
+        "closure", "attained", "runtime_ms",
+    ),
+}
+_CSV_JOIN = {"g": ",", "witness_lower": ";", "witness_upper": ";"}
+
+
+def _report(args, command: str, points: PointSet, rows: list[dict], **header) -> None:
+    """Write one report as a JSON document, or as CSV derived from the same rows.
+
+    The CSV has one line per row over the command's columns (n is the point
+    count), then each row's per-k table as `#` comment lines.
+    """
+    doc = {
+        "schema": 1,
+        "command": command,
+        "n_points": points.n_points,
+        "bases": list(points.bases),
+        **header,
+        "rows": rows,
+    }
+    if args.format == "json":
+        _write_output(json.dumps(doc, indent=2), args.out)
+        return
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    columns = _CSV_COLUMNS[command]
+    writer.writerow(columns)
+    for row in rows:
+        cells = {"n": points.n_points, **row, "runtime_ms": f"{row['runtime_ms']:.3f}"}
+        writer.writerow(
+            _CSV_JOIN[c].join(map(str, cells[c])) if c in _CSV_JOIN else cells[c] for c in columns
+        )
+    for row in rows:
+        if "per_k" not in row:
+            continue
+        buf.write(f"# per-k variant={row['variant']} g={','.join(map(str, row['g']))}\n")
+        for e in row["per_k"]:
+            k = ",".join(map(str, e["k"]))
+            buf.write(f"# k={k} weight={e['weight']!r} abs_sum={e['abs_sum']!r}\n")
+    _write_output(buf.getvalue(), args.out)
+
+
+def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> list[dict]:
     g_list = []
     for raw in args.g:
         g = _parse_ints(raw, "--g")
@@ -201,9 +220,7 @@ def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> 
     for g in g_list:
         for variant in _variants(args.variant):
             start = time.perf_counter()
-            rep: BoundReport = etk_bound(
-                spec, g, points, variant, per_index=args.per_k, budget=budget
-            )
+            rep = etk_bound(spec, g, points, variant, per_index=args.per_k, budget=budget)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             exact = margin = None
             if args.oracle:
@@ -211,90 +228,23 @@ def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> 
                     oracle_cache[variant] = _oracle(points, variant)
                 exact = oracle_cache[variant].value
                 margin = rep.total - exact
-            rows.append(
-                ReportRow(
-                    variant=variant,
-                    n_points=points.n_points,
-                    g=g,
-                    epsilon=rep.epsilon,
-                    weighted_sum=rep.weighted_sum,
-                    bound_total=rep.total,
-                    exact_discrepancy=exact,
-                    margin=margin,
-                    runtime_ms=elapsed_ms,
-                    per_index=rep.per_index if args.per_k else None,
-                )
-            )
+            row = {
+                "variant": variant,
+                "n": points.n_points,
+                "g": list(g),
+                "epsilon": rep.epsilon,
+                "weighted_sum": rep.weighted_sum,
+                "bound_total": rep.total,
+                "exact_discrepancy": exact,
+                "margin": margin,
+                "runtime_ms": elapsed_ms,
+            }
+            if args.per_k:
+                row["per_k"] = [
+                    {"k": list(k), "weight": w, "abs_sum": a} for k, w, a in rep.per_index
+                ]
+            rows.append(row)
     return rows
-
-
-def _rows_json(args, points: PointSet, spec: HybridSystemSpec, rows: list[ReportRow]) -> str:
-    payload = {
-        "schema": 1,
-        "command": "bound",
-        "n_points": points.n_points,
-        "bases": list(spec.bases),
-        "tags": list(spec.tags),
-        "rows": [],
-    }
-    for row in rows:
-        entry = {
-            "variant": row.variant,
-            "n": row.n_points,
-            "g": list(row.g),
-            "epsilon": row.epsilon,
-            "weighted_sum": row.weighted_sum,
-            "bound_total": row.bound_total,
-            "exact_discrepancy": row.exact_discrepancy,
-            "margin": row.margin,
-            "runtime_ms": row.runtime_ms,
-        }
-        if row.per_index is not None:
-            entry["per_k"] = [
-                {"k": list(k), "weight": w, "abs_sum": a} for k, w, a in row.per_index
-            ]
-        payload["rows"].append(entry)
-    return json.dumps(payload, indent=2)
-
-
-_CSV_HEADER = [
-    "variant",
-    "n",
-    "g",
-    "epsilon",
-    "weighted_sum",
-    "bound_total",
-    "exact_discrepancy",
-    "margin",
-    "runtime_ms",
-]
-
-
-def _rows_csv(rows: list[ReportRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            [
-                row.variant,
-                row.n_points,
-                ",".join(map(str, row.g)),
-                repr(row.epsilon),
-                repr(row.weighted_sum),
-                repr(row.bound_total),
-                "" if row.exact_discrepancy is None else repr(row.exact_discrepancy),
-                "" if row.margin is None else repr(row.margin),
-                f"{row.runtime_ms:.3f}",
-            ]
-        )
-    for row in rows:
-        if row.per_index is None:
-            continue
-        buf.write(f"# per-k variant={row.variant} g={','.join(map(str, row.g))}\n")
-        for k, weight, abs_sum in row.per_index:
-            buf.write(f"# k={','.join(map(str, k))} weight={weight!r} abs_sum={abs_sum!r}\n")
-    return buf.getvalue()
 
 
 def cmd_bound(args) -> int:
@@ -305,63 +255,30 @@ def cmd_bound(args) -> int:
         tags = (WALSH,) * points.s
     spec = HybridSystemSpec.from_tags(points.bases, tags)
     rows = _bound_rows(args, points, spec, _budget(args))
-    if args.format == "json":
-        _write_output(_rows_json(args, points, spec, rows), args.out)
-    else:
-        _write_output(_rows_csv(rows), args.out)
+    _report(args, "bound", points, rows, tags=list(spec.tags))
     return 0
 
 
 def cmd_discrepancy(args) -> int:
     points = _open_points(args.file)
-    entries = []
+    rows = []
     for variant in _variants(args.variant):
         start = time.perf_counter()
         result = _oracle(points, variant)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        entries.append((variant, result, elapsed_ms))
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "discrepancy",
-            "n_points": points.n_points,
-            "bases": list(points.bases),
-            "rows": [
-                {
-                    "variant": variant,
-                    "value": result.value,
-                    "exact": str(result.exact),
-                    "witness_lower": [str(x) for x in result.witness.lower],
-                    "witness_upper": [str(x) for x in result.witness.upper],
-                    "closure": result.witness.closure,
-                    "attained": result.attained,
-                    "runtime_ms": elapsed_ms,
-                }
-                for variant, result, elapsed_ms in entries
-            ],
-        }
-        _write_output(json.dumps(payload, indent=2), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["variant", "n", "value", "exact", "witness_lower", "witness_upper", "closure", "attained", "runtime_ms"]
+        rows.append(
+            {
+                "variant": variant,
+                "value": result.value,
+                "exact": str(result.exact),
+                "witness_lower": [str(x) for x in result.witness.lower],
+                "witness_upper": [str(x) for x in result.witness.upper],
+                "closure": result.witness.closure,
+                "attained": result.attained,
+                "runtime_ms": elapsed_ms,
+            }
         )
-        for variant, result, elapsed_ms in entries:
-            writer.writerow(
-                [
-                    variant,
-                    points.n_points,
-                    repr(result.value),
-                    str(result.exact),
-                    ";".join(str(x) for x in result.witness.lower),
-                    ";".join(str(x) for x in result.witness.upper),
-                    result.witness.closure,
-                    result.attained,
-                    f"{elapsed_ms:.3f}",
-                ]
-            )
-        _write_output(buf.getvalue(), args.out)
+    _report(args, "discrepancy", points, rows)
     return 0
 
 

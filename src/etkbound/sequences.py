@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .badic import DigitColumn, DigitVector, check_base, int_digits, monna_pseudoinverse
-from .systems import BADIC, WALSH, HybridSystemSpec
+from .systems import BADIC, WALSH
 
 __all__ = [
     "DigitalConfig",
@@ -305,43 +305,35 @@ def generate_points(config: GeneratorConfig, n_points: int) -> PointSet:
 
 
 def hybrid_points(
-    spec: HybridSystemSpec,
+    tags: Sequence[str],
     walsh_part: GeneratorConfig | None,
     badic_part: GeneratorConfig | None,
     n_points: int,
 ) -> PointSet:
-    """Interleave two generators along the system's tag pattern.
+    """Interleave two generators along a tag pattern.
 
     WALSH-tagged coordinates are filled from walsh_part in order, BADIC-tagged
-    ones from badic_part; widths must match the tag counts exactly, and an
-    absent part is allowed only when its tag does not occur.
+    ones from badic_part, so the bases follow from the parts.  Widths must
+    match the tag counts exactly, and an absent part is allowed only when its
+    tag does not occur.
     """
     if n_points < 1:
         raise ValueError(f"need at least one point, got {n_points}")
-    n_walsh = spec.tags.count(WALSH)
-    n_badic = spec.tags.count(BADIC)
-    for tag, part, want in ((WALSH, walsh_part, n_walsh), (BADIC, badic_part, n_badic)):
-        got = 0 if part is None else len(part.bases)
+    parts = {WALSH: walsh_part, BADIC: badic_part}
+    for tag in tags:
+        if tag not in parts:
+            raise ValueError(f"unknown tag {tag!r}, expected one of {tuple(parts)}")
+    columns = {}
+    for tag, part in parts.items():
+        got, want = 0 if part is None else len(part.bases), tags.count(tag)
         if got != want:
-            raise ValueError(f"{tag} part supplies {got} coordinates, spec needs {want}")
-    for part in (walsh_part, badic_part):
-        if part is None:
-            continue
-        slots = iter(
-            b for (b, t) in spec.coordinates if t == (WALSH if part is walsh_part else BADIC)
-        )
-        for pb, sb in zip(part.bases, slots):
-            if pb != sb:
-                raise ValueError(f"part base {pb} does not match spec base {sb}")
-    parts = {
-        tag: iter(part.columns(n_points) if part is not None else ())
-        for tag, part in ((WALSH, walsh_part), (BADIC, badic_part))
-    }
+            raise ValueError(f"{tag} part supplies {got} coordinates, tags need {want}")
+        columns[tag] = iter(part.columns(n_points) if part is not None else ())
     prov = "hybrid[{}|{}]".format(
         walsh_part.describe() if walsh_part else "-",
         badic_part.describe() if badic_part else "-",
     )
-    return PointSet.from_columns([next(parts[tag]) for tag in spec.tags], provenance=prov)
+    return PointSet.from_columns([next(columns[tag]) for tag in tags], provenance=prov)
 
 
 def config_from_string(text: str) -> GeneratorConfig:

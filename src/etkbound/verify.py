@@ -38,7 +38,6 @@ from .sequences import (
     DigitalConfig,
     GeneratorMatrix,
     HaltonConfig,
-    PointSet,
     VdcConfig,
     generate_points,
     hybrid_points,
@@ -271,20 +270,16 @@ def _draw_trial(rng: random.Random, variant: str):
     kind = rng.choice(kinds)
     tags = tuple(rng.choice((WALSH, BADIC)) for _ in range(s))
     if kind == "vdc":
-        base = rng.choice(_SWEEP_BASES)
-        bases = (base,)
-        points_for = lambda spec: generate_points(VdcConfig(base), n_points)
+        points = generate_points(VdcConfig(rng.choice(_SWEEP_BASES)), n_points)
     elif kind == "halton":
-        bases = tuple(rng.choice(_SWEEP_BASES) for _ in range(s))
-        points_for = lambda spec: generate_points(HaltonConfig(bases), n_points)
+        halton_bases = tuple(rng.choice(_SWEEP_BASES) for _ in range(s))
+        points = generate_points(HaltonConfig(halton_bases), n_points)
     elif kind == "digital":
         base = rng.choice(_SWEEP_BASES)
-        bases = (base,) * s
         mats = tuple(
             GeneratorMatrix.random(base, _DIGITAL_PRECISION, rng) for _ in range(s)
         )
-        cfg = DigitalConfig(base, mats)
-        points_for = lambda spec: generate_points(cfg, n_points)
+        points = generate_points(DigitalConfig(base, mats), n_points)
     else:  # hybrid: digital/vdc part on WALSH slots, Halton part on BADIC slots
         n_walsh = tags.count(WALSH)
         n_badic = s - n_walsh
@@ -303,14 +298,10 @@ def _draw_trial(rng: random.Random, variant: str):
             )
         badic_bases = tuple(rng.choice(_SWEEP_BASES) for _ in range(n_badic))
         badic_part = HaltonConfig(badic_bases) if n_badic else None
-        walsh_iter = iter(walsh_part.bases if walsh_part else ())
-        badic_iter = iter(badic_bases)
-        bases = tuple(next(walsh_iter) if t == WALSH else next(badic_iter) for t in tags)
-        points_for = lambda spec: hybrid_points(spec, walsh_part, badic_part, n_points)
-    spec = HybridSystemSpec.from_tags(bases, tags)
-    g = tuple(rng.randint(1, _max_g(b)) for b in bases)
-    points = points_for(spec)
-    label = f"{kind} bases={bases} tags={''.join(t[0] for t in tags)} g={g} N={n_points}"
+        points = hybrid_points(tags, walsh_part, badic_part, n_points)
+    spec = HybridSystemSpec.from_tags(points.bases, tags)
+    g = tuple(rng.randint(1, _max_g(b)) for b in spec.bases)
+    label = f"{kind} bases={spec.bases} tags={''.join(t[0] for t in tags)} g={g} N={n_points}"
     return spec, g, points, label
 
 

@@ -177,3 +177,10 @@ def test_delta_size_and_enumeration_order():
 def test_enumerate_delta_budget():
     with pytest.raises(BudgetExceededError, match="domain size 33554432 exceeds budget 16777216"):
         enumerate_delta((2,), (25,))
+    # a size past 64 bits has too many digits for str(); the refusal writes it as b^g
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_delta((2,), (99999,))
+    assert str(exc.value) == "domain size 2^99999 exceeds budget 16777216"
+    with pytest.raises(BudgetExceededError) as exc:
+        enumerate_delta((2, 3), (40, 30))
+    assert str(exc.value) == "domain size 2^40*3^30 exceeds budget 16777216"

@@ -232,6 +232,16 @@ def test_etk_bound_budget_counts_phase_table_entries(monkeypatch):
         etk_bound(spec, (3, 2), pts, budget=entries - 1)
 
 
+def test_etk_bound_refuses_a_huge_index_box_by_its_product():
+    pts = generate_points(HaltonConfig((2, 3)), 4)
+    spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
+    with pytest.raises(BudgetExceededError) as exc:
+        etk_bound(spec, (99999, 2), pts)
+    assert str(exc.value) == "index domain size 2^99999*3^2 exceeds budget 16777216"
+    with pytest.raises(BudgetExceededError, match="index domain size 2304 exceeds budget 100"):
+        etk_bound(spec, (8, 2), pts, budget=100)
+
+
 @st.composite
 def bound_inputs(draw):
     """A hybrid system, a resolution and a point set with repeats and ragged digit widths.

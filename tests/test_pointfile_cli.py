@@ -4,10 +4,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -232,12 +232,60 @@ def test_cli_gen_output_is_pinned(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def _mask_runtime(text: str) -> str:
+    """A report with each runtime_ms value, its one nondeterministic field, replaced by 0."""
+    text = re.sub(r'"runtime_ms": [-+.e0-9]+', '"runtime_ms": 0', text)
+    return re.sub(r"^([^#].*),\d+\.\d{3}$", r"\1,0", text, flags=re.M)
+
+
+# the README's two inputs: gen arguments, then bound's tags and two --g rows
+_REPORT_INPUTS = {
+    "vdc": (("vdc", "--base", "2", "--n", "8"), ("--tags", "w", "--g", "3", "--g", "2")),
+    "hybrid": (
+        ("hybrid", "--walsh", "vdc:2", "--badic", "halton:3", "--tags", "w,b", "--n", "12"),
+        ("--tags", "w,b", "--g", "2,1", "--g", "1,1"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "points, command, fmt, digest",
+    [
+        ("vdc", "bound", "csv", "20baf64593deb59e"),
+        ("vdc", "bound", "json", "f6f67b332f95850a"),
+        ("hybrid", "bound", "csv", "ac0cc17ca7f49ad1"),
+        ("hybrid", "bound", "json", "00f6639b5e25dab7"),
+        ("vdc", "discrepancy", "csv", "e797a3e901d720e1"),
+        ("vdc", "discrepancy", "json", "4d32d0fc5e5984bf"),
+        ("hybrid", "discrepancy", "csv", "abafd742e30f6ba1"),
+        ("hybrid", "discrepancy", "json", "75192f48aec3ddca"),
+    ],
+)
+def test_cli_report_output_is_pinned(tmp_path, points, command, fmt, digest):
+    """bound (--oracle --per-k, two --g rows) and discrepancy reports, byte for byte but runtime_ms."""
+    gen_argv, bound_argv = _REPORT_INPUTS[points]
+    pfile = tmp_path / "pts.txt"
+    assert run_cli("gen", *gen_argv, "--out", str(pfile))[0] == 0
+    extra = (*bound_argv, "--oracle", "--per-k") if command == "bound" else ()
+    code, out, _ = run_cli(command, str(pfile), *extra, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(_mask_runtime(out).encode()).hexdigest()[:16] == digest
+
+
 def test_cli_gen_digital_n_past_precision_exits_one():
     code, _, err = run_cli("gen", "digital", "--base", "2", "--m", "4", "--n", "17")
     assert code == 1
     assert "5 digits do not fit in precision 4" in err
     code, out, _ = run_cli("gen", "digital", "--base", "2", "--m", "4", "--n", "16")
     assert code == 0 and len(out.splitlines()) == 2 + 16
+
+
+def test_cli_bound_refuses_a_huge_resolution(tmp_path):
+    pfile = tmp_path / "pts.txt"
+    run_cli("gen", "vdc", "--base", "2", "--n", "8", "--out", str(pfile))
+    code, out, err = run_cli("bound", str(pfile), "--g", "99999")
+    assert (code, out) == (1, "")
+    assert err == "etkbound: error: index domain size 2^99999 exceeds budget 16777216\n"
 
 
 def test_cli_bound_budget_caps_phase_tables(tmp_path):
@@ -405,16 +453,34 @@ def test_cli_stdin_dash(tmp_path, monkeypatch):
     assert "star" in out
 
 
-def test_cli_subprocess_entry_point(tmp_path):
-    """python -m invocation works end to end."""
-    # the child imports the same package as this process, installed or not
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """python -m etkbound in a child process, which imports the same package as this one."""
     src = os.path.dirname(os.path.dirname(etkbound.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "etkbound", "gen", "vdc", "--base", "2", "--n", "4"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "etkbound", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_cli_subprocess_entry_point(tmp_path):
+    """python -m invocation works end to end."""
+    proc = run_module("gen", "vdc", "--base", "2", "--n", "4")
     assert proc.returncode == 0
     assert proc.stdout.startswith("#bases 2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--walsh", "vdc:2", "--badic", "halton:3", "--tags", "w,w", "--n", "9"),
+         "walsh part supplies 1 coordinates, tags need 2"),
+        (("--walsh", "vdc:2", "--tags", "b", "--n", "4"),
+         "walsh part supplies 1 coordinates, tags need 0"),
+    ],
+    ids=["interleaved", "one-part"],
+)
+def test_cli_gen_hybrid_tag_mismatch_is_an_error_not_a_crash(argv, message):
+    proc = run_module("gen", "hybrid", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"etkbound: error: {message}\n"
+    assert "Traceback" not in proc.stderr

@@ -102,14 +102,14 @@ def test_generate_points_provenance():
 
 def test_hybrid_points_frozen_case():
     spec = HybridSystemSpec(((2, WALSH), (3, BADIC)))
-    ps = hybrid_points(spec, VdcConfig(2), HaltonConfig((3,)), 6)
+    ps = hybrid_points(spec.tags, VdcConfig(2), HaltonConfig((3,)), 6)
     # n=5: vdc base 2 -> 5/8, halton base 3 -> 7/9... check both directly
     assert ps.values()[5] == (radical_inverse(5, 2), radical_inverse(5, 3))
 
 
 def test_hybrid_points_tag_interleaving():
     spec = HybridSystemSpec(((3, BADIC), (2, WALSH), (5, BADIC)))
-    ps = hybrid_points(spec, VdcConfig(2), HaltonConfig((3, 5)), 4)
+    ps = hybrid_points(spec.tags, VdcConfig(2), HaltonConfig((3, 5)), 4)
     assert ps.bases == (3, 2, 5)
     for n in range(4):
         b3, w2, b5 = ps.values()[n]
@@ -121,16 +121,18 @@ def test_hybrid_points_tag_interleaving():
 def test_hybrid_points_dimension_mismatch():
     spec = HybridSystemSpec(((2, WALSH), (3, BADIC)))
     with pytest.raises(ValueError):
-        hybrid_points(spec, VdcConfig(2), HaltonConfig((3, 5)), 4)
+        hybrid_points(spec.tags, VdcConfig(2), HaltonConfig((3, 5)), 4)
     with pytest.raises(ValueError):
-        hybrid_points(spec, None, HaltonConfig((3,)), 4)
+        hybrid_points(spec.tags, None, HaltonConfig((3,)), 4)
+    with pytest.raises(ValueError, match="unknown tag 'fourier'"):
+        hybrid_points((WALSH, "fourier"), VdcConfig(2), HaltonConfig((3,)), 4)
 
 
 def test_hybrid_all_one_tag_allows_empty_part():
     spec = HybridSystemSpec(((2, WALSH), (2, WALSH)))
     rng = random.Random(0)
     mats = tuple(GeneratorMatrix.random(2, 8, rng) for _ in range(2))
-    ps = hybrid_points(spec, DigitalConfig(2, mats), None, 5)
+    ps = hybrid_points(spec.tags, DigitalConfig(2, mats), None, 5)
     assert ps.n_points == 5
 
 
@@ -243,15 +245,11 @@ def test_bulk_hybrid_matches_scalar_interleaving(data):
     tags = data.draw(
         st.permutations((WALSH,) * len(walsh_part.bases) + (BADIC,) * len(badic_part.bases))
     )
-    w_bases, b_bases = iter(walsh_part.bases), iter(badic_part.bases)
-    spec = HybridSystemSpec.from_tags(
-        [next(w_bases) if t == WALSH else next(b_bases) for t in tags], tags
-    )
     n = _n_points(data.draw, walsh_part, badic_part)
-    ps = hybrid_points(spec, walsh_part, badic_part, n)
+    ps = hybrid_points(tags, walsh_part, badic_part, n)
     want = []
     for i in range(n):
         w, b = iter(walsh_part.point(i)), iter(badic_part.point(i))
         want.append([next(w) if t == WALSH else next(b) for t in tags])
-    assert ps.bases == spec.bases
+    assert ps.bases == tuple(x.base for x in want[0])
     assert _digits(ps.points) == _digits(want)
