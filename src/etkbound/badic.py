@@ -39,6 +39,12 @@ __all__ = [
 # Default cap on the number of index vectors any enumeration may touch.
 DEFAULT_BUDGET = 1 << 24
 
+# Scratch bytes one block of rows may take.  Every path whose temporaries
+# would grow with N or with a grid (generation, point-file I/O, the fc-bounds
+# table, the exact oracle) works in blocks of this size, so its memory stays
+# bounded; _block_rows reads it at call time.
+_BLOCK_BYTES = 1 << 20
+
 
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured index budget."""
@@ -47,6 +53,11 @@ class BudgetExceededError(RuntimeError):
 def check_base(base: int) -> None:
     if not isinstance(base, int) or base < 2:
         raise ValueError(f"base must be an integer >= 2, got {base!r}")
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of row_bytes scratch each that one block holds; at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
 
 
 def int_digits(n: int, base: int, length: int | None = None) -> tuple[int, ...]:
@@ -186,8 +197,8 @@ class DigitColumn:
         counts = np.asarray(self.counts, dtype=np.int64)
         if digits.ndim != 2 or counts.shape != digits.shape[:1]:
             raise ValueError(f"digit matrix {digits.shape} does not match counts {counts.shape}")
-        out = (digits < 0) | (digits >= self.base)
-        if out.any():
+        if digits.size and (digits.min() < 0 or digits.max() >= self.base):
+            out = (digits < 0) | (digits >= self.base)
             raise ValueError(f"digit {digits[out][0]} out of range for base {self.base}")
         width = digits.shape[1]
         if np.any((counts < 0) | (counts > width)):
@@ -230,13 +241,12 @@ class DigitColumn:
         q = np.asarray(n, dtype=np.int64)
         if np.any(q < 0):
             raise ValueError("expected nonnegative integers")
+        width = vb(int(q.max()), base) if q.size else 0
+        digits = np.empty((q.size, width), dtype=np.min_scalar_type(base - 1))
         counts = np.zeros(q.shape, dtype=np.int64)
-        cols = []
-        while q.any():
+        for j in range(width):
             counts += q > 0
-            q, d = np.divmod(q, base)
-            cols.append(d)
-        digits = np.stack(cols, axis=1) if cols else np.zeros((q.size, 0), dtype=np.int64)
+            q, digits[:, j] = np.divmod(q, base)
         return cls(base, digits, counts)
 
     def __len__(self) -> int:

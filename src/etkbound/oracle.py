@@ -17,6 +17,7 @@ from math import prod
 
 import numpy as np
 
+from .badic import _block_rows
 from .bounds import BoundReport, EXTREME, STAR, _check_variant, etk_bound
 from .sequences import PointSet
 from .systems import HybridSystemSpec
@@ -35,10 +36,6 @@ __all__ = [
 # Float maxima are trusted only up to this slack; everything within it is
 # re-checked exactly.  The same slack defines domination failure.
 DOMINATION_SLACK = 1e-9
-
-# Scratch bytes one block of the screen, or one chunk of box counts, may take,
-# so the oracle's memory stays bounded whatever the number of boxes.
-_BLOCK_BYTES = 1 << 20
 
 
 class CapExceededError(RuntimeError):
@@ -156,12 +153,22 @@ def _discrepancy_exact(points: PointSet, variant: str, max_points: int | None) -
         found.append((box_lo, box_hi, _box_counts(ranks, box_lo, box_hi, closure)))
     box_lo, box_hi, counts = (np.concatenate(parts) for parts in zip(*found))
     scale = prod(grid[-1] for grid in grids)
-    devs = [
-        abs(c * scale - n * prod(grid[b] - grid[a] for grid, a, b in zip(grids, row_lo, row_hi)))
-        for c, row_lo, row_hi in zip(counts.tolist(), box_lo.tolist(), box_hi.tolist())
-    ]
-    top = max(devs)
-    tops = np.flatnonzero([d == top for d in devs])
+    top, tops = -1, []
+    step = _block_rows(64 * (2 * len(grids) + 2))  # a candidate's Python ints and lists
+    for start in range(0, len(counts), step):
+        block = slice(start, start + step)
+        devs = [
+            abs(c * scale - n * prod(grid[b] - grid[a] for grid, a, b in zip(grids, row_lo, row_hi)))
+            for c, row_lo, row_hi in zip(
+                counts[block].tolist(), box_lo[block].tolist(), box_hi[block].tolist()
+            )
+        ]
+        high = max(devs)
+        if high > top:
+            top, tops = high, []
+        if high == top:
+            tops.append(start + np.flatnonzero([d == top for d in devs]))
+    tops = np.concatenate(tops)
     hits = tops[_box_counts(ranks, box_lo[tops], box_hi[tops], _HALF_OPEN) == counts[tops]]
     attained = hits.size > 0
     k = hits[0] if attained else tops[0]
@@ -171,14 +178,14 @@ def _discrepancy_exact(points: PointSet, variant: str, max_points: int | None) -
         closure="inner" if attained else "outer",
     )
     exact = Fraction(top, n * scale)
-    return DiscrepancyResult(variant, float(exact), exact, witness, attained, len(devs), tops.size)
+    return DiscrepancyResult(variant, float(exact), exact, witness, attained, len(counts), tops.size)
 
 
 def _screen(ranks: list[np.ndarray], axes, widths: list[np.ndarray], closure) -> tuple[np.ndarray, ...]:
     """Per-axis grid indices (boxes x axes) of the boxes whose float deviation
     |count/N - vol| in this closure lies within the slack of the largest.
 
-    The first axis's boxes go in blocks of about _BLOCK_BYTES of counts,
+    The first axis's boxes go in blocks of about badic._BLOCK_BYTES of counts,
     volumes and joint membership rows, keeping the entries near the running
     maximum; the other axes' membership rows are built once.  Candidates come
     out in row-major order, as from one whole count tensor.
@@ -186,7 +193,7 @@ def _screen(ranks: list[np.ndarray], axes, widths: list[np.ndarray], closure) ->
     n = len(ranks[0])
     shape = [len(lo) for lo, _ in axes]
     inner = prod(shape[1:])
-    step = max(1, _BLOCK_BYTES // (8 * (prod(shape[1:-1]) * n + 2 * inner)))
+    step = _block_rows(8 * (prod(shape[1:-1]) * n + 2 * inner))
     rest = [_members(r, lo, hi, closure) for r, (lo, hi) in zip(ranks[1:], axes[1:])]
     if rest:  # every block multiplies by the last axis's rows as floats
         rest[-1] = rest[-1].astype(np.float64)
@@ -221,9 +228,9 @@ def _members(ranks: np.ndarray, lo: np.ndarray, hi: np.ndarray, closure) -> np.n
 def _box_counts(ranks: list[np.ndarray], box_lo: np.ndarray, box_hi: np.ndarray, closure):
     """Points in each listed box; row k of box_lo/box_hi holds box k's per-axis grid indices.
 
-    Boxes are counted in chunks of about _BLOCK_BYTES of membership flags.
+    Boxes are counted in chunks of about badic._BLOCK_BYTES of membership flags.
     """
-    step = max(1, _BLOCK_BYTES // (len(ranks) * len(ranks[0])))
+    step = _block_rows(len(ranks) * len(ranks[0]))
     return np.concatenate([
         np.logical_and.reduce([
             _members(r, box_lo[k : k + step, i], box_hi[k : k + step, i], closure)

@@ -8,9 +8,12 @@ first, concatenated for bases up to 10 and dash-separated above that
 written verbatim from the stored digits, so read(write(ps)) reproduces the
 point set bit for bit, trailing zeros included.
 
-Both directions work on whole digit columns: the writer renders every
-character of a column in one array and the reader parses a column's digits
-in one pass, checking ranges and arity in bulk.  format_coordinate and
+Both directions work on digit columns in blocks of rows of about
+badic._BLOCK_BYTES of scratch, so their memory beyond the point set stays
+bounded whatever N.  The writer renders every character of a block's rows in
+one array per column.  The reader parses a block of lines a column at a time,
+checking ranges and arity in bulk, keeps each column's flat digits and
+counts, and builds each digit column once at the end.  format_coordinate and
 parse_coordinate are the per-coordinate reference; the reader also uses
 parse_coordinate to word the error for the first bad line.
 """
@@ -21,7 +24,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .badic import DigitColumn, DigitVector, check_base
+from .badic import DigitColumn, DigitVector, _block_rows, check_base
 from .sequences import PointSet
 
 __all__ = ["format_coordinate", "parse_coordinate", "read_point_set", "write_point_set"]
@@ -52,21 +55,21 @@ def parse_coordinate(text: str, base: int) -> DigitVector:
     return DigitVector(base, tuple(map(_decimal, parts)))  # range checked by the constructor
 
 
-def _column_chars(col: DigitColumn) -> tuple[np.ndarray, np.ndarray]:
-    """Every character a column's coordinates could use, and which ones they do use.
+def _column_chars(base: int, digits: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every character some rows of a column could use, and which ones they do use.
 
     Row n is "0." and then, per digit slot, a dash (bases above 10) and the
     digit's decimal text right-aligned in len(str(b-1)) characters.  The mask
     keeps "0.", the dashes between the first counts[n] digits, and those
     digits without leading zeros.
     """
-    n, p = col.digits.shape
-    place = 10 ** np.arange(len(str(col.base - 1)) - 1, -1, -1)
-    d = col.digits.astype(np.int64)[:, :, None]
+    n, p = digits.shape
+    place = 10 ** np.arange(len(str(base - 1)) - 1, -1, -1)
+    d = digits.astype(np.int64)[:, :, None]
     chars = (d // place % 10 + _ZERO).astype(np.uint8)
-    stored = np.arange(p) < col.counts[:, None]
+    stored = np.arange(p) < counts[:, None]
     keep = ((d >= place) | (place == 1)) & stored[:, :, None]
-    if col.base > 10:
+    if base > 10:
         chars = np.concatenate([np.full((n, p, 1), ord("-"), dtype=np.uint8), chars], axis=2)
         dash = stored & (np.arange(p) > 0)
         keep = np.concatenate([dash[:, :, None], keep], axis=2)
@@ -80,15 +83,21 @@ def write_point_set(points: PointSet, fh: TextIO) -> None:
     fh.write("#bases " + ",".join(str(b) for b in points.bases) + "\n")
     if points.provenance:
         fh.write(f"#generator {points.provenance}\n")
-    n = points.n_points
-    chars, keep = [], []
-    for i, col in enumerate(points.columns):
-        c, k = _column_chars(col)
-        sep = "\n" if i == points.s - 1 else " "
-        chars += [c, np.full((n, 1), ord(sep), dtype=np.uint8)]
-        keep += [k, np.ones((n, 1), dtype=bool)]
-    text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
-    fh.write(text.tobytes().decode("ascii"))
+    # characters a row could use; each takes about 16 bytes of scratch
+    width = sum(
+        3 + col.digits.shape[1] * (len(str(col.base - 1)) + (col.base > 10)) for col in points.columns
+    )
+    step = _block_rows(16 * width)
+    for start in range(0, points.n_points, step):
+        block = slice(start, start + step)
+        chars, keep = [], []
+        for i, col in enumerate(points.columns):
+            c, k = _column_chars(col.base, col.digits[block], col.counts[block])
+            sep = "\n" if i == points.s - 1 else " "
+            chars += [c, np.full((len(c), 1), ord(sep), dtype=np.uint8)]
+            keep += [k, np.ones((len(c), 1), dtype=bool)]
+        text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def _parse_column(tokens: Sequence[str], base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,11 +142,36 @@ def _line_error(lineno: int, line: str, bases: tuple[int, ...]) -> Exception:
     return RuntimeError(f"line {lineno}: bulk and reference parsers disagree on {line!r}")
 
 
+def _parse_block(rows: Sequence[str], linenos: Sequence[int], bases: tuple[int, ...]) -> list:
+    """Each column's flat digits and digit counts for a block of point lines.
+
+    Raises the error for the block's first bad line.
+    """
+    s = len(bases)
+    arity = np.fromiter((row.count(" ") + 1 for row in rows), dtype=np.int64, count=len(rows))
+    wrong = np.flatnonzero(arity != s)
+    first_bad = int(wrong[0]) if wrong.size else len(rows)
+    # every row before first_bad has s tokens, so column i is every s-th token
+    tokens = " ".join(rows[:first_bad]).split(" ") if first_bad else []
+    parsed = [_parse_column(tokens[i::s], b) for i, b in enumerate(bases)]
+    for _, _, bad in parsed:
+        if bad.any():
+            first_bad = min(first_bad, int(np.argmax(bad)))
+    if first_bad < len(rows):
+        raise _line_error(linenos[first_bad], rows[first_bad], bases)
+    return [(flat, counts) for flat, counts, _ in parsed]
+
+
 def read_point_set(fh: TextIO) -> PointSet:
     bases: tuple[int, ...] | None = None
     provenance = ""
     rows: list[str] = []
     linenos: list[int] = []
+    # per parsed block of rows, each column's (flat digits, counts)
+    parts: list[list] = []
+    # scratch of the pending rows, about 8 bytes per character with 16
+    # characters per coordinate for the strings' own overhead
+    size, limit = 0, _block_rows(8)
     # an error on a header line, reported unless a point line before it is bad
     header_error: ValueError | None = None
     for lineno, raw in enumerate(fh, start=1):
@@ -153,7 +187,7 @@ def read_point_set(fh: TextIO) -> PointSet:
                 except ValueError:
                     header_error = ValueError(f"line {lineno}: malformed #bases header {line!r}")
                     break
-                if rows and header != bases:
+                if (rows or parts) and header != bases:
                     header_error = ValueError(f"line {lineno}: #bases header changes the bases")
                     break
                 bases = header
@@ -164,25 +198,23 @@ def read_point_set(fh: TextIO) -> PointSet:
             raise ValueError(f"line {lineno}: points before the #bases header")
         rows.append(line)
         linenos.append(lineno)
-
+        size += len(line) + 16 * len(bases)
+        if size >= limit:
+            parts.append(_parse_block(rows, linenos, bases))
+            rows, linenos, size = [], [], 0
     if rows:
-        s = len(bases)
-        arity = np.fromiter((row.count(" ") + 1 for row in rows), dtype=np.int64, count=len(rows))
-        wrong = np.flatnonzero(arity != s)
-        first_bad = int(wrong[0]) if wrong.size else len(rows)
-        # every row before first_bad has s tokens, so column i is every s-th token
-        tokens = " ".join(rows[:first_bad]).split(" ") if first_bad else []
-        parsed = [_parse_column(tokens[i::s], b) for i, b in enumerate(bases)]
-        for _, _, bad in parsed:
-            if bad.any():
-                first_bad = min(first_bad, int(np.argmax(bad)))
-        if first_bad < len(rows):
-            raise _line_error(linenos[first_bad], rows[first_bad], bases)
+        parts.append(_parse_block(rows, linenos, bases))
     if header_error is not None:
         raise header_error
     if bases is None:
         raise ValueError("missing #bases header")
-    if not rows:
+    if not parts:
         raise ValueError("point file has no points")
-    columns = [DigitColumn.from_flat(b, flat, counts) for (flat, counts, _), b in zip(parsed, bases)]
+    by_column = list(zip(*parts))
+    parts.clear()
+    columns = []
+    for b in bases:
+        # popping drops the column's pieces before its digit matrix is built
+        flat, counts = map(np.concatenate, zip(*by_column.pop(0)))
+        columns.append(DigitColumn.from_flat(b, flat, counts))
     return PointSet.from_columns(columns, provenance=provenance)

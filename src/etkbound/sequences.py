@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import DigitColumn, DigitVector, check_base, int_digits, monna_pseudoinverse
+from .badic import (
+    DigitColumn,
+    DigitVector,
+    _block_rows,
+    check_base,
+    int_digits,
+    monna_pseudoinverse,
+)
 from .systems import BADIC, WALSH
 
 __all__ = [
@@ -271,7 +278,8 @@ class DigitalConfig:
 
         The digits of n come from repeated division, never from powers of b,
         so no intermediate overflows; columns of digits(n) past vb(n_points-1)
-        are zero and are left out of the product.
+        are zero and are left out of the product.  The products run over
+        blocks of rows, so their wide integer temporaries stay bounded.
         """
         base, m = self.base, self.precision
         if n_points > base**m:
@@ -280,12 +288,15 @@ class DigitalConfig:
         width = digits.shape[1]
         # int64 holds every dot product of `width` digit pairs unless b is huge
         work = np.int64 if width * (base - 1) ** 2 < 2**63 else object
-        digits = digits.astype(work)
+        mats = [np.array(C.rows, dtype=work)[:, :width].T for C in self.matrices]
+        out = [np.empty((n_points, m), dtype=digits.dtype) for _ in mats]
+        step = _block_rows(8 * (width + 2 * m))  # the rows, their product and its residues
+        for start in range(0, n_points, step):
+            rows = digits[start : start + step].astype(work)
+            for y, C in zip(out, mats):
+                y[start : start + step] = rows @ C % base
         counts = np.full(n_points, m)
-        return tuple(
-            DigitColumn(base, digits @ np.array(C.rows, dtype=work)[:, :width].T % base, counts)
-            for C in self.matrices
-        )
+        return tuple(DigitColumn(base, y, counts) for y in out)
 
     def describe(self) -> str:
         return self.label or f"digital:{self.base},s={len(self.matrices)},m={self.precision}"

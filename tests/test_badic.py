@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from etkbound.badic import (
@@ -184,3 +185,12 @@ def test_enumerate_delta_budget():
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_delta((2, 3), (40, 30))
     assert str(exc.value) == "domain size 2^40*3^30 exceeds budget 16777216"
+
+
+def test_from_integers_fills_one_preallocated_matrix(peak_mib):
+    """2^18 integers in base 2 make an 18-column uint8 matrix; stacking an
+    int64 array per digit and casting once took about 16 times that."""
+    n = np.arange(2**18)
+    final = DigitColumn.from_integers(n, 2).digits
+    assert final.shape == (2**18, 18) and final.dtype == np.uint8
+    assert peak_mib(DigitColumn.from_integers, n, 2) < 4 * final.nbytes / 2**20

@@ -8,14 +8,12 @@ import json
 import math
 import operator
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import etkbound.oracle
 from etkbound.cli import main
 from etkbound.oracle import (
     CapExceededError,
@@ -257,22 +255,10 @@ def numerator_sets(draw, max_s):
     return bases, dens, rows
 
 
-def at_both_block_sizes(oracle, pts):
-    """The oracle's result with its own block size and with one first-axis box
-    per block (and one box per count chunk); the two must agree in full."""
-    results = []
-    for size in (etkbound.oracle._BLOCK_BYTES, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(etkbound.oracle, "_BLOCK_BYTES", size)
-            results.append(oracle(pts))
-    assert results[0] == results[1]
-    return results[0]
-
-
 @pytest.mark.parametrize("variant, max_s", [("star", 3), ("extreme", 2)])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_engine_matches_brute_force(variant, max_s, data):
+def test_engine_matches_brute_force(variant, max_s, data, at_both_block_sizes):
     bases, dens, rows = data.draw(numerator_sets(max_s))
     pts = from_fractions(bases, [[Fraction(x, d) for x, d in zip(row, dens)] for row in rows])
     oracle = star_discrepancy_exact if variant == "star" else extreme_discrepancy_exact
@@ -292,7 +278,7 @@ def near_uniform_sets(count, seed):
         yield [min(max(i * 2**32 // n + rng.randint(-40, 40), 0), 2**32 - 1) for i in range(n)]
 
 
-def test_extreme_near_uniform_sets_match_integer_brute_force():
+def test_extreme_near_uniform_sets_match_integer_brute_force(at_both_block_sizes):
     for nums in near_uniform_sets(600, seed=4):
         pts = from_fractions((2,), [(Fraction(x, 2**32),) for x in nums])
         rows = [(x,) for x in nums]
@@ -353,7 +339,7 @@ PINNED = [
 
 
 @pytest.mark.parametrize("argv, variant, want", PINNED)
-def test_oracle_results_are_pinned(argv, variant, want):
+def test_oracle_results_are_pinned(argv, variant, want, at_both_block_sizes):
     pts = gen_points(*argv)
     res = at_both_block_sizes(star_discrepancy_exact if variant == "star" else extreme_discrepancy_exact, pts)
     w = res.witness
@@ -368,32 +354,30 @@ def test_oracles_read_only_the_digit_columns():
     assert "points" not in pts.__dict__
 
 
-def test_oracle_reports_candidates_and_ties():
+def test_oracle_reports_candidates_and_ties(at_both_block_sizes):
     """vdc N=64: every box [i/64, (i+1)/64] and every thin box [i/64, i/64]
     deviates by exactly 1/64 in both closures, so all 4160 candidates tie."""
-    res = extreme_discrepancy_exact(gen_points("vdc", "--base", "2", "--n", "64"))
+    res = at_both_block_sizes(extreme_discrepancy_exact, gen_points("vdc", "--base", "2", "--n", "64"))
     assert (res.exact, res.candidates, res.ties) == (Fraction(1, 64), 4160, 4160)
     res = extreme_discrepancy_exact(gen_points(*PINNED[1][0]))
     assert (res.candidates, res.ties) == (2, 1)
 
 
-def peak_mib(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
-def test_extreme_oracle_memory_at_the_cap_is_bounded():
+def test_extreme_oracle_memory_at_the_cap_is_bounded(peak_mib):
     """The PINNED digital net has 2145 extreme boxes per axis: a whole
     2145 x 2145 float tensor alone would take 35 MiB."""
     pts = gen_points(*PINNED[1][0])
     assert peak_mib(extreme_discrepancy_exact, pts) <= 8
 
 
-def test_extreme_oracle_memory_past_the_cap_is_bounded():
+def test_extreme_oracle_memory_past_the_cap_is_bounded(peak_mib):
     """Halton (2,3), N=128: 8385 boxes per axis, 536 MiB for one whole float tensor."""
     pts = generate_points(HaltonConfig((2, 3)), 128)
     assert peak_mib(extreme_discrepancy_exact, pts, max_points=128) <= 32
+
+
+def test_extreme_oracle_memory_with_many_ties_is_bounded(peak_mib):
+    """vdc N=256: all 65792 candidates tie.  Valued in chunks, they cost their
+    box indices and counts, not a Python list of each."""
+    pts = generate_points(VdcConfig(2), 256)
+    assert peak_mib(extreme_discrepancy_exact, pts, max_points=256) <= 11

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -22,7 +23,14 @@ from etkbound.pointfile import (
     read_point_set,
     write_point_set,
 )
-from etkbound.sequences import HaltonConfig, PointSet, generate_points
+from etkbound.sequences import (
+    HaltonConfig,
+    PointSet,
+    config_from_string,
+    generate_points,
+    hybrid_points,
+)
+from etkbound.systems import BADIC, WALSH
 
 
 def roundtrip(points: PointSet) -> PointSet:
@@ -145,6 +153,79 @@ def test_reader_header_errors_come_in_line_order():
         read_point_set(io.StringIO("#bases 2,1\n0.1 0.\n"))
     pts = read_point_set(io.StringIO("#bases 3\n#bases 2\n0.1\n#bases 2\n0.01\n"))
     assert pts.bases == (2,) and pts.n_points == 2
+
+
+def _stored(points: PointSet):
+    """Everything a point set stores, its digit matrices exactly."""
+    columns = [(c.digits.dtype.str, c.digits.tolist(), c.counts.tolist()) for c in points.columns]
+    return points.bases, points.provenance, columns
+
+
+def _written(points: PointSet) -> str:
+    buf = io.StringIO()
+    write_point_set(points, buf)
+    return buf.getvalue()
+
+
+def test_point_files_are_the_same_at_every_block_size(at_both_block_sizes):
+    rng = random.Random(5)
+    bases = (2, 12, 1000)
+    pts = [
+        [DigitVector(b, tuple(rng.randrange(b) for _ in range(rng.randrange(5)))) for b in bases]
+        for _ in range(60)
+    ]
+    points = PointSet(bases, pts, provenance="hand")
+    text = at_both_block_sizes(_written, points)
+    assert text.splitlines()[2:] == [" ".join(map(format_coordinate, pt)) for pt in pts]
+    back = at_both_block_sizes(lambda: _stored(read_point_set(io.StringIO(text))))
+    assert back == _stored(points)
+
+
+def _long_file_lines() -> list[str]:
+    """A 6000-point file in bases 2 and 16: the header, the generator line,
+    then point n on line n + 3, so the default block size splits it."""
+    return _written(generate_points(HaltonConfig((2, 16)), 6000)).split("\n")
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({4999: "0.102 0.1-2"}, "line 5000: digit 2 out of range for base 2"),
+        ({99: "0.2 0.1", 4999: "#bases x"}, "line 100: digit 2 out of range for base 2"),
+        ({4999: "#bases 2,3"}, "line 5000: #bases header changes the bases"),
+    ],
+    ids=["bad-line-in-a-later-block", "bad-line-before-a-bad-header", "bases-change-after-a-block"],
+)
+def test_reader_errors_are_the_same_at_every_block_size(at_both_block_sizes, edits, message):
+    lines = _long_file_lines()
+    for at, line in edits.items():
+        lines[at] = line
+    text = "\n".join(lines)
+    with pytest.raises(ValueError) as exc:
+        at_both_block_sizes(lambda: read_point_set(io.StringIO(text)))
+    assert str(exc.value) == message
+
+
+def test_reader_takes_a_repeated_header_after_a_block(at_both_block_sizes):
+    lines = _long_file_lines()
+    lines[4999] = "#bases 2,16"
+    text = "\n".join(lines)
+    stored = at_both_block_sizes(lambda: _stored(read_point_set(io.StringIO(text))))
+    assert len(stored[2][0][2]) == 5999
+
+
+def test_reader_memory_is_bounded_by_blocks(peak_mib):
+    """A stream_wide-shaped file: 32768 lines of a base-2 digital net with
+    m = 16 and Halton bases 3 and 5.  Read whole, its lines and tokens as
+    Python strings took 20 MiB with the text's own buffer."""
+    points = hybrid_points(
+        (WALSH, BADIC, BADIC),
+        config_from_string("digital:2,m=16,seed=1"),
+        config_from_string("halton:3,5"),
+        32768,
+    )
+    text = _written(points)
+    assert peak_mib(lambda: read_point_set(io.StringIO(text))) <= 14
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
@@ -414,32 +495,50 @@ def test_cli_verify_reads_no_budget(monkeypatch):
     assert code == 0 and "all suites passed" in out
 
 
+def _functions(module):
+    """(name, function) for every function and method defined in a module, private ones included."""
+    import inspect
+
+    for name, obj in vars(module).items():
+        if inspect.isclass(obj) and obj.__module__ == module.__name__:
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethods and staticmethods
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif inspect.isfunction(obj) and obj.__module__ == module.__name__:
+            yield name, obj
+
+
 def test_budget_and_cap_knobs_stay_where_they_are():
-    """Only etk_bound takes a budget and only the two oracle entry points a point cap."""
+    """Only etk_bound, and the CLI code that hands it --budget, takes a budget;
+    only the two oracle entry points and their shared engine take a point cap;
+    no function takes a block or chunk size."""
     import importlib
     import inspect
     import pkgutil
 
     knobs = {"budget": set(), "max_points": set()}
+    sizes = set()
     for info in pkgutil.iter_modules(etkbound.__path__):
         if info.name == "__main__":
             continue
         module = importlib.import_module(f"etkbound.{info.name}")
-        for name in module.__all__:
-            obj = getattr(module, name)
-            if not callable(obj):
-                continue
-            try:
-                params = inspect.signature(obj).parameters
-            except ValueError:  # exception classes have no signature
-                continue
+        for name, fn in _functions(module):
+            params = inspect.signature(fn).parameters
             for knob, owners in knobs.items():
                 if knob in params:
-                    owners.add(name)
+                    owners.add(f"{info.name}.{name}")
+            sizes |= {f"{info.name}.{name}({p})" for p in params if "block" in p or "chunk" in p}
     assert knobs == {
-        "budget": {"etk_bound"},
-        "max_points": {"star_discrepancy_exact", "extreme_discrepancy_exact"},
+        "budget": {"bounds.etk_bound", "cli._bound_rows"},
+        "max_points": {
+            "oracle.star_discrepancy_exact",
+            "oracle.extreme_discrepancy_exact",
+            "oracle._discrepancy_exact",
+            "oracle._check_cap",
+        },
     }
+    assert sizes == set()
     code, out, _ = run_cli("verify", "--help")
     assert code == 0 and "--trials" in out and "--budget" not in out
 

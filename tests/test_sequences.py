@@ -253,3 +253,25 @@ def test_bulk_hybrid_matches_scalar_interleaving(data):
         want.append([next(w) if t == WALSH else next(b) for t in tags])
     assert ps.bases == tuple(x.base for x in want[0])
     assert _digits(ps.points) == _digits(want)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        VdcConfig(3),
+        HaltonConfig((2, 3, 5)),
+        config_from_string("digital:3,s=2,m=6,seed=4"),
+        config_from_string("digital:2,s=3,m=40,seed=7"),
+    ],
+    ids=lambda c: c.describe(),
+)
+def test_columns_are_the_same_at_every_block_size(config, at_both_block_sizes):
+    n = 300
+    got = at_both_block_sizes(
+        lambda: [(c.digits.dtype.str, c.digits.tolist(), c.counts.tolist()) for c in config.columns(n)]
+    )
+    points = [config.point(i) for i in range(n)]
+    want = [
+        DigitColumn.from_vectors([pt[i] for pt in points], b) for i, b in enumerate(config.bases)
+    ]
+    assert got == [(c.digits.dtype.str, c.digits.tolist(), c.counts.tolist()) for c in want]

@@ -123,6 +123,26 @@ def test_fc_suite_small_depth():
     assert res.ok and res.checks == 2 * (7 * 8 + 26 * 27)
 
 
+def test_fc_suite_failures_keep_their_order_across_row_blocks(at_both_block_sizes):
+    """With tol -1 every entry fails, so the failure list pins the k= numbering."""
+    res = at_both_block_sizes(check_fc_bounds, (2, 3), 3, -1.0)
+    want = [
+        f"b={b} {tag} k={k} beta={a}/{b**3}"
+        for b in (2, 3)
+        for tag in (WALSH, BADIC)
+        for k in range(1, b**3)
+        for a in range(1, b**3 + 1)
+    ]
+    assert [f.split(": excess")[0] for f in res.failures] == want
+    assert res.checks == len(want)
+
+
+def test_fc_suite_memory_is_bounded_by_blocks(peak_mib):
+    """The default grid has 625 x 625 entries for base 5: one complex table
+    and its cumulative sums took 30 MiB."""
+    assert peak_mib(check_fc_bounds) <= 12
+
+
 @pytest.mark.parametrize("base", [2, 3, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_fc_anchors_are_the_digit_reversed_integers(base, depth):
