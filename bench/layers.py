@@ -1,0 +1,244 @@
+"""Per-layer timings of the verify suites, each in a fresh interpreter.
+
+Usage, from the root of a checkout:
+
+    python3 bench/layers.py --out BENCH_11.json
+    python3 bench/layers.py --parent ../other-checkout --out BENCH_11.json
+
+Each sample of each tree runs in new child processes, so every suite timing
+is cold (first call after import), as in the CLI.  For `verify fourier` and
+`verify fc-bounds` it records:
+
+- wall_s: the whole `python -m etkbound verify SUITE` subprocess;
+- import_s and suite_s: importing etkbound.cli, then one cli.main call;
+- peak_rss_mb: ru_maxrss of that child after the call;
+- peak_alloc_mb: the tracemalloc peak of the call, in another child;
+- layers_s: cumulative time inside the suite's named functions (wrapped,
+  in a third child), with the rest of the call as "other";
+- stdout_sha256: so two trees can be checked for identical output.
+
+It also records perfbench's micro-samples systems.xi_phase_us and
+fourier.coeff_us (perfbench/replay.py, imported, not changed).  Each tree
+gets PAIRS samples; with --parent, the two trees alternate which goes first
+in each pair.  The hot layer of a suite is the largest of import_s and its
+layers_s by median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SUITES = ("fourier", "fc-bounds")
+PAIRS = 5
+# functions of etkbound.verify that the suites spend their time in
+LAYERS = {
+    "fourier": ("_xi_table", "elint_fourier_coeff"),
+    "fc-bounds": ("phase_numerators",),
+}
+
+
+# ---------------------------------------------------------------- child side
+
+
+def _run_suite(suite: str) -> str:
+    import contextlib
+    import io
+
+    import etkbound.cli as cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", suite])
+    if code != 0:
+        raise SystemExit(f"verify {suite} exited with {code}")
+    return out.getvalue()
+
+
+def _child_time(suite: str) -> dict:
+    import resource
+
+    start = time.perf_counter()
+    import etkbound.cli  # noqa: F401
+
+    imported = time.perf_counter()
+    text = _run_suite(suite)
+    done = time.perf_counter()
+    return {
+        "import_s": imported - start,
+        "suite_s": done - imported,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "stdout_sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+def _child_alloc(suite: str) -> dict:
+    import tracemalloc
+
+    import etkbound.cli  # noqa: F401
+
+    tracemalloc.start()
+    _run_suite(suite)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"peak_alloc_mb": peak / 2**20}
+
+
+def _child_layers(suite: str) -> dict:
+    import etkbound.verify as verify
+
+    spent = dict.fromkeys(LAYERS[suite], 0.0)
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+
+        return wrapper
+
+    for name in spent:
+        setattr(verify, name, timed(name, getattr(verify, name)))
+    start = time.perf_counter()
+    _run_suite(suite)
+    total = time.perf_counter() - start
+    return {"layers_s": {**spent, "other": total - sum(spent.values())}}
+
+
+def _child_micro() -> dict:
+    import replay
+
+    return {"systems.xi_phase_us": replay.xi_phase_us(), "fourier.coeff_us": replay.coeff_us()}
+
+
+def _child(args: list[str]) -> None:
+    kind, *rest = args
+    if kind == "micro":
+        result = _child_micro()
+    else:
+        result = {"time": _child_time, "alloc": _child_alloc, "layers": _child_layers}[kind](*rest)
+    print(json.dumps(result))
+
+
+# ---------------------------------------------------------------- parent side
+
+
+def _env(tree: str) -> dict:
+    path = os.pathsep.join([os.path.join(tree, "src"), PERFBENCH])
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _spawn(tree: str, *args: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", *args],
+        env=_env(tree), capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _wall(tree: str, suite: str) -> float:
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "etkbound", "verify", suite],
+        env=_env(tree), stdout=subprocess.DEVNULL, check=True,
+    )
+    return time.perf_counter() - start
+
+
+def sample(tree: str) -> dict:
+    """One sample of every measurement on one tree."""
+    out = {"micro": _spawn(tree, "micro")}
+    for suite in SUITES:
+        out[suite] = {
+            "wall_s": _wall(tree, suite),
+            **_spawn(tree, "time", suite),
+            **_spawn(tree, "alloc", suite),
+            **_spawn(tree, "layers", suite),
+        }
+    return out
+
+
+def summarize(samples: list[dict]) -> dict:
+    """Median of each number over the samples; the suites' hot layers."""
+    median = statistics.median
+    out = {"micro": {k: median(s["micro"][k] for s in samples) for k in samples[0]["micro"]}}
+    for suite in SUITES:
+        runs = [s[suite] for s in samples]
+        row = {
+            k: median(r[k] for r in runs)
+            for k in ("wall_s", "import_s", "suite_s", "peak_rss_mb", "peak_alloc_mb")
+        }
+        row["layers_s"] = {k: median(r["layers_s"][k] for r in runs) for k in runs[0]["layers_s"]}
+        times = {"cli.import_s": row["import_s"]}
+        times.update({k if k == "other" else f"verify.{k}": v for k, v in row["layers_s"].items()})
+        row["hot_layer"] = max(times, key=times.get)
+        row["stdout_sha256"] = sorted({r["stdout_sha256"] for r in runs})
+        out[suite] = row
+    return out
+
+
+def _git(tree: str) -> dict:
+    def run(*args):
+        proc = subprocess.run(["git", "-C", tree, *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = run("status", "--porcelain", "--", "src")
+    return {"commit": run("rev-parse", "HEAD"), "src_modified": bool(status)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        _child(argv[1:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="another checkout to measure against this one")
+    parser.add_argument("--out", help="write the record here as JSON")
+    args = parser.parse_args(argv)
+    trees = {"change": ROOT}
+    if args.parent:
+        trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    samples = {name: [] for name in trees}
+    for i in range(PAIRS):
+        order = list(trees) if i % 2 == 0 else list(reversed(trees))
+        for name in order:
+            samples[name].append(sample(trees[name]))
+            print(f"pair {i + 1}/{PAIRS} {name} done", file=sys.stderr)
+    import numpy
+
+    record = {
+        "bench": "bench/layers.py",
+        "pairs": PAIRS,
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "cpus": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+        "trees": {
+            name: {**_git(trees[name]), "median": summarize(s), "samples": s}
+            for name, s in samples.items()
+        },
+    }
+    text = json.dumps(record, indent=1)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    for name, tree in record["trees"].items():
+        print(name, json.dumps({s: tree["median"][s] for s in ("micro", *SUITES)}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -183,8 +183,9 @@ class DigitColumn:
     counts[n], the vector's stored precision.  The matrix is the vectors
     zero-padded to a common length, and counts keeps the trailing zeros they
     really store.  Digits use the smallest unsigned dtype that holds b - 1,
-    so bases must stay below 2^63.  Because d_0 is the leading fraction
-    digit, the lexicographic order of the rows is the order of the values.
+    so bases must stay below 2^63; a matrix already in that dtype is kept,
+    not copied.  Because d_0 is the leading fraction digit, the
+    lexicographic order of the rows is the order of the values.
     """
 
     base: int
@@ -205,7 +206,8 @@ class DigitColumn:
             raise ValueError(f"digit counts must lie in [0, {width}]")
         if np.any(digits[np.arange(width) >= counts[:, None]]):
             raise ValueError("digits past a vector's count must be zero")
-        object.__setattr__(self, "digits", digits.astype(np.min_scalar_type(self.base - 1)))
+        dtype = np.min_scalar_type(self.base - 1)
+        object.__setattr__(self, "digits", digits.astype(dtype, copy=False))
         object.__setattr__(self, "counts", counts)
 
     @classmethod

@@ -8,6 +8,7 @@ complex conversions.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -97,6 +98,10 @@ class Elint:
 
     def anchor_digits(self) -> tuple[DigitVector, ...]:
         """The lower corner as digit vectors (c_i's digits are phi(c_i)'s digits)."""
+        return self._anchor
+
+    @functools.cached_property
+    def _anchor(self) -> tuple[DigitVector, ...]:
         return tuple(
             DigitVector.from_int(ci, b, gi) for ci, b, gi in zip(self.c, self.bases, self.g)
         )
@@ -141,7 +146,9 @@ def elint_fourier_coeff(e: Elint, k: tuple[int, ...], spec: HybridSystemSpec) ->
         if ki >= b**gi:
             return 0j
     phase = xi_phase(spec, tuple(k), e.anchor_digits())
-    return float(e.measure) * phase.conjugate().to_complex()
+    # int / int rounds correctly, so this is float(e.measure)
+    measure = 1 / math.prod(b**gi for b, gi in zip(e.bases, e.g))
+    return measure * phase.conjugate().to_complex()
 
 
 def step_representation(k: tuple[int, ...], spec: HybridSystemSpec) -> list[tuple[Elint, complex]]:
@@ -310,6 +317,8 @@ def partition_inner_product(
     phases = []
     for e in elint_partition(spec.bases, g):
         anchor = e.anchor_digits()
-        diff = xi_phase(spec, tuple(k), anchor).fraction - xi_phase(spec, tuple(l), anchor).fraction
-        phases.append(PhaseFraction.from_fraction(diff))
+        p, q = xi_phase(spec, tuple(k), anchor), xi_phase(spec, tuple(l), anchor)
+        common = math.lcm(p.modulus, q.modulus)
+        diff = p.numerator * (common // p.modulus) - q.numerator * (common // q.modulus)
+        phases.append(PhaseFraction(diff, common))
     return phase_counter_sum(Counter(phases)) / size

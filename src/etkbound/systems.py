@@ -1,26 +1,28 @@
 """Hybrid Walsh / b-adic function systems with exact rational phases.
 
 Every system function here has modulus-one values e(phi) for an exact
-rational phase phi, so evaluation is split in two: phase computation in
-Fraction arithmetic (always exact) and a single conversion to complex at the
-end.  Full character sums then cancel exactly instead of accumulating float
-noise.  The scalar phases are the reference for phase_numerators, the table
-kernel that gives the same phases as integer numerators over b^g for a whole
-digit matrix (one coordinate of a point set), and is_balanced is the one
-exact-zero test for phase sums.
+rational phase phi, so evaluation is split in two: phase computation as an
+integer numerator over b^v in lowest terms (always exact, no Fraction
+objects) and a single conversion to complex at the end.  Full character
+sums then cancel exactly instead of accumulating float noise.  The scalar
+phases are the reference for phase_numerators, the table kernel that gives
+the same phases as integer numerators over b^g for a whole digit matrix (one
+coordinate of a point set), and is_balanced is the one exact-zero test for
+phase sums.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .badic import DigitVector, check_base, radical_inverse, vb
+from .badic import DigitVector, check_base
 
 __all__ = [
     "BADIC",
@@ -54,15 +56,17 @@ class PhaseFraction:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        fr = Fraction(self.numerator, self.modulus) % 1
-        object.__setattr__(self, "numerator", fr.numerator)
-        object.__setattr__(self, "modulus", fr.denominator)
+        modulus = operator.index(self.modulus)
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        numerator = operator.index(self.numerator) % modulus
+        common = math.gcd(numerator, modulus)
+        object.__setattr__(self, "numerator", numerator // common)
+        object.__setattr__(self, "modulus", modulus // common)
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "PhaseFraction":
-        fr = Fraction(fr) % 1
+        fr = Fraction(fr)
         return cls(fr.numerator, fr.denominator)
 
     @property
@@ -70,7 +74,7 @@ class PhaseFraction:
         return Fraction(self.numerator, self.modulus)
 
     def conjugate(self) -> "PhaseFraction":
-        return PhaseFraction.from_fraction(-self.fraction)
+        return PhaseFraction(-self.numerator, self.modulus)
 
     def to_complex(self) -> complex:
         """e(a/M) = exp(2 pi i a/M)."""
@@ -112,11 +116,11 @@ class HybridSystemSpec:
     def s(self) -> int:
         return len(self.coordinates)
 
-    @property
+    @functools.cached_property
     def bases(self) -> tuple[int, ...]:
         return tuple(b for b, _ in self.coordinates)
 
-    @property
+    @functools.cached_property
     def tags(self) -> tuple[str, ...]:
         return tuple(t for _, t in self.coordinates)
 
@@ -147,12 +151,17 @@ def walsh_phase(k: int, x: DigitVector, base: int) -> PhaseFraction:
 def chi_phase(k: int, z: DigitVector, base: int) -> PhaseFraction:
     """Phase of the k-th additive character at the b-adic integer z.
 
-    phi_b(k) * (z_0 + z_1 b + ...) mod 1, reading only the first vb(k)
-    digits; the modulus divides b^vb(k).
+    phi_b(k) * (z_0 + z_1 b + ...) mod 1, reading only the first v = vb(k)
+    digits: rev_v(k) z_v / b^v, with rev_v(k) = b^v phi_b(k) the digit
+    reversal of k and z_v the integer of z's first v digits.
     """
     _check_coordinate(k, z, base)
-    v = vb(k, base)
-    return PhaseFraction.from_fraction(radical_inverse(k, base) * z.as_integer(v))
+    rev = v = 0
+    while k:
+        k, kj = divmod(k, base)
+        rev = rev * base + kj
+        v += 1
+    return PhaseFraction(rev * z.as_integer(v), base**v)
 
 
 def gamma_phase(k: int, x: DigitVector, base: int) -> PhaseFraction:
@@ -167,14 +176,19 @@ def gamma_phase(k: int, x: DigitVector, base: int) -> PhaseFraction:
 def xi_phase(
     spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ...]
 ) -> PhaseFraction:
-    """Total phase of the hybrid function: exact sum of per-coordinate phases."""
+    """Total phase of the hybrid function: exact sum of per-coordinate phases.
+
+    The numerators are added over the running lcm of their moduli.
+    """
     if len(k) != spec.s or len(x) != spec.s:
         raise ValueError(f"expected {spec.s} coordinates, got k of {len(k)} and x of {len(x)}")
-    total = Fraction(0)
+    total, modulus = 0, 1
     for ki, xi, (base, tag) in zip(k, x, spec.coordinates):
         phase = walsh_phase(ki, xi, base) if tag == WALSH else gamma_phase(ki, xi, base)
-        total += phase.fraction
-    return PhaseFraction.from_fraction(total)
+        common = math.lcm(modulus, phase.modulus)
+        total = total * (common // modulus) + phase.numerator * (common // phase.modulus)
+        modulus = common
+    return PhaseFraction(total, modulus)
 
 
 def xi_eval(spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ...]) -> complex:
@@ -182,46 +196,58 @@ def xi_eval(spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ..
     return xi_phase(spec, k, x).to_complex()
 
 
-def phase_numerators(digits: np.ndarray, base: int, tag: str, g: int) -> np.ndarray:
-    """Integer phase numerators over modulus b^g, shape (b^g, N).
+def phase_numerators(
+    digits: np.ndarray, base: int, tag: str, g: int, indices: range | None = None
+) -> np.ndarray:
+    """Integer phase numerators over modulus b^g, shape (len(indices), N).
 
     `digits` is an N x P digit matrix, point n's digits d_0 first and zero
-    past its stored precision (DigitColumn.digits).  Row k of the result
-    holds b^g times the phase of index k (walsh_phase or chi_phase, by tag)
-    at every point.  Digits from position g on never matter, since indices
-    below b^g read at most g digits, and missing ones read as 0.  Integer
-    arithmetic only, so the table carries no rounding, and it is filled in
-    place.
+    past its stored precision (DigitColumn.digits).  `indices` is a range of
+    indices k below b^g with step 1, by default all of them.  Row r of the
+    result holds b^g times the phase of index indices[r] (walsh_phase or
+    chi_phase, by tag) at every point.  Digits from position g on never
+    matter, since indices below b^g read at most g digits, and missing ones
+    read as 0.  Integer arithmetic only, so the table carries no rounding,
+    and it is filled in place.
     """
     check_base(base)
     if tag not in _TAGS:
         raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
     modulus = base**g
+    if indices is None:
+        indices = range(modulus)
+    start, stop = indices.start, indices.stop
+    if indices.step != 1 or not 0 <= start <= stop <= modulus:
+        raise ValueError(f"indices must be a step-1 range within [0, {modulus}], got {indices}")
     n = len(digits)
     width = min(g, digits.shape[1])
     x = np.zeros((n, g), dtype=np.int64)
     x[:, :width] = digits[:, :width]
     powers = base ** np.arange(g, dtype=np.int64)
-    kdigits = np.arange(modulus, dtype=np.int64)[:, None] // powers % base
-    table = np.empty((modulus, n), dtype=np.int64)
+    kdigits = np.arange(start, stop, dtype=np.int64)[:, None] // powers % base
+    table = np.empty((stop - start, n), dtype=np.int64)
     if tag == WALSH:
         # (sum_j k_j x_j) mod b, lifted from modulus b to b^g
         np.matmul(kdigits, x.T, out=table)
         table %= base
         table *= modulus // base
         return table
-    # vb(k) = v on rows b^(v-1) <= k < b^v, where the phase is
+    # vb(k) = v on indices b^(v-1) <= k < b^v, where the phase is
     # rev_v(k) z_v / b^v with z_v the integer of the first v digits
-    table[0] = 0
+    if start == 0:
+        table[:1] = 0
     z = np.zeros(n, dtype=np.int64)
     for v in range(1, g + 1):
         z += x[:, v - 1] * powers[v - 1]
-        lo, hi = base ** (v - 1), base**v
+        level = base**v
+        lo, hi = max(base ** (v - 1), start) - start, min(level, stop) - start
+        if lo >= hi:
+            continue
         rev = kdigits[lo:hi, :v] @ powers[v - 1 :: -1]
         rows = table[lo:hi]
         np.multiply.outer(rev, z, out=rows)
-        rows %= hi
-        rows *= modulus // hi
+        rows %= level
+        rows *= modulus // level
     return table
 
 
@@ -261,14 +287,15 @@ def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
     residue.  Everything else falls back to compensated (exactly rounded)
     float summation.
     """
-    items = [(p.fraction, n) for p, n in counts.items() if n]
-    modulus = math.lcm(*(fr.denominator for fr, _ in items))
-    residues = [fr.numerator * (modulus // fr.denominator) for fr, _ in items]
+    items = [(p, n) for p, n in counts.items() if n]
+    modulus = math.lcm(*(p.modulus for p, _ in items))
+    residues = [p.numerator * (modulus // p.modulus) for p, _ in items]
     if is_balanced(np.repeat(residues, [n for _, n in items]), modulus):
         return 0j
-    if all(fr.denominator in (1, 2, 4) for fr, _ in items):
+    if all(p.modulus in (1, 2, 4) for p, _ in items):
         # quarter phases have exact unit values, so this sum has no rounding
-        return complex(sum(n * PhaseFraction.from_fraction(fr).to_complex() for fr, n in items))
-    re = math.fsum(n * math.cos(2.0 * math.pi * float(fr)) for fr, n in items)
-    im = math.fsum(n * math.sin(2.0 * math.pi * float(fr)) for fr, n in items)
+        return complex(sum(n * p.to_complex() for p, n in items))
+    # int / int rounds correctly, as float(Fraction) does
+    re = math.fsum(n * math.cos(2.0 * math.pi * (p.numerator / p.modulus)) for p, n in items)
+    im = math.fsum(n * math.sin(2.0 * math.pi * (p.numerator / p.modulus)) for p, n in items)
     return complex(re, im)

@@ -191,7 +191,8 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
     tiling and every index below b^depth is constant on those cells, so row k
     of the (k, beta) table is one cumulative sum of phase values, looked up
     from the b^depth roots of unity.  Rows go in blocks of about
-    badic._BLOCK_BYTES of complex values.
+    badic._BLOCK_BYTES of complex values, and each block builds only its own
+    rows of the phase table.
     """
     result = SuiteResult("fc-bounds", 0)
     for base in bases:
@@ -202,9 +203,9 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
         unit = np.exp(-2j * np.pi * np.arange(grid) / grid)
         step = _block_rows(16 * grid)
         for tag in (WALSH, BADIC):
-            table = phase_numerators(anchors, base, tag, depth)
             for start in range(1, grid, step):
-                coeffs = np.cumsum(unit[table[start : start + step]], axis=1)
+                rows = range(start, min(start + step, grid))
+                coeffs = np.cumsum(unit[phase_numerators(anchors, base, tag, depth, rows)], axis=1)
                 coeffs /= grid
                 over = np.abs(coeffs) - limits[start - 1 : start - 1 + step, None]
                 result.checks += coeffs.size

@@ -194,3 +194,20 @@ def test_from_integers_fills_one_preallocated_matrix(peak_mib):
     final = DigitColumn.from_integers(n, 2).digits
     assert final.shape == (2**18, 18) and final.dtype == np.uint8
     assert peak_mib(DigitColumn.from_integers, n, 2) < 4 * final.nbytes / 2**20
+
+
+def test_from_integers_keeps_its_preallocated_matrix(monkeypatch):
+    """The constructor casts without copying a matrix already in the smallest dtype."""
+    passed = []
+    construct = DigitColumn.__post_init__
+
+    def spy(self):
+        passed.append(self.digits)
+        construct(self)
+
+    monkeypatch.setattr(DigitColumn, "__post_init__", spy)
+    column = DigitColumn.from_integers(np.arange(1000), 3)
+    assert column.digits.dtype == np.uint8
+    assert np.shares_memory(column.digits, passed[0])
+    wide = np.zeros((2, 3), dtype=np.int64)
+    assert not np.shares_memory(DigitColumn(3, wide, [3, 3]).digits, wide)

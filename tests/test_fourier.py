@@ -68,6 +68,10 @@ def test_elint_coeff_zero_outside_box_exactly():
 def test_elint_coeff_at_zero_index_is_measure():
     e = Elint((3,), (2,), (4,))
     assert elint_fourier_coeff(e, (0,), HybridSystemSpec.single(3, BADIC)) == complex(1, 0) / 9
+    # 1/3 * 1/25 rounds twice and misses float(1/75) by an ulp
+    e = Elint((3, 5), (1, 2), (2, 7))
+    spec = HybridSystemSpec(((3, WALSH), (5, BADIC)))
+    assert elint_fourier_coeff(e, (0, 0), spec) == float(e.measure)
 
 
 def test_step_representation_sums_to_zero():

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from etkbound.badic import DigitColumn, DigitVector
+from etkbound.badic import (
+    DigitColumn,
+    DigitVector,
+    enumerate_delta,
+    int_digits,
+    radical_inverse,
+    vb,
+)
+from etkbound.fourier import elint_fourier_coeff, elint_partition
 from etkbound.systems import (
     BADIC,
     WALSH,
@@ -25,6 +33,7 @@ from etkbound.systems import (
     xi_eval,
     xi_phase,
 )
+from etkbound.verify import _FOURIER_CONFIGS
 
 
 def test_phase_fraction_normalizes_mod_one():
@@ -232,3 +241,146 @@ def test_balance_detector_matches_fraction_rotation(case):
         assert want
     if want:
         assert abs(sum(cmath.exp(2j * cmath.pi * r / modulus) for r in residues)) < 1e-12
+
+
+@given(digit_columns(), st.sampled_from((WALSH, BADIC)), st.data())
+def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
+    base, g, column = case
+    digits = DigitColumn.from_vectors(column, base).digits
+    full = phase_numerators(digits, base, tag, g)
+    start = data.draw(st.integers(0, base**g))
+    stop = data.draw(st.integers(start, base**g))
+    rows = phase_numerators(digits, base, tag, g, range(start, stop))
+    assert rows.shape == (stop - start, len(column))
+    assert np.array_equal(rows, full[start:stop])
+
+
+@pytest.mark.parametrize("indices", [range(0, 4, 2), range(-1, 3), range(0, 9), range(3, 2)])
+def test_phase_table_rejects_rows_outside_the_index_box(indices):
+    digits = DigitColumn.from_integers(np.arange(4), 2).digits
+    with pytest.raises(ValueError, match="step-1 range"):
+        phase_numerators(digits, 2, BADIC, 3, indices)
+
+
+# The scalar phases in Fraction arithmetic, written from the definitions:
+# independent references for the integer numerators of the properties below.
+
+
+def _walsh_fraction(k, x, base):
+    return Fraction(sum(kj * x.digit(j) for j, kj in enumerate(int_digits(k, base))), base) % 1
+
+
+def _chi_fraction(k, z, base):
+    return radical_inverse(k, base) * z.as_integer(vb(k, base)) % 1
+
+
+def _xi_fraction(spec, k, x):
+    total = Fraction(0)
+    for ki, xi, (base, tag) in zip(k, x, spec.coordinates):
+        total += (_walsh_fraction if tag == WALSH else _chi_fraction)(ki, xi, base)
+    return total % 1
+
+
+def _unit(fr):
+    """e(fr) as PhaseFraction.to_complex computes it from a reduced Fraction."""
+    if fr.denominator in (1, 2, 4):
+        return {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}[fr.numerator * (4 // fr.denominator)]
+    t = 2.0 * math.pi * fr.numerator / fr.denominator
+    return complex(math.cos(t), math.sin(t))
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@st.composite
+def coordinates(draw, base=None):
+    """A base in 2..7, an index up to b^6 and a digit vector shorter or longer than its vb."""
+    base = draw(st.integers(2, 7)) if base is None else base
+    k = draw(st.integers(0, base**6))
+    digits = draw(st.lists(st.integers(0, base - 1), max_size=8))
+    return base, k, DigitVector(base, tuple(digits))
+
+
+@given(st.integers(-(7**7), 7**7), st.integers(1, 7**6))
+@example(0, 1)
+@example(0, 12)
+@example(-3, 4)
+@example(-12, 6)
+@example(12, 8)
+def test_phase_fraction_matches_fraction_mod_one(a, m):
+    want = Fraction(a, m) % 1
+    phase = PhaseFraction(a, m)
+    assert (phase.numerator, phase.modulus) == (want.numerator, want.denominator)
+    assert phase.fraction == want
+    assert phase == PhaseFraction.from_fraction(Fraction(a, m))
+    assert hash(phase) == hash(PhaseFraction.from_fraction(want))
+    conjugate, negated = phase.conjugate(), -want % 1
+    assert (conjugate.numerator, conjugate.modulus) == (negated.numerator, negated.denominator)
+
+
+def test_phase_fraction_rejects_what_fraction_rejects():
+    with pytest.raises(TypeError):
+        PhaseFraction(1.5, 4)
+    with pytest.raises(ValueError):
+        PhaseFraction(1, 0)
+
+
+@given(coordinates())
+@example((2, 0, DigitVector(2, ())))
+@example((7, 7**6, DigitVector(7, (6,) * 8)))
+def test_chi_phase_matches_the_fraction_formula(case):
+    base, k, z = case
+    assert chi_phase(k, z, base).fraction == _chi_fraction(k, z, base)
+    assert walsh_phase(k, z, base).fraction == _walsh_fraction(k, z, base)
+
+
+@given(
+    st.lists(coordinates(), min_size=1, max_size=3),
+    st.lists(st.sampled_from((WALSH, BADIC)), min_size=3, max_size=3),
+)
+def test_xi_phase_is_the_fraction_sum_of_its_coordinates(cases, tags):
+    spec = HybridSystemSpec(tuple((base, tag) for (base, _, _), tag in zip(cases, tags)))
+    k = tuple(ki for _, ki, _ in cases)
+    x = tuple(xi for _, _, xi in cases)
+    phase = xi_phase(spec, k, x)
+    assert phase.fraction == _xi_fraction(spec, k, x)
+    assert _bits(xi_eval(spec, k, x)) == _bits(_unit(_xi_fraction(spec, k, x)))
+
+
+def _counter_sum_fraction(counts):
+    """phase_counter_sum as it was written on Fractions."""
+    items = [(p.fraction, n) for p, n in counts.items() if n]
+    modulus = math.lcm(*(fr.denominator for fr, _ in items))
+    residues = [fr.numerator * (modulus // fr.denominator) for fr, _ in items]
+    if is_balanced(np.repeat(residues, [n for _, n in items]), modulus):
+        return 0j
+    if all(fr.denominator in (1, 2, 4) for fr, _ in items):
+        return complex(sum(n * _unit(fr) for fr, n in items))
+    re = math.fsum(n * math.cos(2.0 * math.pi * float(fr)) for fr, n in items)
+    im = math.fsum(n * math.sin(2.0 * math.pi * float(fr)) for fr, n in items)
+    return complex(re, im)
+
+
+@given(
+    st.dictionaries(
+        st.builds(PhaseFraction, st.integers(-50, 50), st.sampled_from((1, 2, 3, 4, 6, 8, 12, 25))),
+        st.integers(0, 4),
+        min_size=1,
+    )
+)
+def test_phase_counter_sum_matches_the_fraction_formula(counts):
+    assert _bits(phase_counter_sum(counts)) == _bits(_counter_sum_fraction(counts))
+
+
+@pytest.mark.parametrize("spec, g", _FOURIER_CONFIGS)
+def test_elint_coefficients_match_the_fraction_formula_bit_for_bit(spec, g):
+    """Every (elint, index) pair of the fourier suite: measure * conj(e(phase))."""
+    for e in elint_partition(spec.bases, g):
+        anchor = e.anchor_digits()
+        for k in enumerate_delta(spec.bases, tuple(gi + 1 for gi in g)):
+            if any(ki >= b**gi for ki, b, gi in zip(k, spec.bases, g)):
+                want = 0j
+            else:
+                want = float(e.measure) * _unit(-_xi_fraction(spec, k, anchor) % 1)
+            assert _bits(elint_fourier_coeff(e, k, spec)) == _bits(want)

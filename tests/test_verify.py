@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from etkbound.badic import DigitColumn, enumerate_delta
+from etkbound.badic import DigitColumn, _block_rows, enumerate_delta
 from etkbound.bounds import EXTREME, STAR
 from etkbound.fourier import (
     Elint,
@@ -141,6 +141,28 @@ def test_fc_suite_memory_is_bounded_by_blocks(peak_mib):
     """The default grid has 625 x 625 entries for base 5: one complex table
     and its cumulative sums took 30 MiB."""
     assert peak_mib(check_fc_bounds) <= 12
+
+
+def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
+    """The base-5 depth-4 phase table is 625 x 625 int64, 3.0 MiB; built whole,
+    it took the suite's peak to 7.6 MiB, and one block's scratch is about 4 MiB."""
+    import etkbound.verify as verify
+
+    built = []
+    kernel = verify.phase_numerators
+
+    def spy(digits, base, tag, g, indices=None):
+        table = kernel(digits, base, tag, g, indices)
+        built.append((base, len(table)))
+        return table
+
+    monkeypatch.setattr(verify, "phase_numerators", spy)
+    res = check_fc_bounds()
+    assert res.checks == 793440
+    assert sum(rows for base, rows in built if base == 5) == 2 * 624
+    assert max(rows for base, rows in built if base == 5) <= _block_rows(16 * 625) < 624
+    monkeypatch.undo()
+    assert peak_mib(check_fc_bounds) < 5
 
 
 @pytest.mark.parametrize("base", [2, 3, 5])
