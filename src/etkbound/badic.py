@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_delta",
     "int_digits",
     "monna",
-    "monna_pseudoinverse",
     "radical_inverse",
     "vb",
 ]
@@ -114,10 +113,6 @@ class DigitVector:
         """Digit vector of the b-adic integer n, zero-padded to `precision`."""
         return cls(base, int_digits(n, base, precision))
 
-    @classmethod
-    def zero(cls, base: int, precision: int = 0) -> "DigitVector":
-        return cls(base, (0,) * precision)
-
     @property
     def precision(self) -> int:
         return len(self.digits)
@@ -174,6 +169,12 @@ def _check_column_base(base: int) -> None:
         raise ValueError(f"base {base} is too large for a digit matrix")
 
 
+def _check_digit_range(digits: np.ndarray, base: int) -> None:
+    if digits.size and (digits.min() < 0 or digits.max() >= base):
+        out = (digits < 0) | (digits >= base)
+        raise ValueError(f"digit {digits[out][0]} out of range for base {base}")
+
+
 @dataclass(frozen=True, eq=False)
 class DigitColumn:
     """N base-b digit vectors stored as one N x P integer matrix.
@@ -198,9 +199,7 @@ class DigitColumn:
         counts = np.asarray(self.counts, dtype=np.int64)
         if digits.ndim != 2 or counts.shape != digits.shape[:1]:
             raise ValueError(f"digit matrix {digits.shape} does not match counts {counts.shape}")
-        if digits.size and (digits.min() < 0 or digits.max() >= self.base):
-            out = (digits < 0) | (digits >= self.base)
-            raise ValueError(f"digit {digits[out][0]} out of range for base {self.base}")
+        _check_digit_range(digits, self.base)
         width = digits.shape[1]
         if np.any((counts < 0) | (counts > width)):
             raise ValueError(f"digit counts must lie in [0, {width}]")
@@ -212,11 +211,17 @@ class DigitColumn:
 
     @classmethod
     def from_flat(cls, base: int, flat: np.ndarray, counts: np.ndarray) -> "DigitColumn":
-        """Column from all digits in row order, row n taking the next counts[n] of them."""
+        """Column from all digits in row order, row n taking the next counts[n] of them.
+
+        The digits are range-checked first, so the matrix is allocated once, in
+        its final dtype, and no digit can wrap on the way in.
+        """
+        _check_column_base(base)
         flat = np.asarray(flat)
+        _check_digit_range(flat, base)
         counts = np.asarray(counts, dtype=np.int64)
         width = int(counts.max()) if counts.size else 0
-        digits = np.zeros((counts.size, width), dtype=flat.dtype)
+        digits = np.zeros((counts.size, width), dtype=np.min_scalar_type(base - 1))
         digits[np.arange(width) < counts[:, None]] = flat
         return cls(base, digits, counts)
 
@@ -283,31 +288,6 @@ def monna(z: DigitVector) -> Fraction:
     return Fraction(num, z.base ** len(z.digits))
 
 
-def monna_pseudoinverse(x: Fraction | int, base: int) -> DigitVector:
-    """Regular (terminating) digit expansion of a b-adic rational x in [0,1).
-
-    Accepts exactly the fractions a/b^m; the result uses the minimal precision
-    m.  Anything else (x outside [0,1), or a reduced denominator with a prime
-    factor not dividing b) is rejected with ValueError.
-    """
-    check_base(base)
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError(f"expected x in [0,1), got {x}")
-    q = x.denominator
-    while (g := gcd(q, base)) > 1:
-        q //= g
-    if q != 1:
-        raise ValueError(f"{x} is not a base-{base} rational")
-    power, m = 1, 0
-    while power % x.denominator:
-        power *= base
-        m += 1
-    scaled = x.numerator * (power // x.denominator)
-    lsd = int_digits(scaled, base, m)
-    return DigitVector(base, tuple(reversed(lsd)))
-
-
 def radical_inverse(n: int, base: int) -> Fraction:
     """Digit reversal of n into [0,1): the Monna image of the integer n."""
     check_base(base)
@@ -367,14 +347,14 @@ def delta_size(bases: tuple[int, ...], g: tuple[int, ...]) -> int:
     return prod(b**gi for b, gi in zip(bases, g))
 
 
-def _check_budget(bases: tuple[int, ...], g: tuple[int, ...], limit: int | None, noun: str) -> None:
-    """Raise BudgetExceededError when delta_size(bases, g) is above limit (None: no limit).
+def _check_budget(bases: tuple[int, ...], g: tuple[int, ...], limit: int, noun: str) -> None:
+    """Raise BudgetExceededError when delta_size(bases, g) is above limit.
 
     The message names a size past 64 bits as the product b1^g1*b2^g2: 2^99999
     in decimal has 30103 digits, past Python's int-to-str conversion limit.
     """
     size = delta_size(bases, g)
-    if limit is not None and size > limit:
+    if size > limit:
         text = str(size) if size < 1 << 64 else "*".join(f"{b}^{gi}" for b, gi in zip(bases, g))
         raise BudgetExceededError(f"{noun} {text} exceeds budget {limit}")
 

@@ -366,10 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"etkbound: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, BudgetExceededError, CapExceededError) as exc:
+    except (UsageError, ValueError, BudgetExceededError, CapExceededError) as exc:
         print(f"etkbound: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,9 @@
 Elints (anchored digit boxes prod_i [phi(c_i), phi(c_i) + b_i^{-g_i})) are
 the sets the system functions are constant on, which makes every coefficient
 here a finite exact-phase sum: the only floats are the final measures and
-complex conversions.
+complex conversions.  The verify suites run what is here; the coefficients of
+anchored intervals and digit boxes, step representations and the pointwise
+indicator reconstruction are scalar references in `reference`.
 """
 
 from __future__ import annotations
@@ -15,39 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .badic import (
-    DigitVector,
-    delta_size,
-    enumerate_delta,
-    int_digits,
-    monna,
-    radical_inverse,
-    vb,
-)
-from .systems import (
-    BADIC,
-    HybridSystemSpec,
-    PhaseFraction,
-    gamma_phase,
-    phase_counter_sum,
-    walsh_phase,
-    xi_phase,
-)
+from .badic import DigitVector, delta_size, enumerate_delta, monna, radical_inverse, vb
+from .systems import HybridSystemSpec, PhaseFraction, phase_counter_sum, xi_phase
 
 __all__ = [
-    "BadicInterval",
     "Elint",
     "elint_contains",
     "elint_fourier_coeff",
     "elint_partition",
     "fc_upper_bound",
-    "interval_fourier_coeff",
     "partition_inner_product",
-    "reconstruct_indicator",
-    "step_representation",
 ]
-
-Point = Sequence[DigitVector]
 
 
 def _point_values(x: Sequence) -> tuple[Fraction, ...]:
@@ -149,140 +129,6 @@ def elint_fourier_coeff(e: Elint, k: tuple[int, ...], spec: HybridSystemSpec) ->
     # int / int rounds correctly, so this is float(e.measure)
     measure = 1 / math.prod(b**gi for b, gi in zip(e.bases, e.g))
     return measure * phase.conjugate().to_complex()
-
-
-def step_representation(k: tuple[int, ...], spec: HybridSystemSpec) -> list[tuple[Elint, complex]]:
-    """xi_k as a step function: its value on each elint of resolution vb(k_i).
-
-    For k != 0 the listed values sum to zero (the function integrates to 0).
-    """
-    if len(k) != spec.s:
-        raise ValueError(f"expected {spec.s} index components, got {len(k)}")
-    g = tuple(vb(ki, b) for ki, b in zip(k, spec.bases))
-    out = []
-    for e in elint_partition(spec.bases, g):
-        value = xi_phase(spec, tuple(k), e.anchor_digits()).to_complex()
-        out.append((e, value))
-    return out
-
-
-@dataclass(frozen=True)
-class BadicInterval:
-    """Digit box prod_i [a_i b_i^{-g_i}, d_i b_i^{-g_i}) with 0 <= a_i < d_i <= b_i^{g_i}."""
-
-    bases: tuple[int, ...]
-    g: tuple[int, ...]
-    bounds: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bases", tuple(self.bases))
-        object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "bounds", tuple((a, d) for a, d in self.bounds))
-        if not len(self.bases) == len(self.g) == len(self.bounds) or not self.bases:
-            raise ValueError("bases, g and bounds must be nonempty and of equal length")
-        for b, gi, (a, d) in zip(self.bases, self.g, self.bounds):
-            if gi < 0:
-                raise ValueError(f"resolution components must be >= 0, got {gi}")
-            if not 0 <= a < d <= b**gi:
-                raise ValueError(f"bounds ({a},{d}) invalid for base {b}, resolution {gi}")
-
-    @property
-    def s(self) -> int:
-        return len(self.bases)
-
-    @property
-    def measure(self) -> Fraction:
-        m = Fraction(1)
-        for b, gi, (a, d) in zip(self.bases, self.g, self.bounds):
-            m *= Fraction(d - a, b**gi)
-        return m
-
-    def contains(self, x: Sequence) -> bool:
-        values = _point_values(x)
-        if len(values) != self.s:
-            raise ValueError(f"expected {self.s} coordinates, got {len(values)}")
-        for val, b, gi, (a, d) in zip(values, self.bases, self.g, self.bounds):
-            scale = Fraction(1, b**gi)
-            if not a * scale <= val < d * scale:
-                return False
-        return True
-
-
-def _cell_value(j: int, k: int, base: int, v: int, tag: str) -> complex:
-    """conj(xi_k) on the cell [j b^-v, (j+1) b^-v).
-
-    The fraction digits of j b^-v are j's digits most significant first.
-    """
-    x = DigitVector(base, tuple(reversed(int_digits(j, base, v))))
-    phase = walsh_phase(k, x, base) if tag != BADIC else gamma_phase(k, x, base)
-    return phase.conjugate().to_complex()
-
-
-def anchored_fourier_coeff(beta: Fraction, k: int, base: int, tag: str) -> complex:
-    """Coefficient of 1_[0,beta) against the scalar system function of index k.
-
-    Exact summation over the cells of resolution vb(k) intersected with
-    [0,beta): full cells contribute value * b^-v, the one cut cell its exact
-    leftover length.  beta may be any rational in [0,1].
-    """
-    beta = Fraction(beta)
-    if not 0 <= beta <= 1:
-        raise ValueError(f"expected beta in [0,1], got {beta}")
-    if k < 0:
-        raise ValueError(f"expected a nonnegative index, got {k}")
-    if k == 0:
-        return complex(float(beta))
-    v = vb(k, base)
-    cells = base**v
-    width = Fraction(1, cells)
-    full = int(beta * cells)  # floor: number of complete cells below beta
-    total = 0j
-    for j in range(full):
-        total += _cell_value(j, k, base, v, tag) * float(width)
-    rest = beta - full * width
-    if rest > 0:
-        total += _cell_value(full, k, base, v, tag) * float(rest)
-    return total
-
-
-def interval_fourier_coeff(I: BadicInterval, k: tuple[int, ...], spec: HybridSystemSpec) -> complex:
-    """Coefficient of the box indicator: product of per-coordinate coefficients.
-
-    Each factor with k_i >= 1 is the difference of two anchored coefficients
-    [0, d b^-g) minus [0, a b^-g); k outside the box's index domain gives 0.
-    """
-    _check_spec_matches(spec, I.bases)
-    if len(k) != I.s:
-        raise ValueError(f"expected {I.s} index components, got {len(k)}")
-    for ki, b, gi in zip(k, I.bases, I.g):
-        if ki < 0:
-            raise ValueError(f"expected a nonnegative index, got {ki}")
-        if ki >= b**gi:
-            return 0j
-    total = complex(1.0)
-    for ki, b, gi, (a, d), (_, tag) in zip(k, I.bases, I.g, I.bounds, spec.coordinates):
-        scale = Fraction(1, b**gi)
-        if ki == 0:
-            total *= float((d - a) * scale)
-        else:
-            total *= anchored_fourier_coeff(d * scale, ki, b, tag) - anchored_fourier_coeff(
-                a * scale, ki, b, tag
-            )
-    return total
-
-
-def reconstruct_indicator(e: Elint, spec: HybridSystemSpec, x: Point) -> float:
-    """Pointwise sum of coeff(e,k) xi_k(x) over the full index box of resolution g.
-
-    The truncated series is exact for elint indicators, so the return value is
-    0 or 1 up to float summation noise.
-    """
-    _check_spec_matches(spec, e.bases)
-    total = 0j
-    for k in enumerate_delta(e.bases, e.g):
-        coeff = elint_fourier_coeff(e, k, spec)
-        total += coeff * xi_phase(spec, k, tuple(x)).to_complex()
-    return total.real
 
 
 def fc_upper_bound(k: int, base: int) -> float:

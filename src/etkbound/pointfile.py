@@ -13,9 +13,9 @@ badic._BLOCK_BYTES of scratch, so their memory beyond the point set stays
 bounded whatever N.  The writer renders every character of a block's rows in
 one array per column.  The reader parses a block of lines a column at a time,
 checking ranges and arity in bulk, keeps each column's flat digits and
-counts, and builds each digit column once at the end.  format_coordinate and
-parse_coordinate are the per-coordinate reference; the reader also uses
-parse_coordinate to word the error for the first bad line.
+counts, and builds each digit column once at the end.  parse_coordinate and
+reference.format_coordinate are the per-coordinate reference; the reader also
+uses parse_coordinate to word the error for the first bad line.
 """
 
 from __future__ import annotations
@@ -27,15 +27,9 @@ import numpy as np
 from .badic import DigitColumn, DigitVector, _block_rows, check_base
 from .sequences import PointSet
 
-__all__ = ["format_coordinate", "parse_coordinate", "read_point_set", "write_point_set"]
+__all__ = ["parse_coordinate", "read_point_set", "write_point_set"]
 
 _ZERO = ord("0")
-
-
-def format_coordinate(x: DigitVector) -> str:
-    if x.base <= 10:
-        return "0." + "".join(str(d) for d in x.digits)
-    return "0." + "-".join(str(d) for d in x.digits)
 
 
 def _decimal(text: str) -> int:
@@ -217,4 +211,4 @@ def read_point_set(fh: TextIO) -> PointSet:
         # popping drops the column's pieces before its digit matrix is built
         flat, counts = map(np.concatenate, zip(*by_column.pop(0)))
         columns.append(DigitColumn.from_flat(b, flat, counts))
-    return PointSet.from_columns(columns, provenance=provenance)
+    return PointSet(columns, provenance)

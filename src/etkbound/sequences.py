@@ -2,29 +2,20 @@
 
 All generators emit exact digits, so downstream analysis (phases,
 discrepancy grids) never touches floats.  Each config builds whole digit
-columns for points 0..N-1 at once (`columns`); its scalar `point(n)` and the
-functions van_der_corput, halton and digital_point are the reference those
-columns are tested against.
+columns for points 0..N-1 at once (`columns`); the one-point generators they
+are tested against live in `reference`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .badic import (
-    DigitColumn,
-    DigitVector,
-    _block_rows,
-    check_base,
-    int_digits,
-    monna_pseudoinverse,
-)
+from .badic import DigitColumn, DigitVector, _block_rows, check_base
 from .systems import BADIC, WALSH
 
 __all__ = [
@@ -34,11 +25,8 @@ __all__ = [
     "PointSet",
     "VdcConfig",
     "config_from_string",
-    "digital_point",
     "generate_points",
-    "halton",
     "hybrid_points",
-    "van_der_corput",
 ]
 
 
@@ -76,38 +64,6 @@ class GeneratorMatrix:
         return tuple(sum(r * d for r, d in zip(row, digits)) % self.base for row in self.rows)
 
 
-def van_der_corput(base: int, n: int) -> DigitVector:
-    """Point n of the van der Corput sequence: n's digits become fraction digits."""
-    check_base(base)
-    return DigitVector(base, int_digits(n, base))
-
-
-def halton(bases: Sequence[int], n: int) -> tuple[DigitVector, ...]:
-    """Point n of the Halton sequence: one van der Corput coordinate per base."""
-    if not bases:
-        raise ValueError("halton needs at least one base")
-    return tuple(van_der_corput(b, n) for b in bases)
-
-
-def digital_point(
-    matrices: Sequence[GeneratorMatrix], base: int, n: int, m: int
-) -> tuple[DigitVector, ...]:
-    """Point n of the digital sequence y_i = C_i digits(n) mod b, no carries.
-
-    All matrices share the base and precision m; n must fit in m digits.
-    """
-    check_base(base)
-    if not matrices:
-        raise ValueError("digital_point needs at least one generator matrix")
-    for C in matrices:
-        if C.base != base:
-            raise ValueError(f"matrix base {C.base} does not match {base}")
-        if C.size != m:
-            raise ValueError(f"matrix size {C.size} does not match precision {m}")
-    digits = int_digits(n, base, m)  # raises if n >= b^m
-    return tuple(DigitVector(base, C.apply(digits)) for C in matrices)
-
-
 class PointSet:
     """Finite list of s-dimensional points, stored as one digit column per coordinate.
 
@@ -116,34 +72,10 @@ class PointSet:
     which keep stored trailing zeros.  Generation, point files, phase tables
     and the exact oracle work on these matrices.  `points` is the same set as
     one tuple of DigitVector per point; it is a view built on first access
-    and cached, read by the scalar reference code.  The constructor
-    takes that tuple form, from_columns the matrices.
+    and cached, read by the scalar reference code.
     """
 
-    def __init__(
-        self,
-        bases: Sequence[int],
-        points: Sequence[Sequence[DigitVector]],
-        provenance: str = "",
-    ) -> None:
-        bases = tuple(bases)
-        points = tuple(tuple(p) for p in points)
-        for pt in points:
-            if len(pt) != len(bases):
-                raise ValueError(f"point of dimension {len(pt)} in a {len(bases)}-dim set")
-        columns = [
-            DigitColumn.from_vectors([pt[i] for pt in points], b) for i, b in enumerate(bases)
-        ]
-        self._set(columns, provenance)
-        self.__dict__["points"] = points
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[DigitColumn], provenance: str = "") -> "PointSet":
-        ps = cls.__new__(cls)
-        ps._set(columns, provenance)
-        return ps
-
-    def _set(self, columns: Sequence[DigitColumn], provenance: str) -> None:
+    def __init__(self, columns: Sequence[DigitColumn], provenance: str = "") -> None:
         columns = tuple(columns)
         if not columns:
             raise ValueError("a point set needs at least one coordinate")
@@ -166,31 +98,21 @@ class PointSet:
         return tuple(zip(*(c.vectors() for c in self.columns)))
 
     def __eq__(self, other: object) -> bool:
+        """Same bases, provenance and digits; like DigitVector, trailing zeros do not count."""
         if not isinstance(other, PointSet):
             return NotImplemented
-        return (self.bases, self.points, self.provenance) == (
-            other.bases,
-            other.points,
-            other.provenance,
-        )
+        if (self.bases, self.n_points, self.provenance) != (other.bases, other.n_points, other.provenance):
+            return False
+        for a, b in zip(self.columns, other.columns):
+            width = min(a.digits.shape[1], b.digits.shape[1])
+            if not np.array_equal(a.digits[:, :width], b.digits[:, :width]):
+                return False
+            if a.digits[:, width:].any() or b.digits[:, width:].any():
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"PointSet(bases={self.bases}, n_points={self.n_points}, provenance={self.provenance!r})"
-
-    @classmethod
-    def from_values(
-        cls, bases: Sequence[int], values: Sequence[Sequence], provenance: str = ""
-    ) -> "PointSet":
-        """Build from exact fractional coordinates via the regular digit expansion."""
-        bases = tuple(bases)
-        pts = tuple(
-            tuple(monna_pseudoinverse(Fraction(v), b) for v, b in zip(row, bases))
-            for row in values
-        )
-        return cls(bases, pts, provenance)
-
-    def values(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(xi.value for xi in pt) for pt in self.points)
 
 
 @dataclass(frozen=True)
@@ -205,9 +127,6 @@ class VdcConfig:
     @property
     def bases(self) -> tuple[int, ...]:
         return (self.base,)
-
-    def point(self, n: int) -> tuple[DigitVector, ...]:
-        return (van_der_corput(self.base, n),)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
         return (DigitColumn.from_integers(np.arange(n_points), self.base),)
@@ -232,9 +151,6 @@ class HaltonConfig:
     @property
     def bases(self) -> tuple[int, ...]:
         return tuple(self.halton_bases)
-
-    def point(self, n: int) -> tuple[DigitVector, ...]:
-        return halton(self.halton_bases, n)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
         return tuple(DigitColumn.from_integers(np.arange(n_points), b) for b in self.halton_bases)
@@ -269,9 +185,6 @@ class DigitalConfig:
     @property
     def bases(self) -> tuple[int, ...]:
         return (self.base,) * len(self.matrices)
-
-    def point(self, n: int) -> tuple[DigitVector, ...]:
-        return digital_point(self.matrices, self.base, n, self.precision)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
         """All points as y_i = C_i digits(n) mod b, one matrix product per coordinate.
@@ -312,7 +225,7 @@ def generate_points(config: GeneratorConfig, n_points: int) -> PointSet:
     """First n_points points of a configured generator as a PointSet."""
     if n_points < 1:
         raise ValueError(f"need at least one point, got {n_points}")
-    return PointSet.from_columns(config.columns(n_points), provenance=config.describe())
+    return PointSet(config.columns(n_points), config.describe())
 
 
 def hybrid_points(
@@ -344,7 +257,7 @@ def hybrid_points(
         walsh_part.describe() if walsh_part else "-",
         badic_part.describe() if badic_part else "-",
     )
-    return PointSet.from_columns([next(columns[tag]) for tag in tags], provenance=prov)
+    return PointSet([next(columns[tag]) for tag in tags], prov)
 
 
 def config_from_string(text: str) -> GeneratorConfig:

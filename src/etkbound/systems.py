@@ -30,12 +30,10 @@ __all__ = [
     "HybridSystemSpec",
     "PhaseFraction",
     "chi_phase",
-    "gamma_phase",
     "is_balanced",
     "phase_counter_sum",
     "phase_numerators",
     "walsh_phase",
-    "xi_eval",
     "xi_phase",
 ]
 
@@ -153,7 +151,10 @@ def chi_phase(k: int, z: DigitVector, base: int) -> PhaseFraction:
 
     phi_b(k) * (z_0 + z_1 b + ...) mod 1, reading only the first v = vb(k)
     digits: rev_v(k) z_v / b^v, with rev_v(k) = b^v phi_b(k) the digit
-    reversal of k and z_v the integer of z's first v digits.
+    reversal of k and z_v the integer of z's first v digits.  The b-adic
+    system is the character system pulled back through the regular digit
+    expansion, so this is also the phase of the k-th b-adic function at the
+    point whose digit vector is z.
     """
     _check_coordinate(k, z, base)
     rev = v = 0
@@ -162,15 +163,6 @@ def chi_phase(k: int, z: DigitVector, base: int) -> PhaseFraction:
         rev = rev * base + kj
         v += 1
     return PhaseFraction(rev * z.as_integer(v), base**v)
-
-
-def gamma_phase(k: int, x: DigitVector, base: int) -> PhaseFraction:
-    """Phase of the k-th b-adic function at the point x.
-
-    The b-adic system is the character system pulled back through the regular
-    digit expansion, so this is chi_phase on x's digit vector.
-    """
-    return chi_phase(k, x, base)
 
 
 def xi_phase(
@@ -184,16 +176,11 @@ def xi_phase(
         raise ValueError(f"expected {spec.s} coordinates, got k of {len(k)} and x of {len(x)}")
     total, modulus = 0, 1
     for ki, xi, (base, tag) in zip(k, x, spec.coordinates):
-        phase = walsh_phase(ki, xi, base) if tag == WALSH else gamma_phase(ki, xi, base)
+        phase = walsh_phase(ki, xi, base) if tag == WALSH else chi_phase(ki, xi, base)
         common = math.lcm(modulus, phase.modulus)
         total = total * (common // modulus) + phase.numerator * (common // phase.modulus)
         modulus = common
     return PhaseFraction(total, modulus)
-
-
-def xi_eval(spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ...]) -> complex:
-    """Value of the hybrid system function: one complex conversion of the exact phase."""
-    return xi_phase(spec, k, x).to_complex()
 
 
 def phase_numerators(

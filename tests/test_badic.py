@@ -15,10 +15,10 @@ from etkbound.badic import (
     enumerate_delta,
     int_digits,
     monna,
-    monna_pseudoinverse,
     radical_inverse,
     vb,
 )
+from etkbound.reference import monna_pseudoinverse
 
 
 def test_int_digits_least_significant_first():
@@ -211,3 +211,22 @@ def test_from_integers_keeps_its_preallocated_matrix(monkeypatch):
     assert np.shares_memory(column.digits, passed[0])
     wide = np.zeros((2, 3), dtype=np.int64)
     assert not np.shares_memory(DigitColumn(3, wide, [3, 3]).digits, wide)
+
+
+def test_from_flat_allocates_its_matrix_in_the_final_dtype(peak_mib):
+    """A 2^16 x 16 base-12 column from int64 flat digits: a uint8 matrix, built
+    with at most 3 times its size; allocating in int64 and casting took 9 times."""
+    rng = np.random.default_rng(12)
+    counts = rng.integers(0, 17, 2**16)
+    counts[0] = 16
+    flat = rng.integers(0, 12, int(counts.sum()))
+    final = DigitColumn.from_flat(12, flat, counts).digits
+    assert final.shape == (2**16, 16) and final.dtype == np.uint8
+    assert peak_mib(DigitColumn.from_flat, 12, flat, counts) <= 3 * final.nbytes / 2**20
+
+
+@pytest.mark.parametrize("base, digit", [(12, 257), (12, -1), (300, 70000), (300, -1)])
+def test_from_flat_rejects_a_digit_before_it_could_wrap(base, digit):
+    """257 and -1 would fit a uint8 matrix as 1 and 255, 70000 a uint16 one as 4464."""
+    with pytest.raises(ValueError, match=f"digit {digit} out of range for base {base}"):
+        DigitColumn.from_flat(base, np.array([1, digit]), np.array([2]))

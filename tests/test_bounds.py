@@ -18,13 +18,13 @@ from etkbound.bounds import (
     epsilon_fraction,
     epsilon_term,
     etk_bound,
-    exp_sum,
     rho,
     rho_star,
     rho_vec,
     weight_sum,
 )
-from etkbound.sequences import HaltonConfig, PointSet, VdcConfig, generate_points
+from etkbound.reference import exp_sum, point_set
+from etkbound.sequences import HaltonConfig, VdcConfig, generate_points
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec
 
 
@@ -116,7 +116,7 @@ def test_exp_sum_full_period_cancels_exactly():
 def test_exp_sum_matches_direct_mean():
     import cmath
 
-    from etkbound.systems import xi_eval
+    from etkbound.reference import xi_eval
 
     spec = HybridSystemSpec(((2, WALSH), (3, BADIC)))
     pts = generate_points(HaltonConfig((2, 3)), 11)
@@ -264,7 +264,7 @@ def bound_inputs(draw):
     )
     distinct = draw(st.lists(point, min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=12))
-    points = PointSet([b for b, _ in coords], [distinct[i] for i in picks])
+    points = point_set([b for b, _ in coords], [distinct[i] for i in picks])
     return HybridSystemSpec(tuple(coords)), tuple(g), points
 
 
@@ -273,7 +273,7 @@ def bound_inputs(draw):
     (
         HybridSystemSpec.single(2, BADIC),
         (2,),
-        PointSet((2,), [(DigitVector(2, d),) for d in [(0, 0), (0, 0), (0, 1), (0, 1), (1,), (1, 1)]]),
+        point_set((2,), [(DigitVector(2, d),) for d in [(0, 0), (0, 0), (0, 1), (0, 1), (1,), (1, 1)]]),
     )
 )
 @given(bound_inputs())

@@ -7,15 +7,17 @@ import pytest
 
 from etkbound.badic import DigitVector, enumerate_delta
 from etkbound.fourier import (
-    BadicInterval,
     Elint,
-    anchored_fourier_coeff,
     elint_contains,
     elint_fourier_coeff,
     elint_partition,
     fc_upper_bound,
-    interval_fourier_coeff,
     partition_inner_product,
+)
+from etkbound.reference import (
+    BadicInterval,
+    anchored_fourier_coeff,
+    interval_fourier_coeff,
     reconstruct_indicator,
     step_representation,
 )
@@ -115,7 +117,7 @@ def test_anchored_coeff_matches_riemann_sum():
         coeff = anchored_fourier_coeff(beta, k, base, tag)
         n = 3**7
         total = 0j
-        from etkbound.badic import monna_pseudoinverse
+        from etkbound.reference import monna_pseudoinverse
         from etkbound.systems import xi_phase
 
         for j in range(math.floor(beta * n)):

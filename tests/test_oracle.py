@@ -22,7 +22,8 @@ from etkbound.oracle import (
     star_discrepancy_exact,
 )
 from etkbound.pointfile import read_point_set
-from etkbound.sequences import HaltonConfig, PointSet, VdcConfig, generate_points
+from etkbound.reference import point_set, point_set_from_values, point_values
+from etkbound.sequences import HaltonConfig, VdcConfig, generate_points
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec
 
 
@@ -40,7 +41,7 @@ def classic_star_1d(xs):
 
 
 def from_fractions(bases, rows):
-    return PointSet.from_values(tuple(bases), [tuple(r) for r in rows])
+    return point_set_from_values(tuple(bases), [tuple(r) for r in rows])
 
 
 def test_star_1d_matches_classic_formula_vdc():
@@ -108,7 +109,7 @@ def test_extreme_dominates_star():
 
 def test_duplicating_points_preserves_discrepancy():
     pts = generate_points(HaltonConfig((2, 3)), 6)
-    doubled = PointSet(pts.bases, pts.points + pts.points)
+    doubled = point_set(pts.bases, pts.points + pts.points)
     assert star_discrepancy_exact(pts).exact == star_discrepancy_exact(doubled).exact
     assert extreme_discrepancy_exact(pts).exact == extreme_discrepancy_exact(doubled).exact
 
@@ -117,7 +118,7 @@ def test_no_random_box_beats_the_oracle():
     """Any sampled box deviation stays below the reported supremum."""
     rng = random.Random(17)
     pts = generate_points(HaltonConfig((2, 3)), 9)
-    vals = pts.values()
+    vals = point_values(pts)
     n = pts.n_points
     star = star_discrepancy_exact(pts).exact
     extreme = extreme_discrepancy_exact(pts).exact
@@ -145,7 +146,7 @@ def test_witness_box_reproduces_the_value():
         closures.append(res.witness.closure)
         below = operator.le if res.witness.closure == "outer" else operator.lt
         count = sum(
-            all(a <= x and below(x, b) for x, a, b in zip(row, lo, hi)) for row in pts.values()
+            all(a <= x and below(x, b) for x, a, b in zip(row, lo, hi)) for row in point_values(pts)
         )
         vol = 1
         for a, b in zip(lo, hi):
@@ -237,7 +238,7 @@ def witness_value(points, result):
                 (a <= x if left == "[" else a < x) and (x <= b if right == "]" else x < b)
                 for x, a, b in zip(row, result.witness.lower, result.witness.upper)
             )
-            for row in points.values()
+            for row in point_values(points)
         )
         out.add(abs(Fraction(inside, points.n_points) - vol))
     return out

@@ -17,12 +17,8 @@ from hypothesis import strategies as st
 import etkbound
 from etkbound.badic import DigitVector
 from etkbound.cli import main
-from etkbound.pointfile import (
-    format_coordinate,
-    parse_coordinate,
-    read_point_set,
-    write_point_set,
-)
+from etkbound.pointfile import parse_coordinate, read_point_set, write_point_set
+from etkbound.reference import format_coordinate, point_set
 from etkbound.sequences import (
     HaltonConfig,
     PointSet,
@@ -85,7 +81,7 @@ def point_sets(draw):
         for b in bases
     ]
     pts = draw(st.lists(st.tuples(*vectors), min_size=1, max_size=12))
-    return PointSet(bases, pts, provenance=draw(st.sampled_from(("", "hand"))))
+    return point_set(bases, pts, provenance=draw(st.sampled_from(("", "hand"))))
 
 
 @given(point_sets())
@@ -174,7 +170,7 @@ def test_point_files_are_the_same_at_every_block_size(at_both_block_sizes):
         [DigitVector(b, tuple(rng.randrange(b) for _ in range(rng.randrange(5)))) for b in bases]
         for _ in range(60)
     ]
-    points = PointSet(bases, pts, provenance="hand")
+    points = point_set(bases, pts, provenance="hand")
     text = at_both_block_sizes(_written, points)
     assert text.splitlines()[2:] == [" ".join(map(format_coordinate, pt)) for pt in pts]
     back = at_both_block_sizes(lambda: _stored(read_point_set(io.StringIO(text))))

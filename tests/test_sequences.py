@@ -9,18 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etkbound.badic import DigitColumn, DigitVector, radical_inverse
+from etkbound.reference import (
+    config_point,
+    digital_point,
+    halton,
+    point_set,
+    point_set_from_values,
+    point_values,
+    van_der_corput,
+)
 from etkbound.sequences import (
     DigitalConfig,
     GeneratorMatrix,
     HaltonConfig,
-    PointSet,
     VdcConfig,
     config_from_string,
-    digital_point,
     generate_points,
-    halton,
     hybrid_points,
-    van_der_corput,
 )
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec
 
@@ -76,20 +81,20 @@ def test_digital_net_is_linear_over_base():
             d1 = int_digits(n1, base, length=m)
             d2 = int_digits(n2, base, length=m)
             n3 = sum((a + b) % base * base**j for j, (a, b) in enumerate(zip(d1, d2)))
-            p1, p2, p3 = (cfg.point(n) for n in (n1, n2, n3))
+            p1, p2, p3 = (config_point(cfg, n) for n in (n1, n2, n3))
             for c1, c2, c3 in zip(p1, p2, p3):
                 assert add_without_carry(c1, c2) == c3
 
 
 def test_point_set_from_values_round_trip():
-    ps = PointSet.from_values((2, 3), [(Fraction(1, 2), Fraction(2, 9))])
-    assert ps.values()[0] == (Fraction(1, 2), Fraction(2, 9))
+    ps = point_set_from_values((2, 3), [(Fraction(1, 2), Fraction(2, 9))])
+    assert point_values(ps)[0] == (Fraction(1, 2), Fraction(2, 9))
     assert ps.s == 2 and ps.n_points == 1
 
 
 def test_point_set_validates_bases():
     with pytest.raises(ValueError):
-        PointSet((2,), ((DigitVector(3, (1,)),),))
+        point_set((2,), ((DigitVector(3, (1,)),),))
 
 
 def test_generate_points_provenance():
@@ -104,7 +109,7 @@ def test_hybrid_points_frozen_case():
     spec = HybridSystemSpec(((2, WALSH), (3, BADIC)))
     ps = hybrid_points(spec.tags, VdcConfig(2), HaltonConfig((3,)), 6)
     # n=5: vdc base 2 -> 5/8, halton base 3 -> 7/9... check both directly
-    assert ps.values()[5] == (radical_inverse(5, 2), radical_inverse(5, 3))
+    assert point_values(ps)[5] == (radical_inverse(5, 2), radical_inverse(5, 3))
 
 
 def test_hybrid_points_tag_interleaving():
@@ -112,7 +117,7 @@ def test_hybrid_points_tag_interleaving():
     ps = hybrid_points(spec.tags, VdcConfig(2), HaltonConfig((3, 5)), 4)
     assert ps.bases == (3, 2, 5)
     for n in range(4):
-        b3, w2, b5 = ps.values()[n]
+        b3, w2, b5 = point_values(ps)[n]
         assert w2 == radical_inverse(n, 2)
         assert b3 == radical_inverse(n, 3)
         assert b5 == radical_inverse(n, 5)
@@ -158,7 +163,7 @@ def test_point_set_stores_digit_columns():
         (DigitVector(2, (1, 0, 0)), DigitVector(12, (11,))),
         (DigitVector(2, ()), DigitVector(12, (3, 0, 7, 0))),
     )
-    ps = PointSet((2, 12), pts, "hand")
+    ps = point_set((2, 12), pts, "hand")
     col2, col12 = ps.columns
     assert col2.digits.dtype == np.uint8 and col2.digits.tolist() == [[1, 0, 0], [0, 0, 0]]
     assert col2.counts.tolist() == [3, 0]
@@ -173,9 +178,20 @@ def test_point_set_view_is_cached_and_exact():
     assert ps.points is view
     assert view[37] == halton((2, 13), 37)
     assert [x.digits for x in view[37]] == [x.digits for x in halton((2, 13), 37)]
-    rebuilt = PointSet(ps.bases, view, ps.provenance)
+    rebuilt = point_set(ps.bases, view, ps.provenance)
     assert rebuilt == ps
     assert all((a.digits == b.digits).all() for a, b in zip(rebuilt.columns, ps.columns))
+
+
+def test_point_set_equality_ignores_trailing_zeros_only():
+    pts = [(DigitVector(2, (1,)), DigitVector(12, (3, 0, 7)))]
+    padded = [(DigitVector(2, (1, 0, 0)), DigitVector(12, (3, 0, 7, 0)))]
+    ps = point_set((2, 12), pts, "hand")
+    assert ps == point_set((2, 12), padded, "hand")
+    assert ps != point_set((2, 12), padded, "other")
+    assert ps != point_set((2, 12), [(DigitVector(2, (1, 0, 1)), DigitVector(12, (3, 0, 7)))], "hand")
+    assert ps != point_set((2, 12), pts * 2, "hand")
+    assert ps != point_set((3, 12), [(DigitVector(3, (1,)), DigitVector(12, (3, 0, 7)))], "hand")
 
 
 def test_digital_columns_reject_n_past_precision():
@@ -190,10 +206,10 @@ def test_digital_columns_do_not_overflow_at_default_precision():
     cfg = config_from_string("digital:10,s=2,m=32,seed=11")
     ps = generate_points(cfg, 1200)
     for n in (0, 1, 9, 10, 999, 1000, 1199):
-        assert [x.digits for x in ps.points[n]] == [x.digits for x in cfg.point(n)]
+        assert [x.digits for x in ps.points[n]] == [x.digits for x in config_point(cfg, n)]
     # a digit product (b-1)^2 past 2^63 falls back to exact Python integers
     cfg = config_from_string("digital:4294967311,s=2,m=3,seed=1")
-    assert _digits(generate_points(cfg, 7).points) == _digits(cfg.point(n) for n in range(7))
+    assert _digits(generate_points(cfg, 7).points) == _digits(config_point(cfg, n) for n in range(7))
     with pytest.raises(ValueError, match="too large for a digit matrix"):
         generate_points(VdcConfig(2**63), 2)
 
@@ -234,7 +250,7 @@ def test_bulk_generation_matches_scalar_points(data):
     n = _n_points(data.draw, cfg)
     ps = generate_points(cfg, n)
     assert ps.bases == cfg.bases
-    assert _digits(ps.points) == _digits(cfg.point(i) for i in range(n))
+    assert _digits(ps.points) == _digits(config_point(cfg, i) for i in range(n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +265,7 @@ def test_bulk_hybrid_matches_scalar_interleaving(data):
     ps = hybrid_points(tags, walsh_part, badic_part, n)
     want = []
     for i in range(n):
-        w, b = iter(walsh_part.point(i)), iter(badic_part.point(i))
+        w, b = iter(config_point(walsh_part, i)), iter(config_point(badic_part, i))
         want.append([next(w) if t == WALSH else next(b) for t in tags])
     assert ps.bases == tuple(x.base for x in want[0])
     assert _digits(ps.points) == _digits(want)
@@ -270,7 +286,7 @@ def test_columns_are_the_same_at_every_block_size(config, at_both_block_sizes):
     got = at_both_block_sizes(
         lambda: [(c.digits.dtype.str, c.digits.tolist(), c.counts.tolist()) for c in config.columns(n)]
     )
-    points = [config.point(i) for i in range(n)]
+    points = [config_point(config, i) for i in range(n)]
     want = [
         DigitColumn.from_vectors([pt[i] for pt in points], b) for i, b in enumerate(config.bases)
     ]

@@ -19,18 +19,17 @@ from etkbound.badic import (
     vb,
 )
 from etkbound.fourier import elint_fourier_coeff, elint_partition
+from etkbound.reference import xi_eval
 from etkbound.systems import (
     BADIC,
     WALSH,
     HybridSystemSpec,
     PhaseFraction,
     chi_phase,
-    gamma_phase,
     is_balanced,
     phase_counter_sum,
     phase_numerators,
     walsh_phase,
-    xi_eval,
     xi_phase,
 )
 from etkbound.verify import _FOURIER_CONFIGS
@@ -107,8 +106,8 @@ def test_chi_phase_value():
 
 def test_gamma_phase_value():
     x = DigitVector(2, (1, 0))
-    assert gamma_phase(2, x, 2).fraction == Fraction(1, 4)
-    assert gamma_phase(2, x, 2).to_complex() == 1j
+    assert chi_phase(2, x, 2).fraction == Fraction(1, 4)
+    assert chi_phase(2, x, 2).to_complex() == 1j
 
 
 def test_phase_depends_on_vb_digits_only():
@@ -116,7 +115,7 @@ def test_phase_depends_on_vb_digits_only():
     base, k = 2, 3  # vb = 2
     x1 = DigitVector(base, (1, 1, 0, 0))
     x2 = DigitVector(base, (1, 1, 1, 1))
-    assert gamma_phase(k, x1, base) == gamma_phase(k, DigitVector(base, (1, 1)), base)
+    assert chi_phase(k, x1, base) == chi_phase(k, DigitVector(base, (1, 1)), base)
     assert walsh_phase(k, x1, base) == walsh_phase(k, x2, base)
 
 

@@ -10,8 +10,8 @@ from etkbound.fourier import (
     elint_fourier_coeff,
     elint_partition,
     partition_inner_product,
-    reconstruct_indicator,
 )
+from etkbound.reference import reconstruct_indicator
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec, xi_phase
 from etkbound.verify import (
     SUITES,
