@@ -1,9 +1,9 @@
-"""Per-layer timings of the verify suites, each in a fresh interpreter.
+"""Per-layer timings of the verify suites and the phase tables, each in a fresh interpreter.
 
 Usage, from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_11.json
-    python3 bench/layers.py --parent ../other-checkout --out BENCH_11.json
+    python3 bench/layers.py --out BENCH_13.json
+    python3 bench/layers.py --parent ../other-checkout --out BENCH_13.json
 
 Each sample of each tree runs in new child processes, so every suite timing
 is cold (first call after import), as in the CLI.  For `verify fourier` and
@@ -18,10 +18,18 @@ is cold (first call after import), as in the CLI.  For `verify fourier` and
 - stdout_sha256: so two trees can be checked for identical output.
 
 It also records perfbench's micro-samples systems.xi_phase_us and
-fourier.coeff_us (perfbench/replay.py, imported, not changed).  Each tree
-gets PAIRS samples; with --parent, the two trees alternate which goes first
-in each pair.  The hot layer of a suite is the largest of import_s and its
-layers_s by median.
+fourier.coeff_us (perfbench/replay.py, imported, not changed).
+
+The tables section times systems.phase_numerators on TABLE_CASES, both tags,
+and bounds.etk_bound on BOUND_CASES.  Each case records s, one call's time
+(inputs are built before it), and peak_alloc_mb, the tracemalloc peak of
+another call; the phase cases also record table_mb, the size of the table
+returned.
+
+Each tree gets PAIRS samples; with --parent, the two trees alternate which
+goes first in each pair.  The hot layer of a suite is the largest of
+import_s and its layers_s by median.  For the tables section the summary
+gives each case's median and quartiles over the samples.
 """
 
 from __future__ import annotations
@@ -45,6 +53,17 @@ LAYERS = {
     "fourier": ("_xi_table", "elint_fourier_coeff"),
     "fc-bounds": ("phase_numerators",),
 }
+# (b, g, N): a full phase table of N points, the digits of 0..N-1 mod b^g.
+# Full-period inputs, two points at a deep g, and large bases with few points.
+TABLE_CASES = (
+    (2, 12, 4096), (5, 5, 3125), (2, 20, 2), (1000, 2, 16),
+    (65536, 1, 16), (2, 12, 1024), (3, 7, 2187),
+)
+# etk_bound inputs: bound_dense's points at perfbench's first seed, 2^20
+# Halton points (their cell-index step was the whole allocation peak), and
+# two points whose tables are 2^20 rows deep (b-adic: in Walsh, half of those
+# 2^20 sums are exact zeros, and their re-test takes most of 10 s).
+BOUND_CASES = ("bound_dense w,b (8,5)", "halton 2^20 w,b (8,5)", "vdc 2 points b (20)")
 
 
 # ---------------------------------------------------------------- child side
@@ -116,6 +135,60 @@ def _child_layers(suite: str) -> dict:
     return {"layers_s": {**spent, "other": total - sum(spent.values())}}
 
 
+def _measure(fn, *args) -> dict:
+    import tracemalloc
+
+    start = time.perf_counter()
+    fn(*args)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"s": seconds, "peak_alloc_mb": peak / 2**20}
+
+
+def _child_tables() -> dict:
+    import numpy as np
+    from etkbound.badic import DigitColumn
+    from etkbound.systems import phase_numerators
+
+    out = {}
+    for base, g, n in TABLE_CASES:
+        digits = DigitColumn.from_integers(np.arange(n) % base**g, base).digits
+        for tag in ("walsh", "badic"):
+            row = _measure(phase_numerators, digits, base, tag, g)
+            row["table_mb"] = base**g * n * 8 / 2**20
+            out[f"phase_numerators {base},{g},{n} {tag}"] = row
+    return out
+
+
+def _child_bounds() -> dict:
+    from etkbound.bounds import etk_bound
+    from etkbound.sequences import (
+        HaltonConfig,
+        VdcConfig,
+        config_from_string,
+        generate_points,
+        hybrid_points,
+    )
+    from etkbound.systems import BADIC, WALSH, HybridSystemSpec
+
+    dense = hybrid_points(
+        (WALSH, BADIC), config_from_string("digital:2,seed=101"), config_from_string("halton:3"), 4096
+    )
+    inputs = (
+        (HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC)), (8, 5), dense),
+        (
+            HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC)),
+            (8, 5),
+            generate_points(HaltonConfig((2, 3)), 2**20),
+        ),
+        (HybridSystemSpec.from_tags((2,), (BADIC,)), (20,), generate_points(VdcConfig(2), 2)),
+    )
+    return {name: _measure(etk_bound, *args) for name, args in zip(BOUND_CASES, inputs)}
+
+
 def _child_micro() -> dict:
     import replay
 
@@ -124,8 +197,8 @@ def _child_micro() -> dict:
 
 def _child(args: list[str]) -> None:
     kind, *rest = args
-    if kind == "micro":
-        result = _child_micro()
+    if kind in ("micro", "tables", "bounds"):
+        result = {"micro": _child_micro, "tables": _child_tables, "bounds": _child_bounds}[kind]()
     else:
         result = {"time": _child_time, "alloc": _child_alloc, "layers": _child_layers}[kind](*rest)
     print(json.dumps(result))
@@ -159,6 +232,7 @@ def _wall(tree: str, suite: str) -> float:
 def sample(tree: str) -> dict:
     """One sample of every measurement on one tree."""
     out = {"micro": _spawn(tree, "micro")}
+    out["tables"] = {**_spawn(tree, "tables"), **_spawn(tree, "bounds")}
     for suite in SUITES:
         out[suite] = {
             "wall_s": _wall(tree, suite),
@@ -173,6 +247,15 @@ def summarize(samples: list[dict]) -> dict:
     """Median of each number over the samples; the suites' hot layers."""
     median = statistics.median
     out = {"micro": {k: median(s["micro"][k] for s in samples) for k in samples[0]["micro"]}}
+    out["tables"] = {}
+    for case in samples[0]["tables"]:
+        rows = [s["tables"][case] for s in samples]
+        q1, q2, q3 = statistics.quantiles([r["s"] for r in rows], n=4)
+        out["tables"][case] = {
+            "s": q2,
+            "s_quartiles": [q1, q3],
+            **{k: median(r[k] for r in rows) for k in rows[0] if k != "s"},
+        }
     for suite in SUITES:
         runs = [s[suite] for s in samples]
         row = {
@@ -236,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for name, tree in record["trees"].items():
-        print(name, json.dumps({s: tree["median"][s] for s in ("micro", *SUITES)}))
+        print(name, json.dumps({s: tree["median"][s] for s in ("micro", "tables", *SUITES)}))
     return 0
 
 

@@ -201,9 +201,9 @@ class DigitColumn:
             raise ValueError(f"digit matrix {digits.shape} does not match counts {counts.shape}")
         _check_digit_range(digits, self.base)
         width = digits.shape[1]
-        if np.any((counts < 0) | (counts > width)):
+        if counts.size and (counts.min() < 0 or counts.max() > width):
             raise ValueError(f"digit counts must lie in [0, {width}]")
-        if np.any(digits[np.arange(width) >= counts[:, None]]):
+        if any(np.logical_and(digits[:, j], counts <= j).any() for j in range(width)):
             raise ValueError("digits past a vector's count must be zero")
         dtype = np.min_scalar_type(self.base - 1)
         object.__setattr__(self, "digits", digits.astype(dtype, copy=False))

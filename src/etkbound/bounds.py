@@ -213,8 +213,10 @@ def etk_bound(
 
     cells, ranks = [], []
     for col, b, gi in zip(points.columns, spec.bases, g):
-        width = min(gi, col.digits.shape[1])
-        index = col.digits[:, :width].astype(np.int64) @ b ** np.arange(width, dtype=np.int64)
+        index = np.zeros(n, dtype=np.int64)
+        for j in reversed(range(min(gi, col.digits.shape[1]))):
+            index *= b
+            index += col.digits[:, j]
         cells_i, rank = np.unique(index, return_inverse=True)
         cells.append(cells_i)
         ranks.append(rank)
@@ -245,8 +247,12 @@ def etk_bound(
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
 
     weight = rho_star if star else rho
-    axis_weights = [np.array([weight(k, b) for k in range(m)]) for b, m in zip(spec.bases, moduli)]
-    weights = math.prod(np.ix_(*axis_weights))
+    axes = []
+    for b, gi in zip(spec.bases, g):
+        # the weight depends only on vb(k) and k's leading digit: one call per run
+        firsts = [0] + [a * b**v for v in range(gi) for a in range(1, b)]
+        axes.append(np.repeat([weight(k, b) for k in firsts], np.diff(firsts + [b**gi])))
+    weights = math.prod(np.ix_(*axes))
     terms = (weights * abs_sums).reshape(-1, moduli[-1])
     weighted = math.fsum(itertools.chain.from_iterable(row.tolist() for row in terms))
     rows = None

@@ -5,10 +5,9 @@ rational phase phi, so evaluation is split in two: phase computation as an
 integer numerator over b^v in lowest terms (always exact, no Fraction
 objects) and a single conversion to complex at the end.  Full character
 sums then cancel exactly instead of accumulating float noise.  The scalar
-phases are the reference for phase_numerators, the table kernel that gives
-the same phases as integer numerators over b^g for a whole digit matrix (one
-coordinate of a point set), and is_balanced is the one exact-zero test for
-phase sums.
+phases are the reference for phase_numerators, the table kernel for a whole
+digit matrix, whose phases over b^g are linear in the index digits, so it
+builds no matrix of index digits; is_balanced is the one exact-zero test.
 """
 
 from __future__ import annotations
@@ -183,6 +182,21 @@ def xi_phase(
     return PhaseFraction(total, modulus)
 
 
+def _digit_sums(steps: np.ndarray, base: int, modulus: int) -> np.ndarray:
+    """Rows k < b^m of (sum_j k_j steps[j]) mod modulus, k_j the base-b digits of k.
+
+    Row a b^j + r is row r plus a steps[j]; doubling a keeps the scratch to one row."""
+    rows = np.zeros((base ** len(steps), steps.shape[1]), dtype=np.int64)
+    for j, shift in enumerate(steps):
+        done, end = base**j, base ** (j + 1)
+        while done < end:
+            count = min(done, end - done)
+            np.add(rows[:count], shift, out=rows[done : done + count])
+            rows[done : done + count] %= modulus
+            shift, done = shift * 2 % modulus, done + count
+    return rows
+
+
 def phase_numerators(
     digits: np.ndarray, base: int, tag: str, g: int, indices: range | None = None
 ) -> np.ndarray:
@@ -194,8 +208,11 @@ def phase_numerators(
     result holds b^g times the phase of index indices[r] (walsh_phase or
     chi_phase, by tag) at every point.  Digits from position g on never
     matter, since indices below b^g read at most g digits, and missing ones
-    read as 0.  Integer arithmetic only, so the table carries no rounding,
-    and it is filled in place.
+    read as 0.  Integer arithmetic only, so the table carries no rounding.
+
+    Row k is sum_j k_j step_j mod b^g, with step_j = d_j b^(g-1) (Walsh) or
+    z_(j+1) b^(g-1-j) (b-adic, z_v the integer of the first v digits).  Each
+    run of b^h rows, filled in place, is a low-digit table plus one high-digit row.
     """
     check_base(base)
     if tag not in _TAGS:
@@ -206,35 +223,23 @@ def phase_numerators(
     start, stop = indices.start, indices.stop
     if indices.step != 1 or not 0 <= start <= stop <= modulus:
         raise ValueError(f"indices must be a step-1 range within [0, {modulus}], got {indices}")
-    n = len(digits)
-    width = min(g, digits.shape[1])
-    x = np.zeros((n, g), dtype=np.int64)
-    x[:, :width] = digits[:, :width]
-    powers = base ** np.arange(g, dtype=np.int64)
-    kdigits = np.arange(start, stop, dtype=np.int64)[:, None] // powers % base
-    table = np.empty((stop - start, n), dtype=np.int64)
-    if tag == WALSH:
-        # (sum_j k_j x_j) mod b, lifted from modulus b to b^g
-        np.matmul(kdigits, x.T, out=table)
-        table %= base
-        table *= modulus // base
-        return table
-    # vb(k) = v on indices b^(v-1) <= k < b^v, where the phase is
-    # rev_v(k) z_v / b^v with z_v the integer of the first v digits
-    if start == 0:
-        table[:1] = 0
-    z = np.zeros(n, dtype=np.int64)
-    for v in range(1, g + 1):
-        z += x[:, v - 1] * powers[v - 1]
-        level = base**v
-        lo, hi = max(base ** (v - 1), start) - start, min(level, stop) - start
-        if lo >= hi:
-            continue
-        rev = kdigits[lo:hi, :v] @ powers[v - 1 :: -1]
-        rows = table[lo:hi]
-        np.multiply.outer(rev, z, out=rows)
-        rows %= level
-        rows *= modulus // level
+    powers = base ** np.arange(g, dtype=np.int64)[:, None]
+    steps = np.zeros((g, len(digits)), dtype=np.int64)
+    steps[: digits.shape[1]] = digits[:, :g].T * powers[: digits.shape[1]]
+    if tag == BADIC:
+        np.cumsum(steps, axis=0, out=steps)
+    steps *= powers[::-1]
+    h = (g + 1) // 2
+    lo, hi = (_digit_sums(part, base, modulus) for part in (steps[:h], steps[h:]))
+    if h == g:
+        return lo[start:stop]
+    run = base**h
+    table = np.empty((stop - start, len(digits)), dtype=np.int64)
+    for top in range(start // run, -(-stop // run)):
+        offset = top * run
+        first, last = max(start, offset), min(stop, offset + run)
+        np.add(lo[first - offset : last - offset], hi[top], out=table[first - start : last - start])
+    table %= modulus
     return table
 
 

@@ -22,7 +22,6 @@ from .bounds import (
     cb_constant,
     corollary_bound,
     epsilon_fraction,
-    etk_bound,
     rho_vec,
     weight_sum,
 )
@@ -33,7 +32,7 @@ from .fourier import (
     fc_upper_bound,
     partition_inner_product,
 )
-from .oracle import DominationReport, domination_check, star_discrepancy_exact
+from .oracle import DominationReport, domination_check
 from .sequences import (
     DigitalConfig,
     GeneratorMatrix,
@@ -53,7 +52,6 @@ __all__ = [
     "check_reconstruction",
     "check_weights",
     "domination_sweep",
-    "full_period_report",
     "run_suites",
 ]
 
@@ -344,15 +342,6 @@ def domination_sweep(variant: str, trials: int = 100, seed: int = 1) -> SuiteRes
             )
     result.summary = f"seed={seed}, worst margin {worst:.3e}"
     return result
-
-
-def full_period_report(base: int, g: int, tag: str):
-    """Full-period van der Corput bound and oracle: the exactness end-to-end case."""
-    spec = HybridSystemSpec.single(base, tag)
-    points = generate_points(VdcConfig(base), base**g)
-    rep = etk_bound(spec, (g,), points, STAR, per_index=True)
-    disc = star_discrepancy_exact(points)
-    return rep, disc
 
 
 SUITES = ("orthonormality", "fourier", "fc-bounds", "weights", "domination", "all")

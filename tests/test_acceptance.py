@@ -18,8 +18,11 @@ from etkbound.bounds import (
     cb_constant,
     corollary_bound,
     epsilon_fraction,
+    etk_bound,
 )
-from etkbound.oracle import domination_check
+from etkbound.oracle import domination_check, star_discrepancy_exact
+from etkbound.sequences import VdcConfig, generate_points
+from etkbound.systems import HybridSystemSpec
 from etkbound.verify import (
     _draw_trial,
     check_fc_bounds,
@@ -27,7 +30,6 @@ from etkbound.verify import (
     check_orthonormality,
     check_reconstruction,
     check_weights,
-    full_period_report,
 )
 
 EXTREME_SWEEP_SEED = 2024
@@ -39,6 +41,15 @@ MARGIN_SLACK = -1e-9
 def _announce(num: int, ok: bool, detail: str, t0: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {status} {detail} ({time.perf_counter() - t0:.2f}s)")
+
+
+def full_period_report(base: int, g: int, tag: str):
+    """Full-period van der Corput bound and oracle: the exactness end-to-end case."""
+    spec = HybridSystemSpec.single(base, tag)
+    points = generate_points(VdcConfig(base), base**g)
+    rep = etk_bound(spec, (g,), points, STAR, per_index=True)
+    disc = star_discrepancy_exact(points)
+    return rep, disc
 
 
 def _sweep(variant: str, seed: int):
@@ -99,6 +110,12 @@ def test_criterion_3_full_period_exactness():
                 assert rep.total / disc.value == 1.0
                 cases += 1
     _announce(3, True, f"full-period exactness, {cases} cases, max |S_N| = {worst_abs:.1e}", t0)
+
+
+def test_full_period_report_exactness():
+    rep, disc = full_period_report(2, 3, "walsh")
+    assert rep.total == disc.value == 0.125
+    assert rep.max_abs_sum == 0.0
 
 
 def test_criterion_4_orthonormality():

@@ -225,6 +225,22 @@ def test_from_flat_allocates_its_matrix_in_the_final_dtype(peak_mib):
     assert peak_mib(DigitColumn.from_flat, 12, flat, counts) <= 3 * final.nbytes / 2**20
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_column_checks_its_padding_without_matrix_sized_scratch(full, peak_mib):
+    """A 2^16 x 16 base-12 uint8 column: the constructor's checks take at most a
+    quarter of the matrix and from_flat at most 2.25 matrices; an N x P padding
+    mask and its gather took 1.5 and 3.0."""
+    rng = np.random.default_rng(13)
+    counts = np.full(2**16, 16) if full else rng.integers(0, 17, 2**16)
+    counts[0] = 16
+    digits = rng.integers(0, 12, (2**16, 16)).astype(np.uint8)
+    digits[np.arange(16) >= counts[:, None]] = 0
+    flat = digits[np.arange(16) < counts[:, None]].astype(np.int64)
+    size = digits.nbytes / 2**20
+    assert peak_mib(DigitColumn, 12, digits, counts) <= 0.25 * size
+    assert peak_mib(DigitColumn.from_flat, 12, flat, counts) <= 2.25 * size
+
+
 @pytest.mark.parametrize("base, digit", [(12, 257), (12, -1), (300, 70000), (300, -1)])
 def test_from_flat_rejects_a_digit_before_it_could_wrap(base, digit):
     """257 and -1 would fit a uint8 matrix as 1 and 255, 70000 a uint16 one as 4464."""

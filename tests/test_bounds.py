@@ -5,10 +5,12 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etkbound import bounds
 from etkbound.badic import BudgetExceededError, DigitVector, enumerate_delta
 from etkbound.bounds import (
     EXTREME,
@@ -288,6 +290,39 @@ def test_etk_bound_matches_scalar_exp_sum(case):
         assert abs(abs_sum - abs(want)) <= 1e-13
         if want == 0j:
             assert abs_sum == 0.0
+
+
+def test_etk_bound_cell_index_needs_no_digit_matrix_copy(peak_mib):
+    """2^18 Halton (2,3) points in w,b at g = (8,5) peak below 8 N-wide int64
+    arrays (16 MiB); an int64 copy of each digit matrix for a matmul took 18."""
+    n = 2**18
+    pts = generate_points(HaltonConfig((2, 3)), n)
+    spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
+    assert peak_mib(etk_bound, spec, (8, 5), pts) < 8 * n * 8 / 2**20
+
+
+@pytest.mark.parametrize("variant", [EXTREME, STAR])
+def test_etk_bound_weights_come_from_their_distinct_values(variant, monkeypatch):
+    """Bit-equal to one weight call per index, with (b - 1) g + 1 calls to rho."""
+    weight = rho_star if variant == STAR else rho
+    calls = []
+
+    def counted(k, base):
+        calls.append(k)
+        return rho(k, base)
+
+    for base in range(2, 8):
+        pts = generate_points(VdcConfig(base), 3)
+        for g in range(1, 6):
+            spec = HybridSystemSpec.single(base, WALSH)
+            calls.clear()
+            monkeypatch.setattr(bounds, "rho", counted)
+            rows = etk_bound(spec, (g,), pts, variant, per_index=True).per_index
+            monkeypatch.undo()
+            assert len(calls) == (base - 1) * g + 1
+            got = np.array([w for _, w, _ in rows])
+            want = np.array([weight(k, base) for k in range(1, base**g)])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_etk_bound_allocates_no_table_over_the_points():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etkbound.badic import (
@@ -181,15 +181,20 @@ def test_walsh_full_period_sum_vanishes():
 
 @st.composite
 def digit_columns(draw):
-    """A base, a resolution g and a column of digit vectors shorter and longer than g."""
-    base = draw(st.integers(2, 7))
-    g = draw(st.integers(1, 4))
+    """A base, a resolution g and a column of digit vectors shorter and longer than g.
+
+    Bases run from 2 to 7 plus 11, and g up to 6 with b^g <= 4096, so the
+    kernel meets odd and even g and a base whose digits pass 10.
+    """
+    base = draw(st.sampled_from((2, 3, 4, 5, 6, 7, 11)))
+    g = draw(st.integers(1, max(h for h in range(1, 7) if base**h <= 4096)))
     digits = st.lists(st.integers(0, base - 1), max_size=g + 2)
     column = draw(st.lists(digits.map(lambda d: DigitVector(base, tuple(d))), min_size=1, max_size=5))
     return base, g, column
 
 
 @given(digit_columns(), st.sampled_from((WALSH, BADIC)))
+@settings(deadline=None)
 def test_phase_table_kernel_matches_scalar_phases(case, tag):
     base, g, column = case
     modulus = base**g
@@ -243,6 +248,7 @@ def test_balance_detector_matches_fraction_rotation(case):
 
 
 @given(digit_columns(), st.sampled_from((WALSH, BADIC)), st.data())
+@settings(deadline=None)
 def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
     base, g, column = case
     digits = DigitColumn.from_vectors(column, base).digits
@@ -252,6 +258,16 @@ def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
     rows = phase_numerators(digits, base, tag, g, range(start, stop))
     assert rows.shape == (stop - start, len(column))
     assert np.array_equal(rows, full[start:stop])
+
+
+@pytest.mark.parametrize("base, g, n", [(2, 20, 2), (2, 12, 1024), (3, 7, 2187), (65536, 1, 16)])
+@pytest.mark.parametrize("tag", [WALSH, BADIC])
+def test_phase_table_scratch_stays_within_a_quarter_of_the_table(base, g, n, tag, peak_mib):
+    """The kernel's tracemalloc peak is at most 1.25 tables + 1 MiB; a b^g x g
+    matrix of index digits took two points at g = 20 to 20 tables."""
+    digits = DigitColumn.from_integers(np.arange(n), base).digits
+    table_mib = base**g * n * 8 / 2**20
+    assert peak_mib(phase_numerators, digits, base, tag, g) <= 1.25 * table_mib + 1
 
 
 @pytest.mark.parametrize("indices", [range(0, 4, 2), range(-1, 3), range(0, 9), range(3, 2)])

@@ -22,7 +22,6 @@ from etkbound.verify import (
     check_reconstruction,
     check_weights,
     domination_sweep,
-    full_period_report,
     run_suites,
 )
 
@@ -192,12 +191,6 @@ def test_domination_sweep_is_deterministic():
     a = domination_sweep(EXTREME, trials=5, seed=9)
     b = domination_sweep(EXTREME, trials=5, seed=9)
     assert a.summary == b.summary
-
-
-def test_full_period_report_exactness():
-    rep, disc = full_period_report(2, 3, "walsh")
-    assert rep.total == disc.value == 0.125
-    assert rep.max_abs_sum == 0.0
 
 
 def test_run_suites_dispatch():
