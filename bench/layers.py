@@ -174,16 +174,11 @@ def _child_bounds() -> dict:
     )
     from etkbound.systems import BADIC, WALSH, HybridSystemSpec
 
-    dense = hybrid_points(
-        (WALSH, BADIC), config_from_string("digital:2,seed=101"), config_from_string("halton:3"), 4096
-    )
+    mixed = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
+    walsh, badic = config_from_string("digital:2,seed=101"), config_from_string("halton:3")
     inputs = (
-        (HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC)), (8, 5), dense),
-        (
-            HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC)),
-            (8, 5),
-            generate_points(HaltonConfig((2, 3)), 2**20),
-        ),
+        (mixed, (8, 5), hybrid_points((WALSH, BADIC), walsh, badic, 4096)),
+        (mixed, (8, 5), generate_points(HaltonConfig((2, 3)), 2**20)),
         (HybridSystemSpec.from_tags((2,), (BADIC,)), (20,), generate_points(VdcConfig(2), 2)),
     )
     return {name: _measure(etk_bound, *args) for name, args in zip(BOUND_CASES, inputs)}
@@ -197,11 +192,11 @@ def _child_micro() -> dict:
 
 def _child(args: list[str]) -> None:
     kind, *rest = args
-    if kind in ("micro", "tables", "bounds"):
-        result = {"micro": _child_micro, "tables": _child_tables, "bounds": _child_bounds}[kind]()
-    else:
-        result = {"time": _child_time, "alloc": _child_alloc, "layers": _child_layers}[kind](*rest)
-    print(json.dumps(result))
+    children = {
+        "micro": _child_micro, "tables": _child_tables, "bounds": _child_bounds,
+        "time": _child_time, "alloc": _child_alloc, "layers": _child_layers,
+    }
+    print(json.dumps(children[kind](*rest)))
 
 
 # ---------------------------------------------------------------- parent side

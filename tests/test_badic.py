@@ -225,6 +225,23 @@ def test_from_flat_allocates_its_matrix_in_the_final_dtype(peak_mib):
     assert peak_mib(DigitColumn.from_flat, 12, flat, counts) <= 3 * final.nbytes / 2**20
 
 
+@pytest.mark.parametrize(
+    "digits, counts, message",
+    [
+        ([[1, 2]], [3], r"digit counts must lie in \[0, 2\]"),
+        ([[1, 2]], [-1], r"digit counts must lie in \[0, 2\]"),
+        ([[1, 2]], [1], "digits past a vector's count must be zero"),
+        ([[1, 0], [1, 1]], [2, 1], "digits past a vector's count must be zero"),
+        ([[0, 0, 2]], [0], "digits past a vector's count must be zero"),
+    ],
+)
+def test_column_rejects_counts_out_of_range_and_nonzero_padding(digits, counts, message):
+    """The first nonzero padding digit may sit right at the count."""
+    with pytest.raises(ValueError, match=message):
+        DigitColumn(3, np.array(digits), np.array(counts))
+    assert DigitColumn(3, np.array([[1, 0], [1, 1]]), np.array([1, 2])).counts.tolist() == [1, 2]
+
+
 @pytest.mark.parametrize("full", [False, True])
 def test_column_checks_its_padding_without_matrix_sized_scratch(full, peak_mib):
     """A 2^16 x 16 base-12 uint8 column: the constructor's checks take at most a
