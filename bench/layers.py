@@ -21,10 +21,10 @@ It also records perfbench's micro-samples systems.xi_phase_us and
 fourier.coeff_us (perfbench/replay.py, imported, not changed).
 
 The tables section times systems.phase_numerators on TABLE_CASES, both tags,
-and bounds.etk_bound on BOUND_CASES.  Each case records s, one call's time
-(inputs are built before it), and peak_alloc_mb, the tracemalloc peak of
-another call; the phase cases also record table_mb, the size of the table
-returned.
+and bounds.etk_bound on BOUND_CASES.  Each case records s, the best time of
+three calls (inputs are built before them), and peak_alloc_mb, the
+tracemalloc peak of a fourth call; the phase cases also record table_mb, the
+size of the table returned.
 
 Each tree gets PAIRS samples; with --parent, the two trees alternate which
 goes first in each pair.  The hot layer of a suite is the largest of
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -138,9 +139,11 @@ def _child_layers(suite: str) -> dict:
 def _measure(fn, *args) -> dict:
     import tracemalloc
 
-    start = time.perf_counter()
-    fn(*args)
-    seconds = time.perf_counter() - start
+    seconds = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(*args)
+        seconds = min(seconds, time.perf_counter() - start)
     tracemalloc.start()
     fn(*args)
     peak = tracemalloc.get_traced_memory()[1]
