@@ -182,8 +182,8 @@ def xi_phase(
     return PhaseFraction(total, modulus)
 
 
-def _digit_sums(steps: np.ndarray, base: int, modulus: int) -> np.ndarray:
-    """Rows k < b^m of (sum_j k_j steps[j]) mod modulus, k_j the base-b digits of k.
+def _digit_sums(steps: np.ndarray, base: int) -> np.ndarray:
+    """Rows k < b^m of sum_j k_j steps[j], k_j the base-b digits of k, unreduced.
 
     Row a b^j + r is row r plus a steps[j]; doubling a keeps the scratch to one row."""
     rows = np.zeros((base ** len(steps), steps.shape[1]), dtype=np.int64)
@@ -192,8 +192,7 @@ def _digit_sums(steps: np.ndarray, base: int, modulus: int) -> np.ndarray:
         while done < end:
             count = min(done, end - done)
             np.add(rows[:count], shift, out=rows[done : done + count])
-            rows[done : done + count] %= modulus
-            shift, done = shift * 2 % modulus, done + count
+            shift, done = shift * 2, done + count
     return rows
 
 
@@ -230,15 +229,16 @@ def phase_numerators(
     steps *= powers[::-1]
     h = (g + 1) // 2
     if h == g:
-        return _digit_sums(steps, base, modulus)[start:stop]
-    # the table before its scratch: the other order raised verify fc-bounds' peak RSS 0.5 MiB
-    table = np.empty((stop - start, len(digits)), dtype=np.int64)
-    lo, hi = (_digit_sums(part, base, modulus) for part in (steps[:h], steps[h:]))
-    run = base**h
-    for top in range(start // run, -(-stop // run)):
-        offset = top * run
-        first, last = max(start, offset), min(stop, offset + run)
-        np.add(lo[first - offset : last - offset], hi[top], out=table[first - start : last - start])
+        table = _digit_sums(steps, base)[start:stop]
+    else:
+        # the table before its scratch: the other order raised verify fc-bounds' peak RSS 0.5 MiB
+        table = np.empty((stop - start, len(digits)), dtype=np.int64)
+        lo, hi = (_digit_sums(part, base) for part in (steps[:h], steps[h:]))
+        run = base**h
+        for top in range(start // run, -(-stop // run)):
+            first, last = max(start, top * run), min(stop, top * run + run)
+            rows = table[first - start : last - start]
+            np.add(lo[first - top * run : last - top * run], hi[top], out=rows)
     table %= modulus
     return table
 
