@@ -210,7 +210,7 @@ def phase_numerators(
     read as 0.  Integer arithmetic only, so the table carries no rounding.
 
     Row k is sum_j k_j step_j mod b^g, step_j = d_j b^(g-1) (Walsh) or z_(j+1) b^(g-1-j)
-    (b-adic, z_v the integer of the first v digits), built in runs of b^h rows.
+    (b-adic, z_v the integer of the first v digits); the sums, below g b^(g+1), are reduced once.
     """
     check_base(base)
     if tag not in _TAGS:
@@ -231,7 +231,7 @@ def phase_numerators(
     if h == g:
         table = _digit_sums(steps, base)[start:stop]
     else:
-        # the table before its scratch: the other order raised verify fc-bounds' peak RSS 0.5 MiB
+        # allocated before its scratch tables: the other order raised verify fc-bounds' peak RSS
         table = np.empty((stop - start, len(digits)), dtype=np.int64)
         lo, hi = (_digit_sums(part, base) for part in (steps[:h], steps[h:]))
         run = base**h

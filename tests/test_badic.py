@@ -246,7 +246,7 @@ def test_column_rejects_counts_out_of_range_and_nonzero_padding(digits, counts, 
 def test_column_checks_its_padding_without_matrix_sized_scratch(full, peak_mib):
     """A 2^16 x 16 base-12 uint8 column: the constructor's checks take at most a
     quarter of the matrix and from_flat at most 2.25 matrices; an N x P padding
-    mask and its gather took 1.5 and 3.0."""
+    mask and its gather took 1.5 and 2.5 with random row lengths."""
     rng = np.random.default_rng(13)
     counts = np.full(2**16, 16) if full else rng.integers(0, 17, 2**16)
     counts[0] = 16
