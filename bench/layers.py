@@ -1,9 +1,9 @@
-"""Per-layer timings of the verify suites and the phase tables, each in a fresh interpreter.
+"""Per-layer timings of the verify suites, the phase tables and the point layers, each in a fresh interpreter.
 
 Usage, from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_13.json
-    python3 bench/layers.py --parent ../other-checkout --out BENCH_13.json
+    python3 bench/layers.py --out BENCH_15.json
+    python3 bench/layers.py --parent ../other-checkout --out BENCH_15.json
 
 Each sample of each tree runs in new child processes, so every suite timing
 is cold (first call after import), as in the CLI.  For `verify fourier` and
@@ -26,10 +26,17 @@ three calls (inputs are built before them), and peak_alloc_mb, the
 tracemalloc peak of a fourth call; the phase cases also record table_mb, the
 size of the table returned.
 
+The points section times generation (hybrid_points or generate_points, as
+`gen` calls them), write_point_set into a StringIO (as `gen` writes) and
+read_point_set from a file (as `bound` reads) on POINT_CASES, one child per
+case.  Each row records cold_s, the first call in that child, s, the best of
+three more, and peak_alloc_mb, the tracemalloc peak of a fifth.
+
 Each tree gets PAIRS samples; with --parent, the two trees alternate which
 goes first in each pair.  The hot layer of a suite is the largest of
-import_s and its layers_s by median.  For the tables section the summary
-gives each case's median and quartiles over the samples.
+import_s and its layers_s by median.  For the tables and points sections the
+summary gives each case's medians, and the quartiles of its times, over the
+samples.
 """
 
 from __future__ import annotations
@@ -65,6 +72,10 @@ TABLE_CASES = (
 # two points whose tables are 2^20 rows deep (b-adic: in Walsh, half of those
 # 2^20 sums are exact zeros, and their re-test takes most of 10 s).
 BOUND_CASES = ("bound_dense w,b (8,5)", "halton 2^20 w,b (8,5)", "vdc 2 points b (20)")
+# generation and point-file inputs: stream_wide's points at perfbench's first
+# seed, and the 2^20 Halton points of BOUND_CASES
+POINT_CASES = ("stream_wide", "halton 2^20")
+POINT_LAYERS = ("generate", "write", "read")
 
 
 # ---------------------------------------------------------------- child side
@@ -187,6 +198,52 @@ def _child_bounds() -> dict:
     return {name: _measure(etk_bound, *args) for name, args in zip(BOUND_CASES, inputs)}
 
 
+def _cold_warm(fn):
+    """fn's result and its timings: cold_s, this first call, and _measure's."""
+    start = time.perf_counter()
+    result = fn()
+    cold = time.perf_counter() - start
+    return result, {"cold_s": cold, **_measure(fn)}
+
+
+def _child_points(case: str, n: int | None = None) -> dict:
+    """The generation, write and read layers on one POINT_CASES input (n points, if given)."""
+    import io
+    import tempfile
+
+    from etkbound.pointfile import read_point_set, write_point_set
+    from etkbound.sequences import HaltonConfig, config_from_string, generate_points, hybrid_points
+    from etkbound.systems import BADIC, WALSH
+
+    if case == "stream_wide":
+        walsh, badic = config_from_string("digital:2,m=16,seed=101"), config_from_string("halton:3,5")
+        points, generate = _cold_warm(lambda: hybrid_points((WALSH, BADIC, BADIC), walsh, badic, n or 32768))
+    else:
+        points, generate = _cold_warm(lambda: generate_points(HaltonConfig((2, 3)), n or 2**20))
+
+    def write():
+        buf = io.StringIO()
+        write_point_set(points, buf)
+        return buf
+
+    buf, written = _cold_warm(write)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "points.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
+        del buf
+
+        def read():
+            with open(path, encoding="utf-8") as fh:
+                return read_point_set(fh)
+
+        back, read_row = _cold_warm(read)
+    if back != points:
+        raise SystemExit(f"{case}: the point file does not read back as the points written")
+    rows = (generate, written, read_row)
+    return {f"{case} {layer}": row for layer, row in zip(POINT_LAYERS, rows)}
+
+
 def _child_micro() -> dict:
     import replay
 
@@ -196,7 +253,7 @@ def _child_micro() -> dict:
 def _child(args: list[str]) -> None:
     kind, *rest = args
     children = {
-        "micro": _child_micro, "tables": _child_tables, "bounds": _child_bounds,
+        "micro": _child_micro, "tables": _child_tables, "bounds": _child_bounds, "points": _child_points,
         "time": _child_time, "alloc": _child_alloc, "layers": _child_layers,
     }
     print(json.dumps(children[kind](*rest)))
@@ -231,6 +288,7 @@ def sample(tree: str) -> dict:
     """One sample of every measurement on one tree."""
     out = {"micro": _spawn(tree, "micro")}
     out["tables"] = {**_spawn(tree, "tables"), **_spawn(tree, "bounds")}
+    out["points"] = {k: v for case in POINT_CASES for k, v in _spawn(tree, "points", case).items()}
     for suite in SUITES:
         out[suite] = {
             "wall_s": _wall(tree, suite),
@@ -245,15 +303,16 @@ def summarize(samples: list[dict]) -> dict:
     """Median of each number over the samples; the suites' hot layers."""
     median = statistics.median
     out = {"micro": {k: median(s["micro"][k] for s in samples) for k in samples[0]["micro"]}}
-    out["tables"] = {}
-    for case in samples[0]["tables"]:
-        rows = [s["tables"][case] for s in samples]
-        q1, q2, q3 = statistics.quantiles([r["s"] for r in rows], n=4)
-        out["tables"][case] = {
-            "s": q2,
-            "s_quartiles": [q1, q3],
-            **{k: median(r[k] for r in rows) for k in rows[0] if k != "s"},
-        }
+    for section in ("tables", "points"):
+        out[section] = {}
+        for case in samples[0][section]:
+            rows = [s[section][case] for s in samples]
+            row = {k: median(r[k] for r in rows) for k in rows[0]}
+            for k in ("s", "cold_s"):
+                if k in row:
+                    q1, _, q3 = statistics.quantiles([r[k] for r in rows], n=4)
+                    row[f"{k}_quartiles"] = [q1, q3]
+            out[section][case] = row
     for suite in SUITES:
         runs = [s[suite] for s in samples]
         row = {
@@ -317,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for name, tree in record["trees"].items():
-        print(name, json.dumps({s: tree["median"][s] for s in ("micro", "tables", *SUITES)}))
+        print(name, json.dumps({s: tree["median"][s] for s in ("micro", "tables", "points", *SUITES)}))
     return 0
 
 

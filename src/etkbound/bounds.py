@@ -22,6 +22,7 @@ from .badic import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     DigitColumn,
+    _block_rows,
     _check_budget,
     check_base,
     vb,
@@ -233,18 +234,23 @@ def etk_bound(
     # each step contracts cell axis 0 and appends index axis i, so the axes end in order
     for num, m in zip(tables, moduli):
         sums = np.tensordot(sums, np.exp(2j * np.pi * np.arange(m) / m)[num], axes=(0, 1))
-    abs_sums = np.abs(sums / n)
+    sums /= n
+    abs_sums = np.abs(sums)
+    del sums
 
     # re-test near-zero sums on exact integer phases, one residue per point (its cell's),
     # in the smallest signed type that holds a sum of s residues and the modulus itself
     common = math.lcm(*moduli)
     small = np.min_scalar_type(-1 - max(spec.s * (common - 1), common))
-    scaled = [(num * (common // m)).astype(small) for num, m in zip(tables, moduli)]
     for k in zip(*np.nonzero(abs_sums < _ZERO_SNAP)):
-        residues = sum(t[ki][rank] for t, ki, rank in zip(scaled, k, ranks))
+        residues = sum(
+            (num[ki] * (common // m)).astype(small)[rank]
+            for num, m, ki, rank in zip(tables, moduli, k, ranks)
+        )
         if is_balanced(residues, common):
             abs_sums[k] = 0.0
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
+    del tables
 
     weight = rho_star if star else rho
     axes = []
@@ -253,8 +259,14 @@ def etk_bound(
         firsts = [0] + [a * b**v for v in range(gi) for a in range(1, b)]
         axes.append(np.repeat([weight(k, b) for k in firsts], np.diff(firsts + [b**gi])))
     weights = math.prod(np.ix_(*axes))
-    terms = (weights * abs_sums).reshape(-1, moduli[-1])
-    weighted = math.fsum(itertools.chain.from_iterable(row.tolist() for row in terms))
+    # the terms in blocks, each about _BLOCK_BYTES as a list of floats
+    flat_weights, flat_sums = weights.reshape(-1), abs_sums.reshape(-1)
+    step = _block_rows(40)
+    blocks = (
+        (flat_weights[i : i + step] * flat_sums[i : i + step]).tolist()
+        for i in range(0, flat_sums.size, step)
+    )
+    weighted = math.fsum(itertools.chain.from_iterable(blocks))
     rows = None
     if per_index:
         box = itertools.islice(itertools.product(*map(range, moduli)), 1, None)

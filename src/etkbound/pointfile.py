@@ -8,23 +8,28 @@ first, concatenated for bases up to 10 and dash-separated above that
 written verbatim from the stored digits, so read(write(ps)) reproduces the
 point set bit for bit, trailing zeros included.
 
-Both directions work on digit columns in blocks of rows of about
-badic._BLOCK_BYTES of scratch, so their memory beyond the point set stays
-bounded whatever N.  The writer renders every character of a block's rows in
-one array per column.  The reader parses a block of lines a column at a time,
-checking ranges and arity in bulk, keeps each column's flat digits and
-counts, and builds each digit column once at the end.  parse_coordinate and
-reference.format_coordinate are the per-coordinate reference; the reader also
-uses parse_coordinate to word the error for the first bad line.
+Both directions work in blocks of about badic._BLOCK_BYTES of scratch, so
+their memory beyond the point set and its text stays bounded whatever N, and
+neither runs Python per line or per coordinate.  The writer renders every
+character a block's rows could use into one uint8 array, dividing each digit
+column in its own dtype by one power of ten at a time, and keeps the used
+ones through one mask.  The reader turns a block of whole lines into one
+array of character codes.  Line ends, words, blank and comment lines, arity,
+the "0." prefixes, digit ranges and counts are all masks over it or positions
+of its separators; only the few header lines are read one at a time, in line
+order.  It keeps each column's flat digits and counts and builds each digit
+column once at the end.  parse_coordinate and reference.format_coordinate are
+the per-coordinate reference, and reference.read_point_set the per-line one;
+the reader words the error for its first bad line with parse_coordinate.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .badic import DigitColumn, DigitVector, _block_rows, check_base
+from .badic import DigitColumn, DigitVector, _block_rows, _check_column_base, check_base
 from .sequences import PointSet
 
 __all__ = ["parse_coordinate", "read_point_set", "write_point_set"]
@@ -49,78 +54,59 @@ def parse_coordinate(text: str, base: int) -> DigitVector:
     return DigitVector(base, tuple(map(_decimal, parts)))  # range checked by the constructor
 
 
-def _column_chars(base: int, digits: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every character some rows of a column could use, and which ones they do use.
+def _column_chars(
+    base: int, digits: np.ndarray, counts: np.ndarray, chars: np.ndarray, keep: np.ndarray
+) -> None:
+    """Fill chars with every character some rows of a column could use, and keep with the used ones.
 
     Row n is "0." and then, per digit slot, a dash (bases above 10) and the
-    digit's decimal text right-aligned in len(str(b-1)) characters.  The mask
-    keeps "0.", the dashes between the first counts[n] digits, and those
-    digits without leading zeros.
+    digit's decimal text right-aligned in w = len(str(b-1)) characters.  The
+    mask keeps "0.", the dashes between the first counts[n] digits, and those
+    digits without leading zeros.  chars and keep are views of n rows by that
+    many characters.  The digits are divided in their own dtype by one power
+    of ten at a time, so no wider copy is made.
     """
     n, p = digits.shape
-    place = 10 ** np.arange(len(str(base - 1)) - 1, -1, -1)
-    d = digits.astype(np.int64)[:, :, None]
-    chars = (d // place % 10 + _ZERO).astype(np.uint8)
+    w = len(str(base - 1))
+    chars[:, :2] = _ZERO, ord(".")
+    keep[:, :2] = True
+    slots, kept = (a[:, 2:].reshape(n, p, w + (base > 10)) for a in (chars, keep))
     stored = np.arange(p) < counts[:, None]
-    keep = ((d >= place) | (place == 1)) & stored[:, :, None]
     if base > 10:
-        chars = np.concatenate([np.full((n, p, 1), ord("-"), dtype=np.uint8), chars], axis=2)
-        dash = stored & (np.arange(p) > 0)
-        keep = np.concatenate([dash[:, :, None], keep], axis=2)
-    prefix = np.broadcast_to(np.array([_ZERO, ord(".")], dtype=np.uint8), (n, 2))
-    chars = np.concatenate([prefix, chars.reshape(n, -1)], axis=1)
-    keep = np.concatenate([np.ones((n, 2), dtype=bool), keep.reshape(n, -1)], axis=1)
-    return chars, keep
+        slots[:, :, 0] = ord("-")
+        kept[:, :, 0] = stored & (np.arange(p) > 0)
+    for t in range(w):
+        place = digits.dtype.type(10 ** (w - 1 - t))
+        d = digits // place
+        if t:  # the leading place is a single decimal digit already
+            d -= d // 10 * 10
+        np.add(d, _ZERO, out=slots[:, :, t - w], casting="unsafe")
+        kept[:, :, t - w] = stored if t == w - 1 else stored & (digits >= place)
 
 
 def write_point_set(points: PointSet, fh: TextIO) -> None:
     fh.write("#bases " + ",".join(str(b) for b in points.bases) + "\n")
     if points.provenance:
         fh.write(f"#generator {points.provenance}\n")
-    # characters a row could use; each takes about 16 bytes of scratch
-    width = sum(
-        3 + col.digits.shape[1] * (len(str(col.base - 1)) + (col.base > 10)) for col in points.columns
-    )
+    # characters a row could use, each coordinate followed by a space or the newline
+    widths = [
+        2 + col.digits.shape[1] * (len(str(col.base - 1)) + (col.base > 10)) for col in points.columns
+    ]
+    width = sum(widths) + points.s
     step = _block_rows(16 * width)
     for start in range(0, points.n_points, step):
         block = slice(start, start + step)
-        chars, keep = [], []
-        for i, col in enumerate(points.columns):
-            c, k = _column_chars(col.base, col.digits[block], col.counts[block])
-            sep = "\n" if i == points.s - 1 else " "
-            chars += [c, np.full((len(c), 1), ord(sep), dtype=np.uint8)]
-            keep += [k, np.ones((len(c), 1), dtype=bool)]
-        text = np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)]
-        fh.write(text.tobytes().decode("ascii"))
-
-
-def _parse_column(tokens: Sequence[str], base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All digits of a column in row order, the per-row digit counts, and the rows that fail.
-
-    A row fails exactly when parse_coordinate rejects its token.
-    """
-    n = len(tokens)
-    bad = np.fromiter((not t.startswith("0.") for t in tokens), dtype=bool, count=n)
-    bodies = [t[2:] for t in tokens]
-    if base <= 10:
-        counts = np.fromiter(map(len, bodies), dtype=np.int64, count=n)
-        # one byte per character; anything but '0'..'9' wraps to 10 or more
-        raw = "".join(bodies).encode("latin-1", "replace")
-        flat = np.frombuffer(raw, dtype=np.uint8) - np.uint8(_ZERO)
-    else:
-        counts = np.fromiter((b.count("-") + 1 if b else 0 for b in bodies), dtype=np.int64, count=n)
-        joined = "-".join(filter(None, bodies))
-        parts = joined.split("-") if joined else []
-        # a part that is not a digit below b reads as b
-        flat = np.fromiter(
-            (min(int(p), base) if p.isascii() and p.isdigit() else base for p in parts),
-            dtype=np.int64,
-            count=len(parts),
-        )
-    out = flat >= base
-    if out.any():
-        bad[np.repeat(np.arange(n), counts)[out]] = True
-    return flat, counts, bad
+        n = len(points.columns[0].counts[block])
+        chars = np.empty((n, width), dtype=np.uint8)
+        keep = np.ones((n, width), dtype=bool)
+        end = 0
+        for col, w in zip(points.columns, widths):
+            cut = slice(end, end + w)
+            _column_chars(col.base, col.digits[block], col.counts[block], chars[:, cut], keep[:, cut])
+            chars[:, end + w] = ord(" ")
+            end += w + 1
+        chars[:, -1] = ord("\n")
+        fh.write(chars[keep].tobytes().decode("ascii"))
 
 
 def _line_error(lineno: int, line: str, bases: tuple[int, ...]) -> Exception:
@@ -136,79 +122,208 @@ def _line_error(lineno: int, line: str, bases: tuple[int, ...]) -> Exception:
     return RuntimeError(f"line {lineno}: bulk and reference parsers disagree on {line!r}")
 
 
-def _parse_block(rows: Sequence[str], linenos: Sequence[int], bases: tuple[int, ...]) -> list:
-    """Each column's flat digits and digit counts for a block of point lines.
+_NEWLINE, _SPACE, _DASH, _HASH, _DOT = map(ord, "\n -#.")
+# a character outside ASCII reads as _WIDE_SPACE if it is whitespace, else as _WIDE
+_WIDE_SPACE, _WIDE = 0x1C, 0x80
 
-    Raises the error for the block's first bad line.
+
+def _stripped(codes: np.ndarray) -> np.ndarray:
+    """Which codes str.strip() removes: 9-13 and 28-32, the ASCII whitespace (_WIDE_SPACE is 28)."""
+    return (codes - np.uint8(9) <= 4) | (codes - np.uint8(28) <= 4)
+
+
+def _codes(text: str) -> np.ndarray:
+    """One byte per character of text, ASCII as itself, so positions in the two agree."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    wide = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    codes = np.minimum(wide, _WIDE).astype(np.uint8)
+    spaces = [c for c in np.unique(wide[wide > 127]).tolist() if chr(c).isspace()]
+    codes[np.isin(wide, spaces)] = _WIDE_SPACE
+    return codes
+
+
+def _blocks(fh: TextIO, size: int):
+    """The text of fh in blocks of whole lines, each ending in a newline: about size
+    characters, or one line when that is longer."""
+    pending: list[str] = []
+    while chunk := fh.read(size):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join(pending) + chunk[:cut]
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    if tail := "".join(pending):
+        yield tail + "\n"
+
+
+def _digits(codes: np.ndarray, inside: np.ndarray, base: int, body: np.ndarray, end: np.ndarray):
+    """One column's flat digits, its digit counts and its bad rows, from the bodies
+    codes[body[r]:end[r]] after the "0." of each row r, whose characters inside marks.
+
+    A row is bad exactly when parse_coordinate rejects its body: a character
+    that is not an ASCII digit (or dash, above base 10), an empty dash-separated
+    part, or a digit of b or more.
     """
-    s = len(bases)
-    arity = np.fromiter((row.count(" ") + 1 for row in rows), dtype=np.int64, count=len(rows))
-    wrong = np.flatnonzero(arity != s)
-    first_bad = int(wrong[0]) if wrong.size else len(rows)
-    # every row before first_bad has s tokens, so column i is every s-th token
-    tokens = " ".join(rows[:first_bad]).split(" ") if first_bad else []
-    parsed = [_parse_column(tokens[i::s], b) for i, b in enumerate(bases)]
-    for _, _, bad in parsed:
-        if bad.any():
-            first_bad = min(first_bad, int(np.argmax(bad)))
-    if first_bad < len(rows):
-        raise _line_error(linenos[first_bad], rows[first_bad], bases)
-    return [(flat, counts) for flat, counts, _ in parsed]
+    rows = np.zeros(len(body), dtype=bool)
+
+    def mark(positions):  # the rows whose bodies hold these positions
+        rows[np.searchsorted(end, positions, side="right")] = True
+
+    if base <= 10:
+        flat = codes[inside] - np.uint8(_ZERO)  # anything but '0'..'9' wraps to 10 or more
+        if (out := flat >= base).any():
+            mark(np.flatnonzero(inside)[out])
+        return flat, end - body, rows
+    dash = np.flatnonzero(inside & (codes == _DASH))
+    if (junk := inside & (codes - np.uint8(_ZERO) >= 10) & (codes != _DASH)).any():
+        mark(np.flatnonzero(junk))
+    full = end > body
+    counts = full + np.bincount(np.searchsorted(end, dash, side="right"), minlength=len(body))
+    # every part of every body: they tile the bodies between the dashes
+    first = np.sort(np.concatenate([body[full], dash + 1]))
+    last = np.sort(np.concatenate([dash, end[full]]))
+    length = last - first
+    # Horner over each part's last w characters, w those of b - 1; any more must be zeros
+    w = len(str(base - 1))
+    value = np.zeros(len(first), dtype=np.uint64)
+    for t in range(w):
+        d = np.where(length > t, codes[np.maximum(last - 1 - t, 0)] - np.uint8(_ZERO), 0)
+        value += d * np.uint64(10**t)
+    bad = (length == 0) | (value >= base)
+    if (long := length > w).any():
+        edges = np.column_stack([first[long], last[long] - w]).ravel()
+        bad[long] |= np.logical_or.reduceat(codes != _ZERO, edges)[::2]
+    mark(first[bad] - 1)
+    return value.astype(np.min_scalar_type(base - 1)), counts, rows
+
+
+class _Reader:
+    """A point file read a block of whole lines at a time.
+
+    Each block is one array of character codes, and every test runs on masks
+    and on the positions of its separators: the line ends, and the edges of
+    its words (the runs of characters str.split() keeps).  A line's stripped
+    text runs from its first word to its last; blank lines have no word and
+    comment lines start with '#'.  The few header lines are read one at a time,
+    in line order.  A point line is good when it has s words one space apart,
+    so that they are its coordinates, and each is "0." and a body of digits.
+    """
+
+    def __init__(self) -> None:
+        self.bases: tuple[int, ...] | None = None
+        self.provenance = ""
+        # per block with points, each column's (flat digits, digit counts)
+        self.pieces: list[list] = []
+        self.lines = 0  # lines before the current block
+
+    def feed(self, text: str) -> None:
+        """Read one block; raise the error of its first bad line."""
+        codes = _codes(text)
+        ends = np.flatnonzero(codes == _NEWLINE)
+        space = _stripped(codes)
+        edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+        if not space[0]:
+            edges = np.concatenate([[0], edges])
+        starts, stops = edges[0::2], edges[1::2]  # the block ends in a newline, so every word stops
+        line = np.searchsorted(ends, starts)
+        first = np.searchsorted(line, np.arange(len(ends)))
+        words = np.diff(first, append=len(starts))
+        lead = np.zeros(len(ends), dtype=np.uint8)
+        lead[words > 0] = codes[starts[first[words > 0]]]
+
+        def stripped(i: int) -> str:
+            return text[starts[first[i]] : stops[first[i] + words[i] - 1]]
+
+        points = np.flatnonzero((words > 0) & (lead != _HASH))
+        seen = bool(self.pieces)
+        error = None
+        for h in np.flatnonzero(lead == _HASH).tolist():
+            before = points.size > 0 and points[0] < h
+            if before and self.bases is None:
+                break
+            header, lineno = stripped(h), self.lines + h + 1
+            if header.startswith("#bases"):
+                try:
+                    bases = tuple(int(p) for p in header[len("#bases") :].strip().split(","))
+                    for b in bases:
+                        check_base(b)
+                    if (seen or before) and bases != self.bases:
+                        error = ValueError(f"line {lineno}: #bases header changes the bases")
+                except ValueError:
+                    error = ValueError(f"line {lineno}: malformed #bases header {header!r}")
+                if error is not None:
+                    points = points[points < h]
+                    break
+                self.bases = bases
+            elif header.startswith("#generator"):
+                self.provenance = header[len("#generator") :].strip()
+        if points.size:
+            if self.bases is None:
+                raise ValueError(f"line {self.lines + points[0] + 1}: points before the #bases header")
+            bad, pieces = self._points(codes, points, line, words, starts, stops)
+            if bad is not None:
+                raise _line_error(self.lines + bad + 1, stripped(bad), self.bases)
+            self.pieces.append(pieces)
+        if error is not None:
+            raise error
+        self.lines += len(ends)
+
+    def _points(self, codes, points, line, words, starts, stops):
+        """The first bad point line, or None and each column's flat digits and counts."""
+        for b in self.bases:
+            _check_column_base(b)  # no digit column holds a base of 2^63 or more
+        s = len(self.bases)
+        chosen = np.zeros(len(words), dtype=bool)
+        chosen[points] = True
+        take = chosen[line]
+        starts, stops, line = starts[take], stops[take], line[take]
+        # bad: a line with other than s words, or two words not one space apart
+        bad = chosen & (words != s)
+        apart = (starts[1:] - stops[:-1] == 1) & (codes[stops[:-1]] == _SPACE)
+        bad[line[1:][(line[1:] == line[:-1]) & ~apart]] = True
+        first_bad = int(np.argmax(bad)) if bad.any() else len(words)
+        # the lines before the first bad one have s words each: row r, column i is word r s + i
+        good = line < first_bad
+        begin, end = starts[good].reshape(-1, s), stops[good].reshape(-1, s)
+        rows = points[points < first_bad]
+        prefix = (end - begin >= 2) & (codes[begin] == _ZERO) & (codes[begin + 1] == _DOT)
+        body = np.where(prefix, begin + 2, end)
+        # label[p] = i + 1 for p in a body of column i, else 0: the block cut at
+        # every body's edges, and each piece repeated
+        edges = np.column_stack([body.ravel(), end.ravel()]).ravel()
+        values = np.zeros(len(edges) + 1, dtype=np.min_scalar_type(s))
+        values[1::2] = np.tile(np.arange(1, s + 1), len(body))
+        label = np.repeat(values, np.diff(edges, prepend=0, append=len(codes)))
+        wrong = ~prefix.all(axis=1)
+        pieces = []
+        for i, b in enumerate(self.bases):
+            flat, counts, out = _digits(codes, label == i + 1, b, body[:, i], end[:, i])
+            wrong |= out
+            pieces.append((flat, counts))
+        if wrong.any():
+            first_bad = min(first_bad, int(rows[np.argmax(wrong)]))
+        return (None if first_bad == len(words) else first_bad), pieces
+
+    def result(self) -> PointSet:
+        if self.bases is None:
+            raise ValueError("missing #bases header")
+        if not self.pieces:
+            raise ValueError("point file has no points")
+        by_column = list(zip(*self.pieces))
+        self.pieces.clear()
+        columns = []
+        for b in self.bases:
+            # popping drops the column's pieces before its digit matrix is built
+            flat, counts = map(np.concatenate, zip(*by_column.pop(0)))
+            columns.append(DigitColumn.from_flat(b, flat, counts))
+        return PointSet(columns, self.provenance)
 
 
 def read_point_set(fh: TextIO) -> PointSet:
-    bases: tuple[int, ...] | None = None
-    provenance = ""
-    rows: list[str] = []
-    linenos: list[int] = []
-    # per parsed block of rows, each column's (flat digits, counts)
-    parts: list[list] = []
-    # scratch of the pending rows, about 8 bytes per character with 16
-    # characters per coordinate for the strings' own overhead
-    size, limit = 0, _block_rows(8)
-    # an error on a header line, reported unless a point line before it is bad
-    header_error: ValueError | None = None
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("#bases"):
-                try:
-                    header = tuple(int(p) for p in line[len("#bases") :].strip().split(","))
-                    for b in header:
-                        check_base(b)
-                except ValueError:
-                    header_error = ValueError(f"line {lineno}: malformed #bases header {line!r}")
-                    break
-                if (rows or parts) and header != bases:
-                    header_error = ValueError(f"line {lineno}: #bases header changes the bases")
-                    break
-                bases = header
-            elif line.startswith("#generator"):
-                provenance = line[len("#generator") :].strip()
-            continue
-        if bases is None:
-            raise ValueError(f"line {lineno}: points before the #bases header")
-        rows.append(line)
-        linenos.append(lineno)
-        size += len(line) + 16 * len(bases)
-        if size >= limit:
-            parts.append(_parse_block(rows, linenos, bases))
-            rows, linenos, size = [], [], 0
-    if rows:
-        parts.append(_parse_block(rows, linenos, bases))
-    if header_error is not None:
-        raise header_error
-    if bases is None:
-        raise ValueError("missing #bases header")
-    if not parts:
-        raise ValueError("point file has no points")
-    by_column = list(zip(*parts))
-    parts.clear()
-    columns = []
-    for b in bases:
-        # popping drops the column's pieces before its digit matrix is built
-        flat, counts = map(np.concatenate, zip(*by_column.pop(0)))
-        columns.append(DigitColumn.from_flat(b, flat, counts))
-    return PointSet(columns, provenance)
+    reader = _Reader()
+    # about 16 bytes of scratch per character: its codes and masks, and the positions of its words
+    for text in _blocks(fh, _block_rows(16)):
+        reader.feed(text)
+    return reader.result()

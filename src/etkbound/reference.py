@@ -14,10 +14,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .badic import DigitColumn, DigitVector, check_base, enumerate_delta, int_digits, vb
 from .fourier import Elint, _check_spec_matches, _point_values, elint_fourier_coeff, elint_partition
+from .pointfile import parse_coordinate
 from .sequences import GeneratorConfig, GeneratorMatrix, HaltonConfig, PointSet, VdcConfig
 from .systems import (
     BADIC,
@@ -41,6 +42,7 @@ __all__ = [
     "point_set",
     "point_set_from_values",
     "point_values",
+    "read_point_set",
     "reconstruct_indicator",
     "step_representation",
     "van_der_corput",
@@ -154,6 +156,49 @@ def point_set_from_values(
         tuple(monna_pseudoinverse(Fraction(v), b) for v, b in zip(row, bases)) for row in values
     )
     return point_set(bases, pts, provenance)
+
+
+def read_point_set(fh: TextIO) -> PointSet:
+    """A point file read one line at a time: the scalar twin of pointfile.read_point_set.
+
+    Each line is stripped.  Blank lines are skipped, and so are '#' lines other
+    than a #bases header, which may change the bases only before the first
+    point, and a #generator line, whose text is the provenance.  A point line
+    is split at single spaces, and each coordinate goes through
+    parse_coordinate.  The first bad line raises, and its error names it.
+    """
+    bases: tuple[int, ...] | None = None
+    provenance = ""
+    points = []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if line.startswith("#bases"):
+            try:
+                header = tuple(int(p) for p in line[len("#bases") :].strip().split(","))
+                for b in header:
+                    check_base(b)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed #bases header {line!r}") from None
+            if points and header != bases:
+                raise ValueError(f"line {lineno}: #bases header changes the bases")
+            bases = header
+        elif line.startswith("#generator"):
+            provenance = line[len("#generator") :].strip()
+        elif line and not line.startswith("#"):
+            if bases is None:
+                raise ValueError(f"line {lineno}: points before the #bases header")
+            parts = line.split(" ")
+            if len(parts) != len(bases):
+                raise ValueError(f"line {lineno}: {len(parts)} coordinates, expected {len(bases)}")
+            try:
+                points.append(tuple(parse_coordinate(p, b) for p, b in zip(parts, bases)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    if bases is None:
+        raise ValueError("missing #bases header")
+    if not points:
+        raise ValueError("point file has no points")
+    return point_set(bases, points, provenance)
 
 
 def point_values(points: PointSet) -> tuple[tuple[Fraction, ...], ...]:

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .badic import DigitColumn, DigitVector, _block_rows, check_base
-from .systems import BADIC, WALSH
+from .badic import DigitColumn, DigitVector, _block_rows, check_base, vb
+from .systems import BADIC, WALSH, _add_runs, _digit_sums
 
 __all__ = [
     "DigitalConfig",
@@ -187,27 +187,39 @@ class DigitalConfig:
         return (self.base,) * len(self.matrices)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
-        """All points as y_i = C_i digits(n) mod b, one matrix product per coordinate.
+        """All points as y_i(n) = sum_j n_j C_i[:, j] mod b, n_j the base-b digits of n.
 
-        The digits of n come from repeated division, never from powers of b,
-        so no intermediate overflows; columns of digits(n) past vb(n_points-1)
-        are zero and are left out of the product.  The products run over
-        blocks of rows, so their wide integer temporaries stay bounded.
+        Row n of every coordinate at once comes from the digit recurrence of
+        the phase tables: row a b^j + r is row r plus a times column j of the
+        matrices.  n splits as lo + b^h hi at half its digits, so only the rows
+        below b^h and the hi rows are built by it, and each run of b^h points is
+        one slice of the first plus one row of the second.  The sums stay
+        below width (b-1)^2, width the digits of n_points - 1, until one
+        reduction mod b per block of points.  They are kept in the smallest
+        unsigned type that holds them and b, and as exact Python integers past
+        64 bits, so nothing overflows whatever b and m.
         """
         base, m = self.base, self.precision
         if n_points > base**m:
             raise ValueError(f"{m + 1} digits do not fit in precision {m}")
-        digits = DigitColumn.from_integers(np.arange(n_points), base).digits
-        width = digits.shape[1]
-        # int64 holds every dot product of `width` digit pairs unless b is huge
-        work = np.int64 if width * (base - 1) ** 2 < 2**63 else object
-        mats = [np.array(C.rows, dtype=work)[:, :width].T for C in self.matrices]
-        out = [np.empty((n_points, m), dtype=digits.dtype) for _ in mats]
-        step = _block_rows(8 * (width + 2 * m))  # the rows, their product and its residues
+        width = vb(n_points - 1, base)
+        bound = max(width * (base - 1) ** 2, base)
+        work = np.min_scalar_type(bound) if bound < 2**64 else object
+        # steps[j] is column j of every matrix: what digit j of n adds to each output digit
+        steps = np.concatenate([np.array(C.rows, dtype=work)[:, :width] for C in self.matrices]).T
+        h = (width + 1) // 2
+        run = base**h
+        lo = _digit_sums(steps[:h], base, min(run, n_points))
+        hi = _digit_sums(steps[h:], base, -(-n_points // run))
+        out = [np.empty((n_points, m), dtype=np.min_scalar_type(base - 1)) for _ in self.matrices]
+        step = _block_rows(np.dtype(work).itemsize * steps.shape[1])
+        buf = np.empty((min(step, n_points), steps.shape[1]), dtype=work)
         for start in range(0, n_points, step):
-            rows = digits[start : start + step].astype(work)
-            for y, C in zip(out, mats):
-                y[start : start + step] = rows @ C % base
+            rows = buf[: n_points - start]
+            _add_runs(lo, hi, run, start, rows)
+            rows %= base
+            for i, y in enumerate(out):
+                y[start : start + len(rows)] = rows[:, i * m : (i + 1) * m]
         counts = np.full(n_points, m)
         return tuple(DigitColumn(base, y, counts) for y in out)
 

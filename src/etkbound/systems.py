@@ -7,7 +7,9 @@ objects) and a single conversion to complex at the end.  Full character
 sums then cancel exactly instead of accumulating float noise.  The scalar
 phases are the reference for phase_numerators, the table kernel for a whole
 digit matrix, whose phases over b^g are linear in the index digits, so it
-builds no matrix of index digits; is_balanced is the one exact-zero test.
+builds no matrix of index digits; its digit recurrence (_digit_sums,
+_add_runs) also generates digital nets.  is_balanced is the one exact-zero
+test.
 """
 
 from __future__ import annotations
@@ -182,18 +184,30 @@ def xi_phase(
     return PhaseFraction(total, modulus)
 
 
-def _digit_sums(steps: np.ndarray, base: int) -> np.ndarray:
-    """Rows k < b^m of sum_j k_j steps[j], k_j the base-b digits of k, unreduced.
+def _digit_sums(steps: np.ndarray, base: int, count: int | None = None) -> np.ndarray:
+    """Rows k < count (default b^m) of sum_j k_j steps[j], k_j the base-b digits of k, unreduced.
 
-    Row a b^j + r is row r plus a steps[j]; doubling a keeps the scratch to one row."""
-    rows = np.zeros((base ** len(steps), steps.shape[1]), dtype=np.int64)
+    Row a b^j + r is row r plus a steps[j]; doubling a keeps the scratch to one row.
+    The rows take the dtype of steps."""
+    total = base ** len(steps) if count is None else count
+    rows = np.zeros((total, steps.shape[1]), dtype=steps.dtype)
     for j, shift in enumerate(steps):
-        done, end = base**j, base ** (j + 1)
+        done, end = base**j, min(base ** (j + 1), total)
         while done < end:
-            count = min(done, end - done)
-            np.add(rows[:count], shift, out=rows[done : done + count])
-            shift, done = shift * 2, done + count
+            size = min(done, end - done)
+            np.add(rows[:size], shift, out=rows[done : done + size])
+            shift, done = shift * 2, done + size
     return rows
+
+
+def _add_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, out: np.ndarray) -> None:
+    """Rows first, first + 1, ... of the table whose row k is lo[k % run] + hi[k // run], into out.
+
+    Each run of `run` rows that out touches is one slice of lo plus one row of hi."""
+    stop = first + len(out)
+    for top in range(first // run, -(-stop // run)):
+        a, b = max(first, top * run), min(stop, top * run + run)
+        np.add(lo[a - top * run : b - top * run], hi[top], out=out[a - first : b - first])
 
 
 def phase_numerators(
@@ -234,11 +248,7 @@ def phase_numerators(
         # allocated before its scratch tables: the other order raised verify fc-bounds' peak RSS
         table = np.empty((stop - start, len(digits)), dtype=np.int64)
         lo, hi = (_digit_sums(part, base) for part in (steps[:h], steps[h:]))
-        run = base**h
-        for top in range(start // run, -(-stop // run)):
-            first, last = max(start, top * run), min(stop, top * run + run)
-            rows = table[first - start : last - start]
-            np.add(lo[first - top * run : last - top * run], hi[top], out=rows)
+        _add_runs(lo, hi, base**h, start, table)
     table %= modulus
     return table
 

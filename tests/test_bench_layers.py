@@ -1,0 +1,26 @@
+"""Smoke test of bench/layers.py, the script behind the committed BENCH files."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def layers():
+    spec = importlib.util.spec_from_file_location("layers", os.path.join(ROOT, "bench", "layers.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_points_section_times_every_layer_of_every_case(layers):
+    """The child of the points section, in process on 64 points of each case."""
+    for case in layers.POINT_CASES:
+        rows = layers._child_points(case, 64)
+        assert list(rows) == [f"{case} {layer}" for layer in ("generate", "write", "read")]
+        for row in rows.values():
+            assert set(row) == {"cold_s", "s", "peak_alloc_mb"}
+            assert all(value > 0 for value in row.values())

@@ -301,6 +301,29 @@ def test_etk_bound_cell_index_needs_no_digit_matrix_copy(peak_mib):
     assert peak_mib(etk_bound, spec, (8, 5), pts) < 8 * n * 8 / 2**20
 
 
+def test_etk_bound_weighting_needs_no_more_than_the_contraction():
+    """Two base-2 points at g = 20, b-adic: the contraction peaks at 64 MiB (16 MiB
+    of tables, a complex lookup of each and the sums).  The weighting then added
+    40 MiB on top, in the tables and complex sums kept alive and in a list of one
+    2^20-wide row of terms, 104 MiB in all.  The report is pinned bit for bit."""
+    spec = HybridSystemSpec.from_tags((2,), (BADIC,))
+    pts = generate_points(VdcConfig(2), 2)
+    tracemalloc.start()
+    try:
+        rep = etk_bound(spec, (20,), pts)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 66
+    got = (rep.epsilon.hex(), rep.weighted_sum.hex(), rep.total.hex())
+    assert got == ("0x1.0000000000000p-19", "0x1.86075bc424283p+3", "0x1.86075fc424283p+3")
+    for variant in (EXTREME, STAR):
+        a = etk_bound(spec, (12,), pts, variant)
+        b = etk_bound(spec, (12,), pts, variant, per_index=True)
+        assert (a.epsilon, a.weighted_sum, a.total) == (b.epsilon, b.weighted_sum, b.total)
+        assert math.fsum(w * x for _, w, x in b.per_index) == b.weighted_sum
+
+
 @pytest.mark.parametrize("variant", [EXTREME, STAR])
 def test_etk_bound_weights_come_from_their_distinct_values(variant, monkeypatch):
     """Bit-equal to one weight call per index, with (b - 1) g + 1 calls to rho."""

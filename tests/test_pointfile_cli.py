@@ -11,10 +11,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etkbound
+from etkbound import reference
 from etkbound.badic import DigitVector
 from etkbound.cli import main
 from etkbound.pointfile import parse_coordinate, read_point_set, write_point_set
@@ -210,6 +211,74 @@ def test_reader_takes_a_repeated_header_after_a_block(at_both_block_sizes):
     assert len(stored[2][0][2]) == 5999
 
 
+_BASES = st.integers(2, 17) | st.just(1000)
+# what str.strip() removes at a line's ends, ASCII and not
+_PADDING = st.text(st.sampled_from(" \t\r\x0b\x0c\x1f\xa0\u2003"), max_size=3)
+# coordinates parse_coordinate rejects in every base
+_BAD_COORDINATES = ("1.0", "0,1", "", "0.+3", "0.1_0", "0.\u0661", "0. 1", "0.1\t1", "0.-")
+
+
+@st.composite
+def _coordinate(draw, base: int) -> str:
+    digits = draw(st.lists(st.integers(0, base - 1), max_size=5))
+    if base <= 10:
+        return "0." + "".join(map(str, digits))
+    # dash-separated parts, some with leading zeros, which the writer never writes
+    return "0." + "-".join(draw(st.sampled_from(("", "0", "00"))) + str(d) for d in digits)
+
+
+@st.composite
+def _point_line(draw, bases: tuple[int, ...]) -> str:
+    coords = [draw(_coordinate(b)) for b in bases]
+    corruption = draw(st.integers(0, 19))
+    i = draw(st.integers(0, len(bases) - 1))
+    if corruption == 1:  # a digit of b, out of range unless b = 10
+        coords[i] = "0.1" + ("-" if bases[i] > 10 else "") + str(bases[i])
+    elif corruption == 2:
+        coords[i] = draw(st.sampled_from(_BAD_COORDINATES))
+    elif corruption == 3:  # wrong arity
+        coords = coords[:i] if draw(st.booleans()) else coords + ["0.1"]
+    return " ".join(coords)
+
+
+@st.composite
+def _point_files(draw) -> str:
+    """Point files as people might edit them: padded lines, CRLF, blank lines and
+    comments, #bases headers repeated, changed or malformed, #generator lines
+    anywhere, empty coordinates, and corrupted point lines."""
+    bases = tuple(draw(st.lists(_BASES, min_size=1, max_size=3)))
+    lines = []
+    if draw(st.integers(0, 9)) < 9:
+        lines.append("#bases " + ",".join(map(str, bases)))
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 7:
+            lines.append(draw(st.sampled_from(("", "#", "# a comment", "#basis 2"))))
+        elif kind == 8:
+            lines.append("#generator" + draw(st.sampled_from(("", " hand", " caf\u00e9 \t", "x"))))
+        elif kind == 9:
+            other = draw(st.sampled_from((bases, bases[:1], (3, 5), "x", "2,1", "", " 2")))
+            lines.append("#bases " + (other if isinstance(other, str) else ",".join(map(str, other))))
+        else:
+            lines.append(draw(_point_line(bases)))
+    ends = [draw(_PADDING) + line + draw(_PADDING) + draw(st.sampled_from(("\n", "\r\n"))) for line in lines]
+    text = "".join(draw(_PADDING) + line for line in ends)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+def _outcome(read, text: str):
+    try:
+        return _stored(read(io.StringIO(text)))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_files())
+def test_bulk_reader_matches_the_line_by_line_reference(at_both_block_sizes, text):
+    assert at_both_block_sizes(_outcome, read_point_set, text) == _outcome(reference.read_point_set, text)
+
+
 def test_reader_memory_is_bounded_by_blocks(peak_mib):
     """A stream_wide-shaped file: 32768 lines of a base-2 digital net with
     m = 16 and Halton bases 3 and 5.  Read whole, its lines and tokens as
@@ -222,6 +291,31 @@ def test_reader_memory_is_bounded_by_blocks(peak_mib):
     )
     text = _written(points)
     assert peak_mib(lambda: read_point_set(io.StringIO(text))) <= 14
+
+
+def _stream_wide_set() -> PointSet:
+    return hybrid_points(
+        (WALSH, BADIC, BADIC),
+        config_from_string("digital:2,m=16,seed=1"),
+        config_from_string("halton:3,5"),
+        32768,
+    )
+
+
+@pytest.mark.parametrize("layer, limit", [("generate", 2.8), ("write", 1.87), ("read", 8.11)])
+def test_point_layers_keep_their_memory(peak_mib, layer, limit):
+    """Tracemalloc peaks on the stream_wide-shaped set above, whose columns take
+    1.78 MiB, stay at or below those of the per-line reader, the int64 writer
+    and the matmul generator: 2.79, 1.87 and 8.10 MiB.  The reader's counts its
+    StringIO, which holds 4 bytes per character (5.06 MiB)."""
+    points = _stream_wide_set()
+    text = _written(points)
+    calls = {
+        "generate": _stream_wide_set,
+        "write": lambda: write_point_set(points, io.StringIO()),
+        "read": lambda: read_point_set(io.StringIO(text)),
+    }
+    assert peak_mib(calls[layer]) <= limit
 
 
 def run_cli(*argv) -> tuple[int, str, str]:
