@@ -302,8 +302,8 @@ class _Reader:
             flat, counts, out = _digits(codes, label == i + 1, b, body[:, i], end[:, i])
             wrong |= out
             pieces.append((flat, counts))
-        if wrong.any():
-            first_bad = min(first_bad, int(rows[np.argmax(wrong)]))
+        if wrong.any():  # every row lies before the first line with bad words
+            first_bad = int(rows[np.argmax(wrong)])
         return (None if first_bad == len(words) else first_bad), pieces
 
     def result(self) -> PointSet:

@@ -11,7 +11,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etkbound
@@ -215,7 +215,9 @@ _BASES = st.integers(2, 17) | st.just(1000)
 # what str.strip() removes at a line's ends, ASCII and not
 _PADDING = st.text(st.sampled_from(" \t\r\x0b\x0c\x1f\xa0\u2003"), max_size=3)
 # coordinates parse_coordinate rejects in every base
-_BAD_COORDINATES = ("1.0", "0,1", "", "0.+3", "0.1_0", "0.\u0661", "0. 1", "0.1\t1", "0.-")
+_BAD_COORDINATES = (
+    "1.0", "0,1", "", "0. 1", "0.1\t1", "0.-", "0.+3", "0.1_0", "0.\u0661", "0.1-+3", "0.2-1_0", "0.1-\u0661"
+)
 
 
 @st.composite
@@ -228,29 +230,35 @@ def _coordinate(draw, base: int) -> str:
 
 
 @st.composite
-def _point_line(draw, bases: tuple[int, ...]) -> str:
+def _point_line(draw, bases: tuple[int, ...], corrupt: bool) -> str:
     coords = [draw(_coordinate(b)) for b in bases]
-    corruption = draw(st.integers(0, 19))
+    gaps = [""] + [" "] * (len(bases) - 1)  # what precedes each coordinate
     i = draw(st.integers(0, len(bases) - 1))
-    if corruption == 1:  # a digit of b, out of range unless b = 10
+    kind = draw(st.sampled_from(("digit", "coordinate", "arity", "gap"))) if corrupt else None
+    if kind == "digit":  # a digit of b, out of range unless b = 10
         coords[i] = "0.1" + ("-" if bases[i] > 10 else "") + str(bases[i])
-    elif corruption == 2:
+    elif kind == "coordinate":
         coords[i] = draw(st.sampled_from(_BAD_COORDINATES))
-    elif corruption == 3:  # wrong arity
-        coords = coords[:i] if draw(st.booleans()) else coords + ["0.1"]
-    return " ".join(coords)
+    elif kind == "arity":
+        coords, gaps = (coords[:i], gaps[:i]) if draw(st.booleans()) else (coords + ["0.1"], gaps + [" "])
+    elif kind == "gap" and i:  # whitespace between two coordinates other than one space
+        gaps[i] = draw(st.sampled_from(("  ", " \t", "\t", "\xa0", " \r ")))
+    return "".join(gap + c for gap, c in zip(gaps, coords))
 
 
 @st.composite
 def _point_files(draw) -> str:
     """Point files as people might edit them: padded lines, CRLF, blank lines and
     comments, #bases headers repeated, changed or malformed, #generator lines
-    anywhere, empty coordinates, and corrupted point lines."""
+    anywhere, empty coordinates, and at most one corrupted point line, so that
+    its error is the file's more often."""
     bases = tuple(draw(st.lists(_BASES, min_size=1, max_size=3)))
     lines = []
     if draw(st.integers(0, 9)) < 9:
         lines.append("#bases " + ",".join(map(str, bases)))
-    for _ in range(draw(st.integers(1, 12))):
+    count = draw(st.integers(1, 12))
+    corrupt = draw(st.integers(0, count))  # count: none
+    for n in range(count):
         kind = draw(st.integers(0, 9))
         if kind == 7:
             lines.append(draw(st.sampled_from(("", "#", "# a comment", "#basis 2"))))
@@ -260,9 +268,9 @@ def _point_files(draw) -> str:
             other = draw(st.sampled_from((bases, bases[:1], (3, 5), "x", "2,1", "", " 2")))
             lines.append("#bases " + (other if isinstance(other, str) else ",".join(map(str, other))))
         else:
-            lines.append(draw(_point_line(bases)))
-    ends = [draw(_PADDING) + line + draw(_PADDING) + draw(st.sampled_from(("\n", "\r\n"))) for line in lines]
-    text = "".join(draw(_PADDING) + line for line in ends)
+            lines.append(draw(_point_line(bases, n == corrupt)))
+    newline = st.sampled_from(("\n", "\r\n"))
+    text = "".join(draw(_PADDING) + line + draw(_PADDING) + draw(newline) for line in lines)
     return text.rstrip("\n") if draw(st.booleans()) else text
 
 
@@ -275,6 +283,12 @@ def _outcome(read, text: str):
 
 @settings(max_examples=300, deadline=None)
 @given(_point_files())
+# a non-digit inside a part whose Horner value would still be below b, a part
+# longer than the digits of b - 1, and two coordinates a tab apart
+@example("#bases 1000\n0.1-1_0\n")
+@example("#bases 2,1000\r\n0.1 0.3-\u0661\r\n")
+@example("#bases 1000\n0.007-1000\n")
+@example("#bases 3,3\n0.1 \t0.2\n")
 def test_bulk_reader_matches_the_line_by_line_reference(at_both_block_sizes, text):
     assert at_both_block_sizes(_outcome, read_point_set, text) == _outcome(reference.read_point_set, text)
 
@@ -306,8 +320,8 @@ def _stream_wide_set() -> PointSet:
 def test_point_layers_keep_their_memory(peak_mib, layer, limit):
     """Tracemalloc peaks on the stream_wide-shaped set above, whose columns take
     1.78 MiB, stay at or below those of the per-line reader, the int64 writer
-    and the matmul generator: 2.79, 1.87 and 8.10 MiB.  The reader's counts its
-    StringIO, which holds 4 bytes per character (5.06 MiB)."""
+    and the matmul generator: 2.79, 1.87 and 8.10 MiB.  The read's peak counts
+    its StringIO, which holds 4 bytes per character (5.06 MiB)."""
     points = _stream_wide_set()
     text = _written(points)
     calls = {
