@@ -229,21 +229,21 @@ class _Reader:
         starts, stops = edges[0::2], edges[1::2]  # the block ends in a newline, so every word stops
         line = np.searchsorted(ends, starts)
         first = np.searchsorted(line, np.arange(len(ends)))
-        words = np.diff(first, append=len(starts))
+        nwords = np.diff(first, append=len(starts))
         lead = np.zeros(len(ends), dtype=np.uint8)
-        lead[words > 0] = codes[starts[first[words > 0]]]
+        lead[nwords > 0] = codes[starts[first[nwords > 0]]]
 
-        def stripped(i: int) -> str:
-            return text[starts[first[i]] : stops[first[i] + words[i] - 1]]
+        def line_text(i: int) -> str:  # stripped
+            return text[starts[first[i]] : stops[first[i] + nwords[i] - 1]]
 
-        points = np.flatnonzero((words > 0) & (lead != _HASH))
+        points = np.flatnonzero((nwords > 0) & (lead != _HASH))
         seen = bool(self.pieces)
         error = None
         for h in np.flatnonzero(lead == _HASH).tolist():
             before = points.size > 0 and points[0] < h
-            if before and self.bases is None:
+            if before and self.bases is None:  # that point line's error comes first
                 break
-            header, lineno = stripped(h), self.lines + h + 1
+            header, lineno = line_text(h), self.lines + h + 1
             if header.startswith("#bases"):
                 try:
                     bases = tuple(int(p) for p in header[len("#bases") :].strip().split(","))
@@ -262,28 +262,28 @@ class _Reader:
         if points.size:
             if self.bases is None:
                 raise ValueError(f"line {self.lines + points[0] + 1}: points before the #bases header")
-            bad, pieces = self._points(codes, points, line, words, starts, stops)
+            bad, pieces = self._points(codes, points, line, nwords, starts, stops)
             if bad is not None:
-                raise _line_error(self.lines + bad + 1, stripped(bad), self.bases)
+                raise _line_error(self.lines + bad + 1, line_text(bad), self.bases)
             self.pieces.append(pieces)
         if error is not None:
             raise error
         self.lines += len(ends)
 
-    def _points(self, codes, points, line, words, starts, stops):
-        """The first bad point line, or None and each column's flat digits and counts."""
+    def _points(self, codes, points, line, nwords, starts, stops):
+        """The first bad point line (None if there is none) and each column's flat digits and counts."""
         for b in self.bases:
             _check_column_base(b)  # no digit column holds a base of 2^63 or more
         s = len(self.bases)
-        chosen = np.zeros(len(words), dtype=bool)
+        chosen = np.zeros(len(nwords), dtype=bool)
         chosen[points] = True
         take = chosen[line]
         starts, stops, line = starts[take], stops[take], line[take]
         # bad: a line with other than s words, or two words not one space apart
-        bad = chosen & (words != s)
+        bad = chosen & (nwords != s)
         apart = (starts[1:] - stops[:-1] == 1) & (codes[stops[:-1]] == _SPACE)
         bad[line[1:][(line[1:] == line[:-1]) & ~apart]] = True
-        first_bad = int(np.argmax(bad)) if bad.any() else len(words)
+        first_bad = int(np.argmax(bad)) if bad.any() else len(nwords)
         # the lines before the first bad one have s words each: row r, column i is word r s + i
         good = line < first_bad
         begin, end = starts[good].reshape(-1, s), stops[good].reshape(-1, s)
@@ -304,7 +304,7 @@ class _Reader:
             pieces.append((flat, counts))
         if wrong.any():  # every row lies before the first line with bad words
             first_bad = int(rows[np.argmax(wrong)])
-        return (None if first_bad == len(words) else first_bad), pieces
+        return (None if first_bad == len(nwords) else first_bad), pieces
 
     def result(self) -> PointSet:
         if self.bases is None:
