@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/layers.py --out BENCH_15.json
-    python3 bench/layers.py --parent ../other-checkout --out BENCH_15.json
+    python3 bench/layers.py --out BENCH_16.json
+    python3 bench/layers.py --parent ../other-checkout --out BENCH_16.json
 
 Each sample of each tree runs in new child processes, so every suite timing
 is cold (first call after import), as in the CLI.  For `verify fourier` and
@@ -22,9 +22,12 @@ fourier.coeff_us (perfbench/replay.py, imported, not changed).
 
 The tables section times systems.phase_numerators on TABLE_CASES, both tags,
 and bounds.etk_bound on BOUND_CASES.  Each case records s, the best time of
-three calls (inputs are built before them), and peak_alloc_mb, the
-tracemalloc peak of a fourth call; the phase cases also record table_mb, the
-size of the table returned.
+three calls (one call for the STRESS rows; inputs are built before them), and
+peak_alloc_mb, the tracemalloc peak of one more call; the phase cases also
+record table_mb, the size of the table returned.  The etk_bound cases of a
+tree that has the STAGES functions also record, from one more call, the
+seconds spent in each stage (histogram_s, contraction_s, retest_s,
+weighting_s) and the rest of the call (other_s).
 
 The points section times generation (hybrid_points or generate_points, as
 `gen` calls them), write_point_set into a StringIO (as `gen` writes) and
@@ -68,10 +71,26 @@ TABLE_CASES = (
     (65536, 1, 16), (2, 12, 1024), (3, 7, 2187),
 )
 # etk_bound inputs: bound_dense's points at perfbench's first seed, 2^20
-# Halton points (their cell-index step was the whole allocation peak), and
-# two points whose tables are 2^20 rows deep (b-adic: in Walsh, half of those
-# 2^20 sums are exact zeros, and their re-test takes most of 10 s).
-BOUND_CASES = ("bound_dense w,b (8,5)", "halton 2^20 w,b (8,5)", "vdc 2 points b (20)")
+# Halton points (their cell-index step was the whole allocation peak), two
+# points whose tables are 2^20 rows deep (b-adic: in Walsh, half of those 2^20
+# sums are exact zeros), full-period inputs whose every sum is an exact zero
+# that is re-tested, and the STRESS rows: the same at 2^20 van der Corput
+# points, and a digital net whose sums are nearly all exact zeros.  A stress
+# row is timed by one call, not the best of three: one call of vdc 2^20 at
+# g = 12 took 32 s before the cell histogram.
+BOUND_CASES = (
+    "bound_dense w,b (8,5)", "halton 2^20 w,b (8,5)", "vdc 2 points b (20)",
+    "vdc 2^12 w (12)", "vdc 3^7 w (7)", "vdc 5^5 w (5)", "halton 5184 w,b (6,4)",
+    "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
+)
+STRESS = BOUND_CASES[-3:]
+# the stages of etk_bound, each timed as the bounds function that runs it
+STAGES = {
+    "histogram": "cell_histogram",
+    "contraction": "_contract",
+    "retest": "_snap_exact_zeros",
+    "weighting": "_weighted_sum",
+}
 # generation and point-file inputs: stream_wide's points at perfbench's first
 # seed, and the 2^20 Halton points of BOUND_CASES
 POINT_CASES = ("stream_wide", "halton 2^20")
@@ -124,34 +143,36 @@ def _child_alloc(suite: str) -> dict:
     return {"peak_alloc_mb": peak / 2**20}
 
 
+def _timed(spent: dict, name: str, fn):
+    """fn, adding the seconds of each call to spent[name]."""
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[name] += time.perf_counter() - start
+
+    return wrapper
+
+
 def _child_layers(suite: str) -> dict:
     import etkbound.verify as verify
 
     spent = dict.fromkeys(LAYERS[suite], 0.0)
-
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[name] += time.perf_counter() - start
-
-        return wrapper
-
     for name in spent:
-        setattr(verify, name, timed(name, getattr(verify, name)))
+        setattr(verify, name, _timed(spent, name, getattr(verify, name)))
     start = time.perf_counter()
     _run_suite(suite)
     total = time.perf_counter() - start
     return {"layers_s": {**spent, "other": total - sum(spent.values())}}
 
 
-def _measure(fn, *args) -> dict:
+def _measure(fn, *args, repeat: int = 3) -> dict:
     import tracemalloc
 
     seconds = math.inf
-    for _ in range(3):
+    for _ in range(repeat):
         start = time.perf_counter()
         fn(*args)
         seconds = min(seconds, time.perf_counter() - start)
@@ -177,6 +198,28 @@ def _child_tables() -> dict:
     return out
 
 
+def _stages(fn, *args) -> dict:
+    """Seconds of one more etk_bound call spent in each of STAGES, the rest as other_s.
+
+    Empty on a tree whose bounds module lacks one of the stage functions."""
+    import etkbound.bounds as bounds
+
+    if not all(hasattr(bounds, name) for name in STAGES.values()):
+        return {}
+    spent = dict.fromkeys(STAGES, 0.0)
+    saved = {name: getattr(bounds, name) for name in STAGES.values()}
+    for stage, name in STAGES.items():
+        setattr(bounds, name, _timed(spent, stage, saved[name]))
+    try:
+        start = time.perf_counter()
+        fn(*args)
+        total = time.perf_counter() - start
+    finally:
+        for name, original in saved.items():
+            setattr(bounds, name, original)
+    return {**{f"{stage}_s": t for stage, t in spent.items()}, "other_s": total - sum(spent.values())}
+
+
 def _child_bounds() -> dict:
     from etkbound.bounds import etk_bound
     from etkbound.sequences import (
@@ -190,12 +233,26 @@ def _child_bounds() -> dict:
 
     mixed = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
     walsh, badic = config_from_string("digital:2,seed=101"), config_from_string("halton:3")
+    vdc = generate_points(VdcConfig(2), 2**20)
+    net = generate_points(config_from_string("digital:2,s=2,m=11,seed=5"), 2048)
+    one = HybridSystemSpec.single
     inputs = (
         (mixed, (8, 5), hybrid_points((WALSH, BADIC), walsh, badic, 4096)),
         (mixed, (8, 5), generate_points(HaltonConfig((2, 3)), 2**20)),
-        (HybridSystemSpec.from_tags((2,), (BADIC,)), (20,), generate_points(VdcConfig(2), 2)),
+        (one(2, BADIC), (20,), generate_points(VdcConfig(2), 2)),
+        (one(2, WALSH), (12,), generate_points(VdcConfig(2), 2**12)),
+        (one(3, WALSH), (7,), generate_points(VdcConfig(3), 3**7)),
+        (one(5, WALSH), (5,), generate_points(VdcConfig(5), 5**5)),
+        (mixed, (6, 4), generate_points(HaltonConfig((2, 3)), 5184)),
+        (one(2, BADIC), (10,), vdc),
+        (one(2, BADIC), (12,), vdc),
+        (HybridSystemSpec.from_tags((2, 2), (WALSH, WALSH)), (8, 8), net),
     )
-    return {name: _measure(etk_bound, *args) for name, args in zip(BOUND_CASES, inputs)}
+    out = {}
+    for name, args in zip(BOUND_CASES, inputs):
+        row = _measure(etk_bound, *args, repeat=1 if name in STRESS else 3)
+        out[name] = {**row, **_stages(etk_bound, *args)}
+    return out
 
 
 def _cold_warm(fn):

@@ -211,18 +211,41 @@ class DigitColumn:
 
     @classmethod
     def from_flat(cls, base: int, flat: np.ndarray, counts: np.ndarray) -> "DigitColumn":
-        """Column from all digits in row order, row n taking the next counts[n] of them.
+        """Column from all digits in row order, row n taking the next counts[n] of them."""
+        return cls.from_pieces(base, [(flat, counts)])
 
-        The digits are range-checked first, so the matrix is allocated once, in
-        its final dtype, and no digit can wrap on the way in.
+    @classmethod
+    def from_pieces(cls, base: int, pieces: list) -> "DigitColumn":
+        """Column from consecutive runs of rows, each a pair (its flat digits, its rows' counts).
+
+        Each run's digits are range-checked before they are copied, so the
+        matrix is allocated once, in its final dtype, and no digit can wrap on
+        the way in.  It is filled a block of rows at a time through that
+        block's mask, and nothing is concatenated.  The list is emptied as its
+        runs are copied, so each is freed on the way.
         """
         _check_column_base(base)
-        flat = np.asarray(flat)
-        _check_digit_range(flat, base)
-        counts = np.asarray(counts, dtype=np.int64)
-        width = int(counts.max()) if counts.size else 0
-        digits = np.zeros((counts.size, width), dtype=np.min_scalar_type(base - 1))
-        digits[np.arange(width) < counts[:, None]] = flat
+        rows = sum(len(c) for _, c in pieces)
+        width = max((int(np.max(c, initial=0)) for _, c in pieces), default=0)
+        digits = np.zeros((rows, width), dtype=np.min_scalar_type(base - 1))
+        counts = np.empty(rows, dtype=np.int64)
+        step = _block_rows(16 * width + 16)  # a row's mask and its digits, in up to 8 bytes each
+        row = 0
+        pieces.reverse()
+        while pieces:
+            flat, run = map(np.asarray, pieces.pop())
+            _check_digit_range(flat, base)
+            counts[row : row + len(run)] = run
+            used = 0
+            for start in range(0, len(run), step):
+                block = run[start : start + step]
+                mask = np.arange(width) < block[:, None]
+                size = int(np.count_nonzero(mask))
+                digits[row + start : row + start + len(block)][mask] = flat[used : used + size]
+                used += size
+            if used != len(flat):
+                raise ValueError(f"{len(flat)} digits for rows that hold {used}")
+            row += len(run)
         return cls(base, digits, counts)
 
     @classmethod

@@ -2,11 +2,12 @@
 
 The headline entry point is etk_bound: discrepancy of a point set is at most
 epsilon(g) plus the weighted sum of exponential-sum moduli over the punctured
-index box.  The sums contract the joint histogram of the points' cells with
-one exact integer phase table per coordinate and feed one exactly rounded
-sum, so results are bit-reproducible; sums whose phases are balanced snap to
-an exact zero instead of float noise.  The one-index sum they are tested
-against is reference.exp_sum.
+index box.  cell_histogram counts the points' cells from their digit
+columns in blocks of rows, and nothing after it reads the points: the sums
+contract that histogram with one exact integer phase table per coordinate
+and feed one exactly rounded sum, so results are bit-reproducible; sums whose
+phases are balanced on the occupied cells snap to an exact zero instead of
+float noise.  The one-index sum they are tested against is reference.exp_sum.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "STAR",
     "BoundReport",
     "cb_constant",
+    "cell_histogram",
     "corollary_bound",
     "epsilon_fraction",
     "epsilon_term",
@@ -160,6 +163,49 @@ def corollary_bound(
     return eps + max_abs_sum * out
 
 
+def _cell_index(column: DigitColumn, g: int, rows: slice) -> np.ndarray:
+    """Resolution-g cell of each row in rows: sum_{j<g} d_j b^j, by Horner in place."""
+    digits = column.digits[rows]
+    index = np.zeros(len(digits), dtype=np.int64)
+    for j in reversed(range(min(g, digits.shape[1]))):
+        index *= column.base
+        index += digits[:, j]
+    return index
+
+
+def cell_histogram(
+    columns: Sequence[DigitColumn], g: tuple[int, ...]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each axis's occupied resolution-g cells, and the joint histogram over them.
+
+    Point n lies in cell sum_{j<g_i} d_j b_i^j of axis i, d_j its digits in
+    that column (digits from g_i on are dropped, missing ones read as 0).
+    cells[i] holds axis i's U_i occupied cells in increasing order, and
+    hist[r_1, ..., r_s] counts the points in cells (cells[0][r_1], ...), so
+    hist is an int64 array of shape (U_1, ..., U_s) summing to N.  Both
+    passes run over blocks of rows: the first marks the cells each axis meets
+    in a boolean of b_i^g_i entries, the second ranks each block's cells
+    among them and adds its bincount.  No array is N wide.
+    """
+    n = len(columns[0])
+    step = _block_rows(24)  # per row: a cell index, its rank and the joint rank, all int64
+    seen = [np.zeros(col.base**gi, dtype=bool) for col, gi in zip(columns, g)]
+    for start in range(0, n, step):
+        for col, gi, mark in zip(columns, g, seen):
+            mark[_cell_index(col, gi, slice(start, start + step))] = True
+    cells = [np.flatnonzero(mark) for mark in seen]
+    del seen
+    shape = tuple(len(c) for c in cells)
+    hist = np.zeros(math.prod(shape), dtype=np.int64)
+    for start in range(0, n, step):
+        joint = 0
+        for col, gi, cells_i in zip(columns, g, cells):
+            index = _cell_index(col, gi, slice(start, start + step))
+            joint = joint * len(cells_i) + np.searchsorted(cells_i, index)
+        hist += np.bincount(joint, minlength=hist.size)
+    return cells, hist.reshape(shape)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Result of one bound evaluation: total = epsilon + weighted_sum."""
@@ -170,6 +216,74 @@ class BoundReport:
     total: float
     max_abs_sum: float
     per_index: tuple[tuple[tuple[int, ...], float, float], ...] | None = None
+
+
+def _contract(
+    spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """|S_N(k)| over the index box, and the phase tables: b_i^g_i indices by U_i cells each."""
+    tables = [
+        phase_numerators(DigitColumn.from_integers(c, b).digits, b, tag, gi)
+        for c, (b, tag), gi in zip(cells, spec.coordinates, g)
+    ]
+    sums = hist
+    # each step contracts cell axis 0 and appends index axis i, so the axes end in order
+    for num, m in zip(tables, (b**gi for b, gi in zip(spec.bases, g))):
+        sums = np.tensordot(sums, np.exp(2j * np.pi * np.arange(m) / m)[num], axes=(0, 1))
+    sums /= int(hist.sum())
+    return np.abs(sums), tables
+
+
+def _snap_exact_zeros(
+    abs_sums: np.ndarray, hist: np.ndarray, tables: list[np.ndarray], moduli: list[int]
+) -> None:
+    """Set to 0.0 each sum below _ZERO_SNAP whose exact integer phases are balanced.
+
+    Row 0 of every table is 0, so k's phases depend only on the axes of its
+    support (those with k_i != 0): one residue per occupied cell of the
+    histogram summed onto them, counted by its points, in the smallest signed
+    type that holds a sum of s residues and the modulus itself.  Each
+    support's occupied cells are found once.
+    """
+    common = math.lcm(*moduli)
+    small = np.min_scalar_type(-1 - max(len(moduli) * (common - 1), common))
+    occupied = {}
+    for k in zip(*np.nonzero(abs_sums < _ZERO_SNAP)):
+        support = tuple(i for i, ki in enumerate(k) if ki)
+        if support not in occupied:
+            marginal = hist.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
+            ranks = np.nonzero(marginal)
+            counts = marginal[ranks]
+            # equal counts need no weighting, and deciding that once saves it on every k
+            occupied[support] = ranks, None if np.all(counts == counts[0]) else counts
+        ranks, counts = occupied[support]
+        residues = sum(
+            (tables[i][k[i]] * (common // moduli[i])).astype(small)[rank]
+            for i, rank in zip(support, ranks)
+        )
+        if is_balanced(residues, common, counts):
+            abs_sums[k] = 0.0
+
+
+def _weighted_sum(
+    abs_sums: np.ndarray, bases: tuple[int, ...], g: tuple[int, ...], star: bool
+) -> tuple[float, np.ndarray]:
+    """The exactly rounded sum of weight times |S| over the box, and the weights."""
+    weight = rho_star if star else rho
+    axes = []
+    for b, gi in zip(bases, g):
+        # the weight depends only on vb(k) and k's leading digit: one call per run
+        firsts = [0] + [a * b**v for v in range(gi) for a in range(1, b)]
+        axes.append(np.repeat([weight(k, b) for k in firsts], np.diff(firsts + [b**gi])))
+    weights = math.prod(np.ix_(*axes))
+    # the terms in blocks, each about _BLOCK_BYTES as a list of floats
+    flat_weights, flat_sums = weights.reshape(-1), abs_sums.reshape(-1)
+    step = _block_rows(40)
+    blocks = (
+        (flat_weights[i : i + step] * flat_sums[i : i + step]).tolist()
+        for i in range(0, flat_sums.size, step)
+    )
+    return math.fsum(itertools.chain.from_iterable(blocks)), weights
 
 
 def etk_bound(
@@ -183,15 +297,19 @@ def etk_bound(
 ) -> BoundReport:
     """Evaluate the weighted inequality over the punctured index box.
 
-    Every xi_k in the box is constant on the resolution-g cells, so the sums
-    are the joint histogram of the occupied cells contracted, axis by axis,
-    with one phase table of b_i^{g_i} indices by U_i <= min(N, b_i^{g_i})
-    cells: memory is O(|Delta| + sum_i b_i^{g_i} U_i), with no table over the
-    N points.  Sums below _ZERO_SNAP whose exact integer phases are balanced
-    snap to 0.0.  The weighted terms feed one exactly rounded sum, so the
-    result is bit-reproducible and does not depend on per_index, whose rows
-    run in mixed-radix lexicographic order (coordinate 1 slowest).  The
-    budget caps |Delta| before anything is allocated, and the table entries
+    Every xi_k in the box is constant on the resolution-g cells, so after
+    cell_histogram nothing reads the points.  The sums are that histogram of
+    the occupied cells contracted, axis by axis, with one phase table of
+    b_i^{g_i} indices by U_i <= min(N, b_i^{g_i}) cells: memory is
+    O(|Delta| + sum_i b_i^{g_i} U_i), with no array over the N points.  A
+    sum below _ZERO_SNAP is re-tested on exact integer phases: one residue
+    per occupied cell of the histogram summed onto k's support (the axes
+    with k_i != 0), counted by its points, and it snaps to 0.0 when
+    is_balanced finds that multiset balanced, as it would the points' own.
+    The weighted terms feed one exactly rounded sum, so the result is
+    bit-reproducible and does not depend on per_index, whose rows run in
+    mixed-radix lexicographic order (coordinate 1 slowest).  The budget caps
+    |Delta| before anything is allocated, and the table entries
     sum_i b_i^{g_i} U_i after the cells are counted and before any table is
     built.
     """
@@ -212,61 +330,15 @@ def etk_bound(
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
     eps = epsilon_term(spec.bases, g, star)
 
-    cells, ranks = [], []
-    for col, b, gi in zip(points.columns, spec.bases, g):
-        index = np.zeros(n, dtype=np.int64)
-        for j in reversed(range(min(gi, col.digits.shape[1]))):
-            index *= b
-            index += col.digits[:, j]
-        cells_i, rank = np.unique(index, return_inverse=True)
-        cells.append(cells_i)
-        ranks.append(rank)
-    occupied = [len(c) for c in cells]
-    entries = sum(m * u for m, u in zip(moduli, occupied))
+    cells, hist = cell_histogram(points.columns, g)
+    entries = sum(m * len(c) for m, c in zip(moduli, cells))
     if entries > budget:
         raise BudgetExceededError(f"phase tables of {entries} entries exceed budget {budget}")
-    tables = [
-        phase_numerators(DigitColumn.from_integers(c, b).digits, b, tag, gi)
-        for c, (b, tag), gi in zip(cells, spec.coordinates, g)
-    ]
-    hist = np.bincount(np.ravel_multi_index(ranks, occupied), minlength=math.prod(occupied))
-    sums = hist.reshape(occupied)
-    # each step contracts cell axis 0 and appends index axis i, so the axes end in order
-    for num, m in zip(tables, moduli):
-        sums = np.tensordot(sums, np.exp(2j * np.pi * np.arange(m) / m)[num], axes=(0, 1))
-    sums /= n
-    abs_sums = np.abs(sums)
-    del sums
-
-    # re-test near-zero sums on exact integer phases, one residue per point (its cell's),
-    # in the smallest signed type that holds a sum of s residues and the modulus itself
-    common = math.lcm(*moduli)
-    small = np.min_scalar_type(-1 - max(spec.s * (common - 1), common))
-    for k in zip(*np.nonzero(abs_sums < _ZERO_SNAP)):
-        residues = sum(
-            (num[ki] * (common // m)).astype(small)[rank]
-            for num, m, ki, rank in zip(tables, moduli, k, ranks)
-        )
-        if is_balanced(residues, common):
-            abs_sums[k] = 0.0
+    abs_sums, tables = _contract(spec, g, cells, hist)
+    _snap_exact_zeros(abs_sums, hist, tables, moduli)
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
-    del tables
-
-    weight = rho_star if star else rho
-    axes = []
-    for b, gi in zip(spec.bases, g):
-        # the weight depends only on vb(k) and k's leading digit: one call per run
-        firsts = [0] + [a * b**v for v in range(gi) for a in range(1, b)]
-        axes.append(np.repeat([weight(k, b) for k in firsts], np.diff(firsts + [b**gi])))
-    weights = math.prod(np.ix_(*axes))
-    # the terms in blocks, each about _BLOCK_BYTES as a list of floats
-    flat_weights, flat_sums = weights.reshape(-1), abs_sums.reshape(-1)
-    step = _block_rows(40)
-    blocks = (
-        (flat_weights[i : i + step] * flat_sums[i : i + step]).tolist()
-        for i in range(0, flat_sums.size, step)
-    )
-    weighted = math.fsum(itertools.chain.from_iterable(blocks))
+    del tables, hist
+    weighted, weights = _weighted_sum(abs_sums, spec.bases, g, star)
     rows = None
     if per_index:
         box = itertools.islice(itertools.product(*map(range, moduli)), 1, None)

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from .badic import DEFAULT_BUDGET, BudgetExceededError
+from .badic import DEFAULT_BUDGET, BudgetExceededError, _block_rows
 from .bounds import EXTREME, STAR, etk_bound
 from .oracle import (
     CapExceededError,
@@ -104,15 +104,22 @@ def _open_points(path: str) -> PointSet:
         raise UsageError(f"{path}: {exc}")
 
 
+def _write_slices(text: str, fh) -> None:
+    # a slice and its encoding take at most 8 bytes a character; the whole text is never encoded
+    step = _block_rows(8)
+    for start in range(0, len(text), step):
+        fh.write(text[start : start + step])
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        _write_slices(text, sys.stdout)
         if text and not text.endswith("\n"):
             sys.stdout.write("\n")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_slices(text, fh)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}")
 
@@ -141,7 +148,11 @@ def cmd_gen(args) -> int:
         points = hybrid_points(tags, walsh_part, badic_part, args.n)
     buf = io.StringIO()
     write_point_set(points, buf)
-    _write_output(buf.getvalue(), args.out)
+    # the columns and the buffer go before the text is written, so only the text is held then
+    del points
+    text = buf.getvalue()
+    del buf
+    _write_output(text, args.out)
     return 0
 
 

@@ -17,10 +17,11 @@ ones through one mask.  The reader turns a block of whole lines into one
 array of character codes.  Line ends, words, blank and comment lines, arity,
 the "0." prefixes, digit ranges and counts are all masks over it or positions
 of its separators; only the few header lines are read one at a time, in line
-order.  It keeps each column's flat digits and counts and builds each digit
-column once at the end.  parse_coordinate and reference.format_coordinate are
-the per-coordinate reference, and reference.read_point_set the per-line one;
-the reader words the error for its first bad line with parse_coordinate.
+order.  It keeps each column's flat digits and counts per block, and at the
+end fills each digit matrix from them block by block, with no concatenation
+(DigitColumn.from_pieces).  parse_coordinate and reference.format_coordinate
+are the per-coordinate reference, and reference.read_point_set the per-line
+one; the reader words the error for its first bad line with parse_coordinate.
 """
 
 from __future__ import annotations
@@ -301,7 +302,8 @@ class _Reader:
         for i, b in enumerate(self.bases):
             flat, counts, out = _digits(codes, label == i + 1, b, body[:, i], end[:, i])
             wrong |= out
-            pieces.append((flat, counts))
+            # counts in the smallest type that holds them: int64 ones took as much as the digits
+            pieces.append((flat, counts.astype(np.min_scalar_type(counts.max(initial=0)))))
         if wrong.any():  # every row lies before the first line with bad words
             first_bad = int(rows[np.argmax(wrong)])
         return (None if first_bad == len(nwords) else first_bad), pieces
@@ -311,13 +313,10 @@ class _Reader:
             raise ValueError("missing #bases header")
         if not self.pieces:
             raise ValueError("point file has no points")
-        by_column = list(zip(*self.pieces))
+        by_column = [list(pieces) for pieces in zip(*self.pieces)]
         self.pieces.clear()
-        columns = []
-        for b in self.bases:
-            # popping drops the column's pieces before its digit matrix is built
-            flat, counts = map(np.concatenate, zip(*by_column.pop(0)))
-            columns.append(DigitColumn.from_flat(b, flat, counts))
+        # from_pieces empties each column's list as it copies, so every piece is freed once copied
+        columns = [DigitColumn.from_pieces(b, by_column.pop(0)) for b in self.bases]
         return PointSet(columns, self.provenance)
 
 

@@ -265,18 +265,32 @@ def _prime_steps(modulus: int) -> tuple[int, ...]:
     return tuple(modulus // p for p in primes + ([m] if m > 1 else []))
 
 
-def is_balanced(residues: np.ndarray, modulus: int) -> bool:
+def is_balanced(residues: np.ndarray, modulus: int, counts: np.ndarray | None = None) -> bool:
     """True when the residue multiset mod M is unchanged by a rotation r -> r + M/p.
 
     For a prime p dividing M it then splits into rotated regular p-gons, so
     its phase sum of e(r/M) is exactly zero.  Every full coset with equal
     counts is balanced, and for a prime-power M so is every vanishing sum:
     Phi_M(x) = Phi_p(x^(M/p)), so its counts repeat with period M/p.
+
+    counts, if given, holds each residue's multiplicity: the multiset is
+    np.repeat(residues, counts), and the answer is the same as on that
+    expansion.  Equal counts scale the multiset without changing which
+    rotations fix it, so they take the unweighted path; otherwise the counts
+    are added per distinct residue, and a rotation must map the sorted
+    residues and their counts onto themselves.
     """
-    r = np.sort(np.asarray(residues) % modulus)
+    r = np.asarray(residues) % modulus
+    if counts is None or np.all((counts := np.asarray(counts)) == counts[:1]):
+        r, counts = np.sort(r), None
+    else:
+        r, inverse = np.unique(r, return_inverse=True)
+        counts = np.bincount(inverse, weights=counts, minlength=len(r))
     for step in _prime_steps(modulus):
         i = np.searchsorted(r, modulus - step)  # r[i:] + step wrap past M to the front
-        if np.array_equal(np.concatenate((r[i:] + (step - modulus), r[:i] + step)), r):
+        if not np.array_equal(np.concatenate((r[i:] + (step - modulus), r[:i] + step)), r):
+            continue
+        if counts is None or np.array_equal(np.concatenate((counts[i:], counts[:i])), counts):
             return True
     return False
 
@@ -292,7 +306,7 @@ def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
     items = [(p, n) for p, n in counts.items() if n]
     modulus = math.lcm(*(p.modulus for p, _ in items))
     residues = [p.numerator * (modulus // p.modulus) for p, _ in items]
-    if is_balanced(np.repeat(residues, [n for _, n in items]), modulus):
+    if is_balanced(residues, modulus, [n for _, n in items]):
         return 0j
     if all(p.modulus in (1, 2, 4) for p, _ in items):
         # quarter phases have exact unit values, so this sum has no rounding

@@ -24,3 +24,15 @@ def test_points_section_times_every_layer_of_every_case(layers):
         for row in rows.values():
             assert set(row) == {"cold_s", "s", "peak_alloc_mb"}
             assert all(value > 0 for value in row.values())
+
+
+def test_stages_of_etk_bound_cover_the_call(layers):
+    """Each stage of one etk_bound call is timed, and the rest is other_s."""
+    from etkbound.bounds import etk_bound
+    from etkbound.sequences import HaltonConfig, generate_points
+    from etkbound.systems import BADIC, WALSH, HybridSystemSpec
+
+    spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
+    row = layers._stages(etk_bound, spec, (3, 2), generate_points(HaltonConfig((2, 3)), 64))
+    assert list(row) == [f"{stage}_s" for stage in layers.STAGES] + ["other_s"]
+    assert all(value >= 0 for value in row.values())

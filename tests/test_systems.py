@@ -247,6 +247,40 @@ def test_balance_detector_matches_fraction_rotation(case):
         assert abs(sum(cmath.exp(2j * cmath.pi * r / modulus) for r in residues)) < 1e-12
 
 
+@st.composite
+def weighted_residues(draw):
+    """A modulus in 2..60 and residues (unreduced, repeats allowed) with counts 1..5;
+    half the time made invariant by one rotation of prime order, with its counts."""
+    modulus = draw(st.integers(2, 60))
+    pair = st.tuples(st.integers(0, 2 * modulus), st.integers(1, 5))
+    pairs = draw(st.lists(pair, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([p for p in range(2, modulus + 1) if modulus % p == 0]))
+        pairs = [(r + j * (modulus // p), n) for r, n in pairs for j in range(p)]
+    return modulus, draw(st.permutations(pairs))
+
+
+@given(weighted_residues())
+@example((12, [(0, 3), (4, 1), (6, 2), (8, 1)]))  # {0,0,0,4,6,6,8}: sums to 0, not balanced
+@example((4, [(0, 2), (2, 2), (1, 1), (3, 1)]))  # half-turn pairs of different counts
+@example((6, [(1, 2), (1, 2), (4, 4)]))  # counts of one residue split over two entries
+@example((12, [(0, 1), (6, 2)]))  # balanced as a set, not as a multiset
+def test_weighted_balance_test_matches_the_expanded_multiset(case):
+    modulus, pairs = case
+    residues, counts = (np.array(column) for column in zip(*pairs))
+    want = is_balanced(np.repeat(residues, counts), modulus)
+    assert is_balanced(residues, modulus, counts) == want
+    assert is_balanced(residues, modulus, np.full(len(residues), 3)) == is_balanced(residues, modulus)
+
+
+def test_weighted_balance_test_is_still_incomplete_for_mixed_moduli():
+    """{0,0,0,4,6,6,8} mod 12 is a pair plus a triangle: its sum vanishes, but no
+    rotation of prime order fixes it, so the test says False, as before."""
+    residues, counts = np.array([0, 4, 6, 8]), np.array([3, 1, 2, 1])
+    assert abs(sum(n * cmath.exp(2j * cmath.pi * r / 12) for r, n in zip(residues, counts))) < 1e-12
+    assert not is_balanced(residues, 12, counts)
+
+
 @given(digit_columns(), st.sampled_from((WALSH, BADIC)), st.data())
 @settings(deadline=None)
 def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
