@@ -6,7 +6,9 @@ truncated b-adic integer sum_j d_j b^j.  Both readings use the same digit
 order, so the digit-mirroring (Monna) map is the identity on digit vectors
 and all arithmetic here stays in integers and Fractions.  A digit column is
 many digit vectors of one base as a single integer matrix, the form in which
-point sets are generated, written, read and turned into phase tables.
+point sets are generated, written, read and turned into phase tables.  The
+additions of digit vectors with and without carry, and the radical inverse,
+are scalar references in `reference`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +25,11 @@ __all__ = [
     "BudgetExceededError",
     "DigitColumn",
     "DigitVector",
-    "add_with_carry",
-    "add_without_carry",
     "check_base",
     "delta_size",
     "enumerate_delta",
     "int_digits",
     "monna",
-    "radical_inverse",
     "vb",
 ]
 
@@ -121,16 +119,6 @@ class DigitVector:
         """The j-th digit; positions past the stored precision read as 0."""
         return self.digits[j] if 0 <= j < len(self.digits) else 0
 
-    def with_precision(self, m: int) -> "DigitVector":
-        """Same value padded (or trimmed, if only zeros are dropped) to m digits."""
-        if m < 0:
-            raise ValueError("precision must be nonnegative")
-        if m >= len(self.digits):
-            return DigitVector(self.base, self.digits + (0,) * (m - len(self.digits)))
-        if any(self.digits[m:]):
-            raise ValueError(f"cannot trim nonzero digits to precision {m}")
-        return DigitVector(self.base, self.digits[:m])
-
     @property
     def value(self) -> Fraction:
         """The point of [0,1) this vector represents (the Monna image)."""
@@ -210,11 +198,6 @@ class DigitColumn:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_flat(cls, base: int, flat: np.ndarray, counts: np.ndarray) -> "DigitColumn":
-        """Column from all digits in row order, row n taking the next counts[n] of them."""
-        return cls.from_pieces(base, [(flat, counts)])
-
-    @classmethod
     def from_pieces(cls, base: int, pieces: list) -> "DigitColumn":
         """Column from consecutive runs of rows, each a pair (its flat digits, its rows' counts).
 
@@ -249,34 +232,24 @@ class DigitColumn:
         return cls(base, digits, counts)
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[DigitVector], base: int) -> "DigitColumn":
-        for v in vectors:
-            if v.base != base:
-                raise ValueError(f"coordinate base {v.base} does not match {base}")
-        counts = np.fromiter((v.precision for v in vectors), dtype=np.int64, count=len(vectors))
-        flat = np.fromiter(
-            itertools.chain.from_iterable(v.digits for v in vectors),
-            dtype=np.int64,
-            count=int(counts.sum()),
-        )
-        return cls.from_flat(base, flat, counts)
-
-    @classmethod
     def from_integers(cls, n: np.ndarray, base: int) -> "DigitColumn":
         """Digits of nonnegative integers by repeated division; counts are vb(n).
 
-        Row i is int_digits(n[i], base), zero-padded to the longest row.
+        Row i is int_digits(n[i], base), zero-padded to the longest row.  The
+        division runs in place on one int64 copy, so n is left unchanged.
         """
         _check_column_base(base)
-        q = np.asarray(n, dtype=np.int64)
+        q = np.array(n, dtype=np.int64)
         if np.any(q < 0):
             raise ValueError("expected nonnegative integers")
         width = vb(int(q.max()), base) if q.size else 0
         digits = np.empty((q.size, width), dtype=np.min_scalar_type(base - 1))
         counts = np.zeros(q.shape, dtype=np.int64)
+        r = np.empty_like(q)
         for j in range(width):
             counts += q > 0
-            q, digits[:, j] = np.divmod(q, base)
+            np.divmod(q, base, out=(q, r))
+            digits[:, j] = r
         return cls(base, digits, counts)
 
     def __len__(self) -> int:
@@ -309,49 +282,6 @@ def monna(z: DigitVector) -> Fraction:
     for d in z.digits:
         num = num * z.base + d
     return Fraction(num, z.base ** len(z.digits))
-
-
-def radical_inverse(n: int, base: int) -> Fraction:
-    """Digit reversal of n into [0,1): the Monna image of the integer n."""
-    check_base(base)
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
-    num, m = 0, 0
-    while n:
-        n, d = divmod(n, base)
-        num = num * base + d
-        m += 1
-    return Fraction(num, base**m)
-
-
-def _check_same_base(u: DigitVector, v: DigitVector) -> None:
-    if u.base != v.base:
-        raise ValueError(f"base mismatch: {u.base} vs {v.base}")
-
-
-def add_with_carry(u: DigitVector, v: DigitVector) -> DigitVector:
-    """Digitwise sum with carry propagation, truncated to the larger precision.
-
-    The carry out of the last position is dropped, so on m-digit vectors this
-    is addition of b-adic integers mod b^m.
-    """
-    _check_same_base(u, v)
-    m = max(u.precision, v.precision)
-    base = u.base
-    out = []
-    carry = 0
-    for j in range(m):
-        t = u.digit(j) + v.digit(j) + carry
-        carry, d = divmod(t, base)
-        out.append(d)
-    return DigitVector(base, tuple(out))
-
-
-def add_without_carry(u: DigitVector, v: DigitVector) -> DigitVector:
-    """Digitwise sum mod b with no carry (the group operation of Z_b^m)."""
-    _check_same_base(u, v)
-    m = max(u.precision, v.precision)
-    return DigitVector(u.base, tuple((u.digit(j) + v.digit(j)) % u.base for j in range(m)))
 
 
 def _check_domain(bases: tuple[int, ...], g: tuple[int, ...]) -> None:

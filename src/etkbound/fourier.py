@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .badic import DigitVector, delta_size, enumerate_delta, monna, radical_inverse, vb
+from .badic import DigitVector, delta_size, enumerate_delta, monna
 from .systems import HybridSystemSpec, PhaseFraction, phase_counter_sum, xi_phase
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "elint_contains",
     "elint_fourier_coeff",
     "elint_partition",
-    "fc_upper_bound",
     "partition_inner_product",
 ]
 
@@ -63,18 +62,11 @@ class Elint:
 
     @property
     def lower(self) -> tuple[Fraction, ...]:
-        return tuple(radical_inverse(ci, b) for ci, b in zip(self.c, self.bases))
+        return tuple(monna(z) for z in self._anchor)
 
     @property
     def widths(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(1, b**gi) for b, gi in zip(self.bases, self.g))
-
-    @property
-    def measure(self) -> Fraction:
-        m = Fraction(1)
-        for w in self.widths:
-            m *= w
-        return m
 
     def anchor_digits(self) -> tuple[DigitVector, ...]:
         """The lower corner as digit vectors (c_i's digits are phi(c_i)'s digits)."""
@@ -126,18 +118,9 @@ def elint_fourier_coeff(e: Elint, k: tuple[int, ...], spec: HybridSystemSpec) ->
         if ki >= b**gi:
             return 0j
     phase = xi_phase(spec, tuple(k), e.anchor_digits())
-    # int / int rounds correctly, so this is float(e.measure)
+    # int / int rounds correctly, so this is float(prod(e.widths))
     measure = 1 / math.prod(b**gi for b, gi in zip(e.bases, e.g))
     return measure * phase.conjugate().to_complex()
-
-
-def fc_upper_bound(k: int, base: int) -> float:
-    """Bound |coeff of 1_[0,beta) at k| <= 1/(b^g sin(pi k_lead / b)), k >= 1."""
-    if k < 1:
-        raise ValueError(f"expected k >= 1, got {k}")
-    g = vb(k, base)
-    lead = k // base ** (g - 1)
-    return 1.0 / (base**g * math.sin(math.pi * lead / base))
 
 
 def partition_inner_product(

@@ -1,20 +1,25 @@
 """Scalar references: the paper's definitions evaluated one point or one index at a time.
 
-Generators give one point as a tuple of DigitVector, exponential sums group
-the exact phases of every point, and Fourier coefficients sum exact cells.
-The column and table paths of the other modules compute the same things in
-bulk; these functions are what they are tested against.  Only tests import
-this module: no command runs it, and no other module of the package may
-import it.
+Digit vectors add with carry (the b-adic integers) and without it (Z_b^m),
+the two additions of which the b-adic and the Walsh system functions are
+characters.  Generators give one point as a tuple of DigitVector, and point
+sets are built from such tuples.  Exponential sums group the exact phases of
+every point, and Fourier coefficients sum exact cells.  The column and table
+paths of the other modules compute the same things in bulk; these functions
+are what they are tested against.  Only tests import this module: no command
+runs it, and no other module of the package may import it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, TextIO
+
+import numpy as np
 
 from .badic import DigitColumn, DigitVector, check_base, enumerate_delta, int_digits, vb
 from .fourier import Elint, _check_spec_matches, _point_values, elint_fourier_coeff, elint_partition
@@ -31,8 +36,11 @@ from .systems import (
 
 __all__ = [
     "BadicInterval",
+    "add_with_carry",
+    "add_without_carry",
     "anchored_fourier_coeff",
     "config_point",
+    "digit_column",
     "digital_point",
     "exp_sum",
     "format_coordinate",
@@ -42,6 +50,7 @@ __all__ = [
     "point_set",
     "point_set_from_values",
     "point_values",
+    "radical_inverse",
     "read_point_set",
     "reconstruct_indicator",
     "step_representation",
@@ -78,6 +87,49 @@ def monna_pseudoinverse(x: Fraction | int, base: int) -> DigitVector:
     scaled = x.numerator * (power // x.denominator)
     lsd = int_digits(scaled, base, m)
     return DigitVector(base, tuple(reversed(lsd)))
+
+
+def radical_inverse(n: int, base: int) -> Fraction:
+    """Digit reversal of n into [0,1): the Monna image of the integer n."""
+    check_base(base)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    num, m = 0, 0
+    while n:
+        n, d = divmod(n, base)
+        num = num * base + d
+        m += 1
+    return Fraction(num, base**m)
+
+
+def _check_same_base(u: DigitVector, v: DigitVector) -> None:
+    if u.base != v.base:
+        raise ValueError(f"base mismatch: {u.base} vs {v.base}")
+
+
+def add_with_carry(u: DigitVector, v: DigitVector) -> DigitVector:
+    """Digitwise sum with carry propagation, truncated to the larger precision.
+
+    The carry out of the last position is dropped, so on m-digit vectors this
+    is addition of b-adic integers mod b^m.
+    """
+    _check_same_base(u, v)
+    m = max(u.precision, v.precision)
+    base = u.base
+    out = []
+    carry = 0
+    for j in range(m):
+        t = u.digit(j) + v.digit(j) + carry
+        carry, d = divmod(t, base)
+        out.append(d)
+    return DigitVector(base, tuple(out))
+
+
+def add_without_carry(u: DigitVector, v: DigitVector) -> DigitVector:
+    """Digitwise sum mod b with no carry (the group operation of Z_b^m)."""
+    _check_same_base(u, v)
+    m = max(u.precision, v.precision)
+    return DigitVector(u.base, tuple((u.digit(j) + v.digit(j)) % u.base for j in range(m)))
 
 
 def format_coordinate(x: DigitVector) -> str:
@@ -119,7 +171,10 @@ def digital_point(
         if C.size != m:
             raise ValueError(f"matrix size {C.size} does not match precision {m}")
     digits = int_digits(n, base, m)  # raises if n >= b^m
-    return tuple(DigitVector(base, C.apply(digits)) for C in matrices)
+    return tuple(
+        DigitVector(base, tuple(sum(r * d for r, d in zip(row, digits)) % base for row in C.rows))
+        for C in matrices
+    )
 
 
 def config_point(config: GeneratorConfig, n: int) -> tuple[DigitVector, ...]:
@@ -134,6 +189,20 @@ def config_point(config: GeneratorConfig, n: int) -> tuple[DigitVector, ...]:
 # ---------------------------------------------------------------- point sets
 
 
+def digit_column(vectors: Sequence[DigitVector], base: int) -> DigitColumn:
+    """DigitColumn of DigitVectors of one base, each row keeping its vector's precision."""
+    for v in vectors:
+        if v.base != base:
+            raise ValueError(f"coordinate base {v.base} does not match {base}")
+    counts = np.fromiter((v.precision for v in vectors), dtype=np.int64, count=len(vectors))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(v.digits for v in vectors),
+        dtype=np.int64,
+        count=int(counts.sum()),
+    )
+    return DigitColumn.from_pieces(base, [(flat, counts)])
+
+
 def point_set(
     bases: Sequence[int], points: Sequence[Sequence[DigitVector]], provenance: str = ""
 ) -> PointSet:
@@ -143,7 +212,7 @@ def point_set(
     for pt in points:
         if len(pt) != len(bases):
             raise ValueError(f"point of dimension {len(pt)} in a {len(bases)}-dim set")
-    columns = [DigitColumn.from_vectors([pt[i] for pt in points], b) for i, b in enumerate(bases)]
+    columns = [digit_column([pt[i] for pt in points], b) for i, b in enumerate(bases)]
     return PointSet(columns, provenance)
 
 

@@ -57,12 +57,6 @@ class GeneratorMatrix:
     def random(cls, base: int, m: int, rng: random.Random) -> "GeneratorMatrix":
         return cls(base, tuple(tuple(rng.randrange(base) for _ in range(m)) for _ in range(m)))
 
-    def apply(self, digits: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product mod b on a digit column of length size."""
-        if len(digits) != self.size:
-            raise ValueError(f"expected {self.size} digits, got {len(digits)}")
-        return tuple(sum(r * d for r, d in zip(row, digits)) % self.base for row in self.rows)
-
 
 class PointSet:
     """Finite list of s-dimensional points, stored as one digit column per coordinate.
@@ -72,7 +66,7 @@ class PointSet:
     which keep stored trailing zeros.  Generation, point files, phase tables
     and the exact oracle work on these matrices.  `points` is the same set as
     one tuple of DigitVector per point; it is a view built on first access
-    and cached, read by the scalar reference code.
+    and cached, read by the scalar reference code and the benchmark's replay.
     """
 
     def __init__(self, columns: Sequence[DigitColumn], provenance: str = "") -> None:
@@ -277,7 +271,8 @@ def config_from_string(text: str) -> GeneratorConfig:
 
     Grammar: ``vdc:B`` | ``halton:B1,B2,...`` |
     ``digital:B[,s=S][,m=M][,seed=K|identity]`` (random matrices from the
-    seed, identity matrices otherwise).
+    seed, identity matrices otherwise).  Each option may appear once, and
+    seed and identity not together.
     """
     name, sep, rest = text.partition(":")
     if not sep:
@@ -291,8 +286,12 @@ def config_from_string(text: str) -> GeneratorConfig:
         parts = rest.split(",")
         base = _parse_int(parts[0], text)
         s, m, seed, identity = 1, DEFAULT_PRECISION, None, False
+        seen = set()
         for p in parts[1:]:
             key, eq, val = p.partition("=")
+            if key in seen:
+                raise ValueError(f"digital option {key!r} given twice in {text!r}")
+            seen.add(key)
             if key == "identity" and not eq:
                 identity = True
             elif key == "s" and eq:
@@ -303,9 +302,9 @@ def config_from_string(text: str) -> GeneratorConfig:
                 seed = _parse_int(val, text)
             else:
                 raise ValueError(f"unknown digital option {p!r} in {text!r}")
-        if seed is None and not identity:
-            identity = True
-        if identity:
+        if seed is not None and identity:
+            raise ValueError(f"digital options seed and identity conflict in {text!r}")
+        if seed is None:
             mats = tuple(GeneratorMatrix.identity(base, m) for _ in range(s))
         else:
             rng = random.Random(seed)

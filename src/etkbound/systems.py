@@ -18,7 +18,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -62,15 +61,6 @@ class PhaseFraction:
         common = math.gcd(numerator, modulus)
         object.__setattr__(self, "numerator", numerator // common)
         object.__setattr__(self, "modulus", modulus // common)
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "PhaseFraction":
-        fr = Fraction(fr)
-        return cls(fr.numerator, fr.denominator)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.modulus)
 
     def conjugate(self) -> "PhaseFraction":
         return PhaseFraction(-self.numerator, self.modulus)

@@ -22,6 +22,7 @@ from .bounds import (
     cb_constant,
     corollary_bound,
     epsilon_fraction,
+    rho_star,
     rho_vec,
     weight_sum,
 )
@@ -29,7 +30,6 @@ from .fourier import (
     elint_contains,
     elint_fourier_coeff,
     elint_partition,
-    fc_upper_bound,
     partition_inner_product,
 )
 from .oracle import DominationReport, domination_check
@@ -183,7 +183,7 @@ def check_reconstruction(tol: float = 1e-10) -> SuiteResult:
 
 
 def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> SuiteResult:
-    """|anchored coefficient| <= closed-form estimate on the full rational grid.
+    """|anchored coefficient| <= rho_star(k), the closed-form estimate, on the full rational grid.
 
     Every beta = a/b^depth sits on a cell boundary of the depth-resolution
     tiling and every index below b^depth is constant on those cells, so row k
@@ -197,15 +197,17 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
         grid = base**depth
         # row a holds the digits of a/b^depth, the a-th cell's lower corner
         anchors = DigitColumn.from_integers(np.arange(grid), base).digits[:, ::-1]
-        limits = np.array([fc_upper_bound(k, base) for k in range(1, grid)])
+        limits = np.array([rho_star(k, base) for k in range(1, grid)])
         unit = np.exp(-2j * np.pi * np.arange(grid) / grid)
         step = _block_rows(16 * grid)
         for tag in (WALSH, BADIC):
             for start in range(1, grid, step):
                 rows = range(start, min(start + step, grid))
-                coeffs = np.cumsum(unit[phase_numerators(anchors, base, tag, depth, rows)], axis=1)
+                coeffs = unit[phase_numerators(anchors, base, tag, depth, rows)]
+                np.cumsum(coeffs, axis=1, out=coeffs)
                 coeffs /= grid
-                over = np.abs(coeffs) - limits[start - 1 : start - 1 + step, None]
+                over = np.abs(coeffs)
+                over -= limits[start - 1 : start - 1 + step, None]
                 result.checks += coeffs.size
                 for ki, ai in np.argwhere(over > tol):
                     result.failures.append(

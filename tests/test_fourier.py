@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from etkbound.badic import DigitVector, enumerate_delta
+from etkbound.badic import DigitVector, enumerate_delta, vb
+from etkbound.bounds import rho_star
 from etkbound.fourier import (
     Elint,
     elint_contains,
     elint_fourier_coeff,
     elint_partition,
-    fc_upper_bound,
     partition_inner_product,
 )
 from etkbound.reference import (
@@ -32,7 +32,7 @@ def test_elint_geometry():
     e = Elint((2, 3), (1, 1), (1, 2))
     assert e.lower == (Fraction(1, 2), Fraction(2, 3))
     assert e.widths == (Fraction(1, 2), Fraction(1, 3))
-    assert e.measure == Fraction(1, 6)
+    assert math.prod(e.widths) == Fraction(1, 6)
     assert e.anchor_digits()[0] == DigitVector(2, (1,))
 
 
@@ -44,7 +44,7 @@ def test_elint_rejects_out_of_range_anchor():
 def test_elint_partition_tiles_the_cube():
     cells = list(elint_partition((2, 3), (1, 1)))
     assert len(cells) == 6
-    assert sum(c.measure for c in cells) == 1
+    assert sum(math.prod(c.widths) for c in cells) == 1
     x = (Fraction(3, 4), Fraction(1, 3))
     assert sum(elint_contains(c, x) for c in cells) == 1
 
@@ -73,14 +73,14 @@ def test_elint_coeff_at_zero_index_is_measure():
     # 1/3 * 1/25 rounds twice and misses float(1/75) by an ulp
     e = Elint((3, 5), (1, 2), (2, 7))
     spec = HybridSystemSpec(((3, WALSH), (5, BADIC)))
-    assert elint_fourier_coeff(e, (0, 0), spec) == float(e.measure)
+    assert elint_fourier_coeff(e, (0, 0), spec) == float(math.prod(e.widths))
 
 
 def test_step_representation_sums_to_zero():
     for spec in (W2, B2, HybridSystemSpec.single(3, WALSH)):
         for k in (1, 2, 3):
             pieces = step_representation((k,), spec)
-            total = sum(v * complex(e.measure) for e, v in pieces)
+            total = sum(v * complex(math.prod(e.widths)) for e, v in pieces)
             assert abs(total) < 1e-15
 
 
@@ -167,19 +167,24 @@ def test_reconstruct_indicator_mixed_tags_grid():
 
 
 def test_fc_upper_bound_values():
-    assert fc_upper_bound(1, 2) == 0.5
-    assert abs(fc_upper_bound(2, 2) - 0.25) < 1e-15
+    """The FC estimate 1/(b^t sin(pi k_lead / b)) is rho_star, to the last bit:
+    rho_star halves 2/x, and halving is exact."""
+    assert rho_star(1, 2) == 0.5
+    assert abs(rho_star(2, 2) - 0.25) < 1e-15
     # k=5 in base 3: two digits, lead 1 -> 1/(9 sin(pi/3))
-    assert abs(fc_upper_bound(5, 3) - 1.0 / (9 * math.sin(math.pi / 3))) < 1e-15
-    with pytest.raises(ValueError):
-        fc_upper_bound(0, 2)
+    assert abs(rho_star(5, 3) - 1.0 / (9 * math.sin(math.pi / 3))) < 1e-15
+    for base in (2, 3, 5, 7):
+        for k in range(1, base**4):
+            t = vb(k, base)
+            lead = k // base ** (t - 1)
+            assert rho_star(k, base) == 1.0 / (base**t * math.sin(math.pi * lead / base))
 
 
 def test_fc_bound_dominates_anchored_coeffs():
     base = 3
     for tag in (WALSH, BADIC):
         for k in range(1, 27):
-            cap = fc_upper_bound(k, base)
+            cap = rho_star(k, base)
             for a in range(1, 27):
                 coeff = anchored_fourier_coeff(Fraction(a, 27), k, base, tag)
                 assert abs(coeff) <= cap + 1e-12

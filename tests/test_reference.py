@@ -79,6 +79,55 @@ def _imports_reference(node: ast.AST) -> bool:
     return False
 
 
+def _reached(paths):
+    """Names read or imported in the files, and attribute names read in them."""
+    names, attributes = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def _defined(path):
+    """Top-level functions and classes, and the non-dunder methods and properties
+    of those classes, as (qualified name, name, whether it is a class member)."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield f"{path.stem}.{node.name}", node.name, False
+        for item in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                yield f"{path.stem}.{node.name}.{item.name}", item.name, True
+
+
+def test_production_modules_define_only_what_production_reaches():
+    """Code that only tests call belongs in reference; what nothing calls, nowhere.
+
+    A function or class counts as reached when a production module, a
+    benchmark script (perfbench/, bench/layers.py) or its own module names or
+    imports it, and a method or property when one of them reads an attribute
+    of its name.
+    """
+    production = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
+    root = PACKAGE.parent.parent
+    scripts = [p for p in sorted((root / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    assert scripts, "perfbench/ not found next to src/"
+    names, attributes = _reached(production + scripts + [root / "bench" / "layers.py"])
+    unreached = [
+        qualified
+        for path in production
+        if path.name != "__main__.py"
+        for qualified, name, member in _defined(path)
+        if name not in (attributes if member else names)
+    ]
+    assert not unreached, f"reached only from tests, or from nowhere: {', '.join(unreached)}"
+
+
 def test_no_other_module_imports_reference():
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "reference.py" in modules

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etkbound.badic import DigitColumn, DigitVector, radical_inverse
+from etkbound.badic import DigitColumn, DigitVector, int_digits
 from etkbound.reference import (
+    add_without_carry,
     config_point,
+    digit_column,
     digital_point,
     halton,
     point_set,
     point_set_from_values,
     point_values,
+    radical_inverse,
     van_der_corput,
 )
 from etkbound.sequences import (
@@ -47,7 +50,7 @@ def test_generator_matrix_identity_reproduces_vdc():
     mats = (GeneratorMatrix.identity(2, m),)
     for n in range(2**m):
         (y,) = digital_point(mats, 2, n, m)
-        assert y == van_der_corput(2, n).with_precision(m)
+        assert y == van_der_corput(2, n) and y.precision == m
 
 
 def test_generator_matrix_entries_reduced_mod_base():
@@ -70,8 +73,6 @@ def test_digital_point_rejects_large_n():
 
 def test_digital_net_is_linear_over_base():
     """y(n1) digitwise-plus y(n2) equals y(n1 xor-carry-free n2)."""
-    from etkbound.badic import add_without_carry, int_digits
-
     rng = random.Random(5)
     base, m = 3, 5
     mats = tuple(GeneratorMatrix.random(base, m, rng) for _ in range(2))
@@ -155,6 +156,23 @@ def test_config_from_string_rejects_garbage():
     for text in ("sobol:2", "vdc:", "vdc:1", "digital:2,s=0", "halton:2;3"):
         with pytest.raises(ValueError):
             config_from_string(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("digital:2,seed=3,identity", "seed and identity conflict"),
+        ("digital:2,identity,s=2,seed=3", "seed and identity conflict"),
+        ("digital:2,s=2,s=3", "option 's' given twice"),
+        ("digital:2,m=4,m=4", "option 'm' given twice"),
+        ("digital:2,seed=1,seed=2", "option 'seed' given twice"),
+        ("digital:2,identity,identity", "option 'identity' given twice"),
+    ],
+)
+def test_config_from_string_rejects_conflicting_digital_options(text, message):
+    """Either would build matrices other than the provenance string names."""
+    with pytest.raises(ValueError, match=message):
+        config_from_string(text)
 
 
 def test_point_set_stores_digit_columns():
@@ -287,7 +305,5 @@ def test_columns_are_the_same_at_every_block_size(config, at_both_block_sizes):
         lambda: [(c.digits.dtype.str, c.digits.tolist(), c.counts.tolist()) for c in config.columns(n)]
     )
     points = [config_point(config, i) for i in range(n)]
-    want = [
-        DigitColumn.from_vectors([pt[i] for pt in points], b) for i, b in enumerate(config.bases)
-    ]
+    want = [digit_column([pt[i] for pt in points], b) for i, b in enumerate(config.bases)]
     assert got == [(c.digits.dtype.str, c.digits.tolist(), c.counts.tolist()) for c in want]
