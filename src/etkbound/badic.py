@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import log2, prod
 
 import numpy as np
 
@@ -305,21 +305,24 @@ def _check_budget(bases: tuple[int, ...], g: tuple[int, ...], limit: int, noun: 
 
     The message names a size past 64 bits as the product b1^g1*b2^g2: 2^99999
     in decimal has 30103 digits, past Python's int-to-str conversion limit.
+    The exact size is formed only when its bit count, sum_i g_i log2 b_i, is
+    below 1 + max(64, the limit's bit length): forming 3^(10^8) took minutes.
     """
-    size = delta_size(bases, g)
-    if size > limit:
-        text = str(size) if size < 1 << 64 else "*".join(f"{b}^{gi}" for b, gi in zip(bases, g))
-        raise BudgetExceededError(f"{noun} {text} exceeds budget {limit}")
+    _check_domain(tuple(bases), tuple(g))
+    size = None
+    if sum(gi * log2(b) for b, gi in zip(bases, g)) < max(64, int(limit).bit_length()) + 1:
+        size = delta_size(bases, g)
+        if size <= limit:
+            return
+    big = size is None or size >= 1 << 64
+    text = "*".join(f"{b}^{gi}" for b, gi in zip(bases, g)) if big else str(size)
+    raise BudgetExceededError(f"{noun} {text} exceeds budget {limit}")
 
 
-def enumerate_delta(
-    bases: tuple[int, ...],
-    g: tuple[int, ...],
-    star: bool = False,
-):
+def enumerate_delta(bases: tuple[int, ...], g: tuple[int, ...]):
     """Stream the index vectors k with 0 <= k_i < b_i^{g_i}, coordinate 1 slowest.
 
-    Mixed-radix lexicographic order; `star` drops the zero vector.  Fails fast
+    Mixed-radix lexicographic order, the zero vector first.  Fails fast
     with BudgetExceededError when the domain size exceeds DEFAULT_BUDGET.
     The stream is a plain generator and can be re-created cheaply by calling
     again.
@@ -327,8 +330,4 @@ def enumerate_delta(
     bases = tuple(bases)
     g = tuple(g)
     _check_budget(bases, g, DEFAULT_BUDGET, "domain size")
-    ranges = [range(b**gi) for b, gi in zip(bases, g)]
-    it = itertools.product(*ranges)
-    if star:
-        next(it)  # the all-zero vector comes first in this order
-    return it
+    return itertools.product(*(range(b**gi) for b, gi in zip(bases, g)))

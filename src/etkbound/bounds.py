@@ -221,11 +221,8 @@ class BoundReport:
 def _contract(
     spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """|S_N(k)| over the index box, and the phase tables: b_i^g_i indices by U_i cells each."""
-    tables = [
-        phase_numerators(DigitColumn.from_integers(c, b).digits, b, tag, gi)
-        for c, (b, tag), gi in zip(cells, spec.coordinates, g)
-    ]
+    """|S_N(k)| over the index box, and the phase tables of the occupied cells: b_i^g_i by U_i each."""
+    tables = [phase_numerators(c, b, tag, gi) for c, (b, tag), gi in zip(cells, spec.coordinates, g)]
     sums = hist
     # each step contracts cell axis 0 and appends index axis i, so the axes end in order
     for num, m in zip(tables, (b**gi for b, gi in zip(spec.bases, g))):

@@ -6,7 +6,9 @@ variants reduce to finite enumerations.  One engine runs both: it ranks the
 points on every axis's grid straight from the digit columns, counts each box
 exactly, screens the deviations in float64 block by block and re-evaluates
 every near-maximal candidate in integer arithmetic, so the reported value is
-exact.
+exact.  Each variant refuses point sets past its fixed cap per dimension
+(_VARIANTS).  The oracle reads only the points; verify.domination_sweep
+compares its value with the bound.
 """
 
 from __future__ import annotations
@@ -18,23 +20,21 @@ from math import prod
 import numpy as np
 
 from .badic import _block_rows
-from .bounds import BoundReport, EXTREME, STAR, _check_variant, etk_bound
+from .bounds import EXTREME, STAR
 from .sequences import PointSet
-from .systems import HybridSystemSpec
 
 __all__ = [
     "DOMINATION_SLACK",
     "BoxWitness",
     "CapExceededError",
     "DiscrepancyResult",
-    "DominationReport",
-    "domination_check",
     "extreme_discrepancy_exact",
     "star_discrepancy_exact",
 ]
 
 # Float maxima are trusted only up to this slack; everything within it is
-# re-checked exactly.  The same slack defines domination failure.
+# re-checked exactly.  The same slack defines domination failure in
+# verify.domination_sweep.
 DOMINATION_SLACK = 1e-9
 
 
@@ -65,15 +65,14 @@ class DiscrepancyResult:
     ties: int
 
 
-def _check_cap(points: PointSet, caps: dict[int, int], variant: str, max_points: int | None) -> None:
+def _check_cap(points: PointSet, caps: dict[int, int], variant: str) -> None:
     s, n = points.s, points.n_points
     if n < 1:
         raise ValueError("empty point set")
     if s not in caps:
         raise CapExceededError(f"{variant} oracle supports s <= {max(caps)}, got s = {s}")
-    cap = caps[s] if max_points is None else max_points
-    if n > cap:
-        raise CapExceededError(f"{n} points exceed the s={s} {variant} oracle cap of {cap}")
+    if n > caps[s]:
+        raise CapExceededError(f"{n} points exceed the s={s} {variant} oracle cap of {caps[s]}")
 
 
 # A closure is the pair of comparisons (lo ? rank, rank ? hi) on grid indices.
@@ -101,16 +100,16 @@ _VARIANTS = {
 }
 
 
-def star_discrepancy_exact(points: PointSet, max_points: int | None = None) -> DiscrepancyResult:
+def star_discrepancy_exact(points: PointSet) -> DiscrepancyResult:
     """Exact star discrepancy: anchored boxes [0, v).
 
     Per corner of the critical grid both the box [0,v) itself and the
     boundary-inclusive [0,v] (the limit from just above v) are evaluated.
     """
-    return _discrepancy_exact(points, STAR, max_points)
+    return _discrepancy_exact(points, STAR)
 
 
-def extreme_discrepancy_exact(points: PointSet, max_points: int | None = None) -> DiscrepancyResult:
+def extreme_discrepancy_exact(points: PointSet) -> DiscrepancyResult:
     """Exact extreme discrepancy: arbitrary boxes [u, v).
 
     Grid-pair enumeration with, per box, the all-closed [u,v] and all-open
@@ -119,10 +118,10 @@ def extreme_discrepancy_exact(points: PointSet, max_points: int | None = None) -
     dominates every boundary variant; both are one-sided limits of real boxes.
     Pairs include u = v, where [u,u] is the limit of ever thinner boxes.
     """
-    return _discrepancy_exact(points, EXTREME, max_points)
+    return _discrepancy_exact(points, EXTREME)
 
 
-def _discrepancy_exact(points: PointSet, variant: str, max_points: int | None) -> DiscrepancyResult:
+def _discrepancy_exact(points: PointSet, variant: str) -> DiscrepancyResult:
     """Enumerate the critical grid {0} + point values + {1} of every axis.
 
     Counts are exact integers (sums of 0/1 products, exact in float64); the
@@ -133,7 +132,7 @@ def _discrepancy_exact(points: PointSet, variant: str, max_points: int | None) -
     box attains, else the first exact maximizer.
     """
     caps, boxes, closures = _VARIANTS[variant]
-    _check_cap(points, caps, variant, max_points)
+    _check_cap(points, caps, variant)
     n = points.n_points
     grids, ranks, axes, widths = [], [], [], []
     for col in points.columns:
@@ -249,32 +248,3 @@ def _joint_counts(members: list[np.ndarray]) -> np.ndarray:
         joint = (joint[:, None, :] & m[None, :, :]).reshape(-1, n)
     counts = joint.astype(np.float64) @ members[-1].T.astype(np.float64, copy=False)
     return counts.reshape([len(m) for m in members])
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """One bound-vs-truth comparison; ok means margin >= -DOMINATION_SLACK."""
-
-    bound: BoundReport
-    discrepancy: DiscrepancyResult
-    margin: float
-    ok: bool
-
-
-def domination_check(
-    spec: HybridSystemSpec,
-    g: tuple[int, ...],
-    points: PointSet,
-    variant: str = EXTREME,
-) -> DominationReport:
-    """Evaluate the bound and the exact discrepancy, and compare.
-
-    The inequality guarantees bound >= discrepancy; margin is bound minus
-    truth and only float summation noise may push it below zero.
-    """
-    _check_variant(variant)
-    report = etk_bound(spec, g, points, variant)
-    oracle_fn = star_discrepancy_exact if variant == STAR else extreme_discrepancy_exact
-    disc = oracle_fn(points)
-    margin = report.total - disc.value
-    return DominationReport(report, disc, margin, ok=margin >= -DOMINATION_SLACK)

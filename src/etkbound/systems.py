@@ -5,11 +5,11 @@ rational phase phi, so evaluation is split in two: phase computation as an
 integer numerator over b^v in lowest terms (always exact, no Fraction
 objects) and a single conversion to complex at the end.  Full character
 sums then cancel exactly instead of accumulating float noise.  The scalar
-phases are the reference for phase_numerators, the table kernel for a whole
-digit matrix, whose phases over b^g are linear in the index digits, so it
-builds no matrix of index digits; its digit recurrence (_digit_sums,
-_add_runs) also generates digital nets.  is_balanced is the one exact-zero
-test.
+phases are the reference for phase_numerators, the table kernel over
+resolution-g cell indices, whose phases over b^g are linear in the index
+digits, so it builds no matrix of index digits; its digit recurrence
+(_digit_sums, _add_runs) also generates digital nets.  is_balanced is the
+one exact-zero test.
 """
 
 from __future__ import annotations
@@ -201,20 +201,22 @@ def _add_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, out: np.ndar
 
 
 def phase_numerators(
-    digits: np.ndarray, base: int, tag: str, g: int, indices: range | None = None
+    cells: np.ndarray, base: int, tag: str, g: int, indices: range | None = None
 ) -> np.ndarray:
     """Integer phase numerators over modulus b^g, shape (len(indices), N).
 
-    `digits` is an N x P digit matrix, point n's digits d_0 first and zero
-    past its stored precision (DigitColumn.digits).  `indices` is a range of
-    indices k below b^g with step 1, by default all of them.  Row r of the
-    result holds b^g times the phase of index indices[r] (walsh_phase or
-    chi_phase, by tag) at every point.  Digits from position g on never
-    matter, since indices below b^g read at most g digits, and missing ones
-    read as 0.  Integer arithmetic only, so the table carries no rounding.
+    `cells` holds N nonnegative integers c = sum_j d_j b^j, of which only
+    the digits d_0 .. d_(g-1) are read, so c and c mod b^g give the same
+    column.  For a point with digits d_0, d_1, ... it is the point's
+    resolution-g cell, on which every index below b^g is constant.
+    `indices` is a range of indices k below b^g with step 1, by default all
+    of them.  Row r of the result holds b^g times the phase of index
+    indices[r] (walsh_phase or chi_phase, by tag) in every cell.  Integer
+    arithmetic only, so the table carries no rounding.
 
     Row k is sum_j k_j step_j mod b^g, step_j = d_j b^(g-1) (Walsh) or z_(j+1) b^(g-1-j)
-    (b-adic, z_v the integer of the first v digits); the sums, below g b^(g+1), are reduced once.
+    (b-adic, z_v = c mod b^v the integer of the first v digits); the sums, below g b^(g+1),
+    are reduced once.
     """
     check_base(base)
     if tag not in _TAGS:
@@ -226,17 +228,16 @@ def phase_numerators(
     if indices.step != 1 or not 0 <= start <= stop <= modulus:
         raise ValueError(f"indices must be a step-1 range within [0, {modulus}], got {indices}")
     powers = base ** np.arange(g, dtype=np.int64)[:, None]
-    steps = np.zeros((g, len(digits)), dtype=np.int64)
-    steps[: digits.shape[1]] = digits[:, :g].T * powers[: digits.shape[1]]
-    if tag == BADIC:
-        np.cumsum(steps, axis=0, out=steps)
+    steps = cells % (base * powers)
+    if tag == WALSH:
+        steps -= steps % powers
     steps *= powers[::-1]
     h = (g + 1) // 2
     if h == g:
         table = _digit_sums(steps, base)[start:stop]
     else:
         # allocated before its scratch tables: the other order raised verify fc-bounds' peak RSS
-        table = np.empty((stop - start, len(digits)), dtype=np.int64)
+        table = np.empty((stop - start, len(cells)), dtype=np.int64)
         lo, hi = (_digit_sums(part, base) for part in (steps[:h], steps[h:]))
         _add_runs(lo, hi, base**h, start, table)
     table %= modulus

@@ -15,13 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .badic import DigitColumn, _block_rows, enumerate_delta
+from .badic import _block_rows, enumerate_delta
 from .bounds import (
     EXTREME,
     STAR,
     cb_constant,
     corollary_bound,
     epsilon_fraction,
+    etk_bound,
     rho_star,
     rho_vec,
     weight_sum,
@@ -32,7 +33,7 @@ from .fourier import (
     elint_partition,
     partition_inner_product,
 )
-from .oracle import DominationReport, domination_check
+from .oracle import DOMINATION_SLACK, extreme_discrepancy_exact, star_discrepancy_exact
 from .sequences import (
     DigitalConfig,
     GeneratorMatrix,
@@ -67,6 +68,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
+
+# Largest float error a check forgives: looser where a suite compares a float
+# sum (a truncated series, up to 5^6 weights) with its closed form.
+_TOL = 1e-12
+_SUM_TOL = 1e-10
 
 # (spec, g) menus: bases 2 and 3 with both tags and mixed-tag pairs, index
 # boxes up to 81 cells, kept small enough for exhaustive pairwise checks.
@@ -104,16 +110,16 @@ _RECONSTRUCTION_CONFIGS = (
 def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]) -> np.ndarray:
     """Mean of xi_k over each elint: rows k in enumerate_delta(g), columns elint_partition(cells).
 
-    xi_k is constant on the resolution-max(g, cells) elints.  Their anchors are c's
-    digits, unreversed (unlike fc-bounds); the per-axis integer tables are lifted to
-    their lcm and outer-summed, coordinate 1 slowest, before one exp.  Fine cell c'
-    lies in elint c when c' mod b^cells = c, so the refinement axes average out.
+    xi_k is constant on the resolution-max(g, cells) elints, so each axis's integer
+    table is phase_numerators of their cell indices, in index order (fc-bounds orders
+    its cells by value); the tables are lifted to their lcm and outer-summed,
+    coordinate 1 slowest, before one exp.  Fine cell c' lies in elint c when
+    c' mod b^cells = c, so the refinement axes average out.
     """
     common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
     total = np.zeros((1, 1), dtype=np.int64)
     for (base, tag), gi, ci in zip(spec.coordinates, g, cells):
-        anchors = DigitColumn.from_integers(np.arange(base ** max(gi, ci)), base).digits
-        axis = phase_numerators(anchors, base, tag, gi) * (common // base**gi)
+        axis = phase_numerators(np.arange(base ** max(gi, ci)), base, tag, gi) * (common // base**gi)
         total = np.add.outer(total, axis).transpose(0, 2, 1, 3).reshape(len(total) * len(axis), -1)
     values = np.exp(2j * np.pi * (total % common) / common)
     split = [n for b, gi, ci in zip(spec.bases, g, cells) for n in (b ** max(gi - ci, 0), b**ci)]
@@ -121,25 +127,25 @@ def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]
     return means.reshape(len(values), -1)
 
 
-def check_orthonormality(tol: float = 1e-12) -> SuiteResult:
+def check_orthonormality() -> SuiteResult:
     """Pairwise inner products over the tiling equal the identity matrix."""
     result = SuiteResult("orthonormality", 0)
     for spec, g in _ORTHO_CONFIGS:
         table = _xi_table(spec, g, g)
         err = np.abs(table @ table.conj().T / table.shape[1] - np.eye(len(table))).max()
         result.checks += len(table) ** 2
-        if err > tol:
+        if err > _TOL:
             result.failures.append(f"{spec.bases}/{spec.tags} g={g}: gram error {err:.3e}")
         # spot-check the exact-phase route: xi_0 and the last index are orthogonal
         k, l = (0,) * spec.s, tuple(b**gi - 1 for b, gi in zip(spec.bases, g))
         exact = partition_inner_product(spec, g, k, l)
         result.checks += 1
-        if abs(exact) > tol:
+        if abs(exact) > _TOL:
             result.failures.append(f"{spec.bases}/{spec.tags} g={g}: ip(k0,klast) = {exact}")
     return result
 
 
-def check_fourier(tol: float = 1e-12) -> SuiteResult:
+def check_fourier() -> SuiteResult:
     """Coefficient formula equals direct integration; zero outside the box exactly."""
     result = SuiteResult("fourier", 0)
     for spec, g in _FOURIER_CONFIGS:
@@ -153,16 +159,16 @@ def check_fourier(tol: float = 1e-12) -> SuiteResult:
                 if any(ki >= b**gi for ki, b, gi in zip(k, spec.bases, g)):
                     if coeff != 0:
                         result.failures.append(f"{spec.bases} g={g} k={k}: nonzero outside box")
-                    if abs(direct) > tol:
+                    if abs(direct) > _TOL:
                         result.failures.append(f"{spec.bases} g={g} k={k}: integral {direct}")
-                elif abs(coeff - direct) > tol:
+                elif abs(coeff - direct) > _TOL:
                     result.failures.append(
                         f"{spec.bases} g={g} c={e.c} k={k}: {coeff} vs {direct}"
                     )
     return result
 
 
-def check_reconstruction(tol: float = 1e-10) -> SuiteResult:
+def check_reconstruction() -> SuiteResult:
     """Truncated series of an elint indicator reproduces membership on the fine grid."""
     result = SuiteResult("reconstruction", 0)
     for spec, g in _RECONSTRUCTION_CONFIGS:
@@ -175,28 +181,29 @@ def check_reconstruction(tol: float = 1e-10) -> SuiteResult:
             for x, got in zip(probes, row):
                 want = 1.0 if elint_contains(e, x) else 0.0
                 result.checks += 1
-                if abs(got - want) > tol:
+                if abs(got - want) > _SUM_TOL:
                     result.failures.append(
                         f"{spec.bases}/{spec.tags} g={g} c={e.c}: {got} vs {want}"
                     )
     return result
 
 
-def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> SuiteResult:
+def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
     """|anchored coefficient| <= rho_star(k), the closed-form estimate, on the full rational grid.
 
     Every beta = a/b^depth sits on a cell boundary of the depth-resolution
     tiling and every index below b^depth is constant on those cells, so row k
     of the (k, beta) table is one cumulative sum of phase values, looked up
-    from the b^depth roots of unity.  Rows go in blocks of about
-    badic._BLOCK_BYTES of complex values, and each block builds only its own
-    rows of the phase table.
+    from the b^depth roots of unity; its columns are the cells in order of
+    value, whose indices are the digit reversals of 0 .. b^depth - 1.  Rows
+    go in blocks of about badic._BLOCK_BYTES of complex values, and each
+    block builds only its own rows of the phase table.
     """
     result = SuiteResult("fc-bounds", 0)
     for base in bases:
         grid = base**depth
-        # row a holds the digits of a/b^depth, the a-th cell's lower corner
-        anchors = DigitColumn.from_integers(np.arange(grid), base).digits[:, ::-1]
+        # column a is the cell whose lower corner is a/b^depth: its index is a's digits reversed
+        anchors = np.arange(grid).reshape((base,) * depth).T.ravel()
         limits = np.array([rho_star(k, base) for k in range(1, grid)])
         unit = np.exp(-2j * np.pi * np.arange(grid) / grid)
         step = _block_rows(16 * grid)
@@ -209,7 +216,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
                 over = np.abs(coeffs)
                 over -= limits[start - 1 : start - 1 + step, None]
                 result.checks += coeffs.size
-                for ki, ai in np.argwhere(over > tol):
+                for ki, ai in np.argwhere(over > _TOL):
                     result.failures.append(
                         f"b={base} {tag} k={start + ki} beta={ai + 1}/{grid}: "
                         f"excess {over[ki, ai]:.3e}"
@@ -217,7 +224,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4, tol: float = 1e-12) -> Suit
     return result
 
 
-def check_weights(tol: float = 1e-10) -> SuiteResult:
+def check_weights() -> SuiteResult:
     """Closed-form weight totals match explicit sums; C(b) stays under its bound."""
     result = SuiteResult("weights", 0)
     domains = [
@@ -236,7 +243,7 @@ def check_weights(tol: float = 1e-10) -> SuiteResult:
             )
             closed = weight_sum(bases, g, star=star)
             result.checks += 1
-            if abs(explicit - closed) > tol:
+            if abs(explicit - closed) > _SUM_TOL:
                 result.failures.append(
                     f"bases={bases} g={g} star={star}: {explicit} vs {closed}"
                 )
@@ -320,28 +327,27 @@ def domination_sweep(variant: str, trials: int = 100, seed: int = 1) -> SuiteRes
     """
     result = SuiteResult(f"domination-{variant}", 0, summary=f"seed={seed}")
     rng = random.Random(seed)
+    oracle = star_discrepancy_exact if variant == STAR else extreme_discrepancy_exact
     worst = math.inf
     for _ in range(trials):
         spec, g, points, label = _draw_trial(rng, variant)
-        rep: DominationReport = domination_check(spec, g, points, variant)
+        bound = etk_bound(spec, g, points, variant)
+        exact = oracle(points).value
+        margin = bound.total - exact
         result.checks += 1
-        worst = min(worst, rep.margin)
-        if not rep.ok:
-            result.failures.append(
-                f"{label}: bound {rep.bound.total:.12f} < exact {rep.discrepancy.value:.12f}"
-            )
+        worst = min(worst, margin)
+        if margin < -DOMINATION_SLACK:
+            result.failures.append(f"{label}: bound {bound.total:.12f} < exact {exact:.12f}")
         star = variant == STAR
         eps = epsilon_fraction(spec.bases, g, star=star)
         delta = max(Fraction(1, b**gi) for b, gi in zip(spec.bases, g))
         result.checks += 1
         if eps > (1 if star else 2) * spec.s * delta:
             result.failures.append(f"{label}: truncation term above the s*delta bound")
-        closed = corollary_bound(rep.bound.max_abs_sum, spec.bases, g, variant)
+        closed = corollary_bound(bound.max_abs_sum, spec.bases, g, variant)
         result.checks += 1
-        if closed < rep.bound.total - 1e-12:
-            result.failures.append(
-                f"{label}: corollary {closed:.12f} < bound {rep.bound.total:.12f}"
-            )
+        if closed < bound.total - 1e-12:
+            result.failures.append(f"{label}: corollary {closed:.12f} < bound {bound.total:.12f}")
     result.summary = f"seed={seed}, worst margin {worst:.3e}"
     return result
 

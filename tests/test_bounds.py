@@ -1,7 +1,9 @@
 """Weights, truncation terms, exponential sums, and the streamed bound."""
 
 import functools
+import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -159,7 +161,7 @@ def test_etk_bound_matches_slow_reference():
     rep = etk_bound(spec, g, pts, EXTREME)
     slow = math.fsum(
         rho_vec(k, spec.bases) * abs(exp_sum(spec, k, pts))
-        for k in enumerate_delta(spec.bases, g, star=True)
+        for k in itertools.islice(enumerate_delta(spec.bases, g), 1, None)
     )
     assert abs(rep.weighted_sum - slow) < 1e-12
 
@@ -245,6 +247,25 @@ def test_etk_bound_refuses_a_huge_index_box_by_its_product():
         etk_bound(spec, (8, 2), pts, budget=100)
 
 
+@pytest.mark.parametrize("refuse", [
+    lambda g: etk_bound(HybridSystemSpec.single(3, BADIC), (g,), generate_points(VdcConfig(3), 4)),
+    lambda g: enumerate_delta((3,), (g,)),
+], ids=["etk_bound", "enumerate_delta"])
+def test_a_huge_index_box_is_refused_without_its_exact_size(refuse):
+    """3^(10^8) has 158 million bits: forming it to compare took minutes."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"domain size 3\^100000000 exceeds budget 16777216$"):
+        refuse(10**8)
+    assert time.perf_counter() - start < 1
+    # near the limit and near 64 bits the size is still exact, and in decimal below 2^64
+    with pytest.raises(BudgetExceededError, match=r"domain size 12157665459056928801 exceeds"):
+        refuse(40)
+    with pytest.raises(BudgetExceededError, match=r"domain size 3\^41 exceeds"):
+        refuse(41)
+    with pytest.raises(BudgetExceededError, match=r"domain size 43046721 exceeds"):
+        refuse(16)
+
+
 @st.composite
 def bound_inputs(draw):
     """A hybrid system, a resolution and a point set with repeats and ragged digit widths.
@@ -285,7 +306,7 @@ def test_etk_bound_matches_scalar_exp_sum(case):
     """Every per-index |S| is the scalar reference's, and its exact zeros stay exact."""
     spec, g, points = case
     rep = etk_bound(spec, g, points, per_index=True)
-    assert [k for k, _, _ in rep.per_index] == list(enumerate_delta(spec.bases, g, star=True))
+    assert [k for k, _, _ in rep.per_index] == list(itertools.islice(enumerate_delta(spec.bases, g), 1, None))
     for k, _, abs_sum in rep.per_index:
         want = exp_sum(spec, k, points)
         assert abs(abs_sum - abs(want)) <= 1e-13

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etkbound import oracle
+from etkbound.bounds import EXTREME, etk_bound
 from etkbound.cli import main
 from etkbound.oracle import (
+    DOMINATION_SLACK,
     CapExceededError,
-    domination_check,
     extreme_discrepancy_exact,
     star_discrepancy_exact,
 )
@@ -25,6 +27,7 @@ from etkbound.pointfile import read_point_set
 from etkbound.reference import point_set, point_set_from_values, point_values
 from etkbound.sequences import HaltonConfig, VdcConfig, generate_points
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec
+from etkbound.verify import _draw_trial, domination_sweep
 
 
 def classic_star_1d(xs):
@@ -171,18 +174,20 @@ def test_oracle_caps():
     big = generate_points(VdcConfig(2), 300)
     with pytest.raises(CapExceededError):
         star_discrepancy_exact(big)
-    # explicit override raises the ceiling
-    star_discrepancy_exact(big, max_points=300)
 
 
 def test_domination_check_report():
     spec = HybridSystemSpec(((2, WALSH), (3, BADIC)))
     pts = generate_points(HaltonConfig((2, 3)), 12)
-    rep = domination_check(spec, (2, 1), pts, "extreme")
-    assert rep.ok
-    assert rep.margin == rep.bound.total - rep.discrepancy.value
-    assert rep.bound.variant == "extreme"
-    assert rep.discrepancy.variant == "extreme"
+    bound = etk_bound(spec, (2, 1), pts, "extreme")
+    exact = extreme_discrepancy_exact(pts)
+    assert bound.total - exact.value >= -DOMINATION_SLACK
+    assert bound.variant == "extreme"
+    assert exact.variant == "extreme"
+    # the domination sweep's margin is the bound minus the exact value
+    spec, g, points, _ = _draw_trial(random.Random(3), EXTREME)
+    margin = etk_bound(spec, g, points, EXTREME).total - extreme_discrepancy_exact(points).value
+    assert domination_sweep(EXTREME, trials=1, seed=3).summary == f"seed=3, worst margin {margin:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +376,16 @@ def test_extreme_oracle_memory_at_the_cap_is_bounded(peak_mib):
     assert peak_mib(extreme_discrepancy_exact, pts) <= 8
 
 
-def test_extreme_oracle_memory_past_the_cap_is_bounded(peak_mib):
+def test_extreme_oracle_memory_past_the_cap_is_bounded(monkeypatch, peak_mib):
     """Halton (2,3), N=128: 8385 boxes per axis, 536 MiB for one whole float tensor."""
+    monkeypatch.setitem(oracle._VARIANTS[EXTREME][0], 2, 128)
     pts = generate_points(HaltonConfig((2, 3)), 128)
-    assert peak_mib(extreme_discrepancy_exact, pts, max_points=128) <= 32
+    assert peak_mib(extreme_discrepancy_exact, pts) <= 32
 
 
-def test_extreme_oracle_memory_with_many_ties_is_bounded(peak_mib):
+def test_extreme_oracle_memory_with_many_ties_is_bounded(monkeypatch, peak_mib):
     """vdc N=256: all 65792 candidates tie.  Valued in chunks, they cost their
     box indices and counts, not a Python list of each."""
+    monkeypatch.setitem(oracle._VARIANTS[EXTREME][0], 1, 256)
     pts = generate_points(VdcConfig(2), 256)
-    assert peak_mib(extreme_discrepancy_exact, pts, max_points=256) <= 11
+    assert peak_mib(extreme_discrepancy_exact, pts) <= 11

@@ -632,8 +632,8 @@ def _functions(module):
 
 def test_budget_and_cap_knobs_stay_where_they_are():
     """Only etk_bound, and the CLI code that hands it --budget, takes a budget;
-    only the two oracle entry points and their shared engine take a point cap;
-    no function takes a block or chunk size."""
+    no function takes a point cap (the oracle's caps are fixed in its _VARIANTS),
+    nor a block or chunk size."""
     import importlib
     import inspect
     import pkgutil
@@ -652,12 +652,7 @@ def test_budget_and_cap_knobs_stay_where_they_are():
             sizes |= {f"{info.name}.{name}({p})" for p in params if "block" in p or "chunk" in p}
     assert knobs == {
         "budget": {"bounds.etk_bound", "cli._bound_rows"},
-        "max_points": {
-            "oracle.star_discrepancy_exact",
-            "oracle.extreme_discrepancy_exact",
-            "oracle._discrepancy_exact",
-            "oracle._check_cap",
-        },
+        "max_points": set(),
     }
     assert sizes == set()
     code, out, _ = run_cli("verify", "--help")

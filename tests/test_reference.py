@@ -128,6 +128,73 @@ def test_production_modules_define_only_what_production_reaches():
     assert not unreached, f"reached only from tests, or from nowhere: {', '.join(unreached)}"
 
 
+def _defaulted(path):
+    """(qualified name, function name, positional index or None, whether it
+    takes self or cls first) of each parameter with a default, of top-level
+    functions and of methods."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        functions = [(node, node.name, False)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            functions = [
+                (item, f"{node.name}.{item.name}", "staticmethod" not in {getattr(d, "id", "") for d in item.decorator_list})
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            ]
+        for fn, owner, method in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first):
+                yield f"{path.stem}.{owner}({arg.arg})", fn.name, index, method
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{path.stem}.{owner}({arg.arg})", fn.name, None, method
+
+
+def _passed(paths):
+    """Per callee name: the keywords its calls pass, the most positional
+    arguments a call passes, and whether a call passes * or ** arguments.  A
+    call of a class name also counts as a call of __init__."""
+    keywords, positions, starred = {}, {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for callee in [name, "__init__"] if name and name[0].isupper() else [name]:
+                keywords.setdefault(callee, set()).update(k.arg for k in node.keywords)
+                positions[callee] = max(positions.get(callee, 0), len(node.args))
+                if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
+                    starred.add(callee)
+    return keywords, positions, starred
+
+
+def test_production_parameters_are_set_by_production():
+    """A parameter with a default that only tests set belongs in a constant, or nowhere.
+
+    Every parameter with a default of a function or method in a production
+    module must be passed, by keyword, by position or through * or **, by a
+    call in a production module, a non-test perfbench script or
+    bench/layers.py.  A call names its callee as a name or an attribute; a
+    method's calls pass self or cls before their positional arguments, and a
+    call of a class name counts for its __init__.
+    """
+    production = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
+    root = PACKAGE.parent.parent
+    scripts = [p for p in sorted((root / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    assert scripts, "perfbench/ not found next to src/"
+    keywords, positions, starred = _passed(production + scripts + [root / "bench" / "layers.py"])
+    unset = [
+        qualified
+        for path in production
+        for qualified, name, index, method in _defaulted(path)
+        if name not in starred
+        and qualified[qualified.index("(") + 1 : -1] not in keywords.get(name, ())
+        and (index is None or positions.get(name, -1) + method <= index)
+    ]
+    assert not unset, f"set only by tests, or by nothing: {', '.join(unset)}"
+
+
 def test_no_other_module_imports_reference():
     modules = sorted(PACKAGE.glob("*.py"))
     assert PACKAGE / "reference.py" in modules

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etkbound.badic import (
-    DigitColumn,
     DigitVector,
     enumerate_delta,
     int_digits,
@@ -21,7 +20,6 @@ from etkbound.fourier import elint_fourier_coeff, elint_partition
 from etkbound.reference import (
     add_with_carry,
     add_without_carry,
-    digit_column,
     radical_inverse,
     xi_eval,
 )
@@ -200,7 +198,7 @@ def digit_columns(draw):
 def test_phase_table_kernel_matches_scalar_phases(case, tag):
     base, g, column = case
     modulus = base**g
-    table = phase_numerators(digit_column(column, base).digits, base, tag, g)
+    table = phase_numerators(np.array([x.as_integer(g) for x in column]), base, tag, g)
     assert table.shape == (modulus, len(column))
     scalar = walsh_phase if tag == WALSH else chi_phase
     assert 0 <= table.min() and table.max() < modulus
@@ -288,13 +286,22 @@ def test_weighted_balance_test_is_still_incomplete_for_mixed_moduli():
 @settings(deadline=None)
 def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
     base, g, column = case
-    digits = digit_column(column, base).digits
-    full = phase_numerators(digits, base, tag, g)
+    cells = np.array([x.as_integer() for x in column])
+    full = phase_numerators(cells, base, tag, g)
     start = data.draw(st.integers(0, base**g))
     stop = data.draw(st.integers(start, base**g))
-    rows = phase_numerators(digits, base, tag, g, range(start, stop))
+    rows = phase_numerators(cells, base, tag, g, range(start, stop))
     assert rows.shape == (stop - start, len(column))
     assert np.array_equal(rows, full[start:stop])
+
+
+@given(st.sampled_from((2, 3, 4, 5, 6, 7, 11)), st.sampled_from((WALSH, BADIC)), st.data())
+@settings(deadline=None)
+def test_phase_table_reads_only_the_cells_low_digits(base, tag, data):
+    """Cells past b^g give the columns of their residues mod b^g, as _xi_table's refined cells need."""
+    g = data.draw(st.integers(1, max(h for h in range(1, 7) if base**h <= 4096)))
+    cells = np.array(data.draw(st.lists(st.integers(0, base ** (g + 3) - 1), min_size=1, max_size=8)))
+    assert np.array_equal(phase_numerators(cells, base, tag, g), phase_numerators(cells % base**g, base, tag, g))
 
 
 @pytest.mark.parametrize("base, g, n", [(2, 20, 2), (2, 12, 1024), (3, 7, 2187), (65536, 1, 16)])
@@ -302,16 +309,14 @@ def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
 def test_phase_table_scratch_stays_within_a_quarter_of_the_table(base, g, n, tag, peak_mib):
     """The kernel's tracemalloc peak is at most 1.25 tables + 1 MiB; a b^g x g
     matrix of index digits took two points at g = 20 to 20 tables."""
-    digits = DigitColumn.from_integers(np.arange(n), base).digits
     table_mib = base**g * n * 8 / 2**20
-    assert peak_mib(phase_numerators, digits, base, tag, g) <= 1.25 * table_mib + 1
+    assert peak_mib(phase_numerators, np.arange(n), base, tag, g) <= 1.25 * table_mib + 1
 
 
 @pytest.mark.parametrize("indices", [range(0, 4, 2), range(-1, 3), range(0, 9), range(3, 2)])
 def test_phase_table_rejects_rows_outside_the_index_box(indices):
-    digits = DigitColumn.from_integers(np.arange(4), 2).digits
     with pytest.raises(ValueError, match="step-1 range"):
-        phase_numerators(digits, 2, BADIC, 3, indices)
+        phase_numerators(np.arange(4), 2, BADIC, 3, indices)
 
 
 # The scalar phases in Fraction arithmetic, written from the definitions:

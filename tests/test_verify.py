@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from etkbound.badic import DigitColumn, _block_rows, enumerate_delta
+from etkbound.badic import _block_rows, enumerate_delta, int_digits
 from etkbound.bounds import EXTREME, STAR
 from etkbound.fourier import (
     Elint,
@@ -11,7 +11,7 @@ from etkbound.fourier import (
     elint_partition,
     partition_inner_product,
 )
-from etkbound.reference import digit_column, reconstruct_indicator
+from etkbound.reference import reconstruct_indicator
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec, xi_phase
 from etkbound.verify import (
     SUITES,
@@ -122,9 +122,12 @@ def test_fc_suite_small_depth():
     assert res.ok and res.checks == 2 * (7 * 8 + 26 * 27)
 
 
-def test_fc_suite_failures_keep_their_order_across_row_blocks(at_both_block_sizes):
-    """With tol -1 every entry fails, so the failure list pins the k= numbering."""
-    res = at_both_block_sizes(check_fc_bounds, (2, 3), 3, -1.0)
+def test_fc_suite_failures_keep_their_order_across_row_blocks(monkeypatch, at_both_block_sizes):
+    """With tolerance -1 every entry fails, so the failure list pins the k= numbering."""
+    import etkbound.verify as verify
+
+    monkeypatch.setattr(verify, "_TOL", -1.0)
+    res = at_both_block_sizes(check_fc_bounds, (2, 3), 3)
     want = [
         f"b={b} {tag} k={k} beta={a}/{b**3}"
         for b in (2, 3)
@@ -157,8 +160,8 @@ def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
     built = []
     kernel = verify.phase_numerators
 
-    def spy(digits, base, tag, g, indices=None):
-        table = kernel(digits, base, tag, g, indices)
+    def spy(cells, base, tag, g, indices=None):
+        table = kernel(cells, base, tag, g, indices)
         built.append((base, len(table)))
         return table
 
@@ -174,11 +177,12 @@ def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
 @pytest.mark.parametrize("base", [2, 3, 5])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_fc_anchors_are_the_digit_reversed_integers(base, depth):
-    """Row a of the fc-bounds anchors is the lower corner of the a-th cell by value."""
+    """Entry a of the fc-bounds anchors is the index of the a-th cell by value: a's digits reversed."""
+    got = np.arange(base**depth).reshape((base,) * depth).T.ravel().tolist()
     cells = sorted(elint_partition((base,), (depth,)), key=lambda e: e.lower[0])
-    want = digit_column([e.anchor_digits()[0] for e in cells], base).digits
-    got = DigitColumn.from_integers(np.arange(base**depth), base).digits[:, ::-1]
-    assert np.array_equal(got, want)
+    assert got == [e.c[0] for e in cells]
+    digits = [int_digits(a, base, depth) for a in range(base**depth)]
+    assert got == [sum(d * base**j for j, d in enumerate(reversed(row))) for row in digits]
 
 
 def test_weights_suite_clean():
