@@ -14,7 +14,8 @@ is cold (first call after import), as in the CLI.  For `verify fourier` and
 - peak_rss_mb: ru_maxrss of that child after the call;
 - peak_alloc_mb: the tracemalloc peak of the call, in another child;
 - layers_s: cumulative time inside the suite's named functions (wrapped,
-  in a third child), with the rest of the call as "other";
+  in a third child; a generator's time is that of its steps), with the rest
+  of the call as "other";
 - stdout_sha256: so two trees can be checked for identical output.
 
 It also records perfbench's micro-samples systems.xi_phase_us and
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -59,10 +61,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SUITES = ("fourier", "fc-bounds")
 PAIRS = 5
-# functions of etkbound.verify that the suites spend their time in
+# functions of etkbound.verify that the suites spend their time in; a tree
+# that lacks one (phase_row_blocks before it existed) times the others
 LAYERS = {
     "fourier": ("_xi_table", "elint_fourier_coeff"),
-    "fc-bounds": ("phase_numerators",),
+    "fc-bounds": ("phase_row_blocks", "phase_numerators"),
 }
 # (b, g, N): a full phase table of N points, in the cells 0..N-1 mod b^g.
 # Full-period inputs, two points at a deep g, and large bases with few points.
@@ -144,7 +147,22 @@ def _child_alloc(suite: str) -> dict:
 
 
 def _timed(spent: dict, name: str, fn):
-    """fn, adding the seconds of each call to spent[name]."""
+    """fn, adding the seconds of each call to spent[name]; of a generator, each step."""
+    if inspect.isgeneratorfunction(fn):
+
+        def stepped(*args, **kwargs):
+            items = fn(*args, **kwargs)
+            while True:
+                start = time.perf_counter()
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+                finally:
+                    spent[name] += time.perf_counter() - start
+                yield item
+
+        return stepped
 
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
@@ -159,7 +177,7 @@ def _timed(spent: dict, name: str, fn):
 def _child_layers(suite: str) -> dict:
     import etkbound.verify as verify
 
-    spent = dict.fromkeys(LAYERS[suite], 0.0)
+    spent = dict.fromkeys((name for name in LAYERS[suite] if hasattr(verify, name)), 0.0)
     for name in spent:
         setattr(verify, name, _timed(spent, name, getattr(verify, name)))
     start = time.perf_counter()

@@ -4,10 +4,11 @@ The headline entry point is etk_bound: discrepancy of a point set is at most
 epsilon(g) plus the weighted sum of exponential-sum moduli over the punctured
 index box.  cell_histogram counts the points' cells from their digit
 columns in blocks of rows, and nothing after it reads the points: the sums
-contract that histogram with one exact integer phase table per coordinate
-and feed one exactly rounded sum, so results are bit-reproducible; sums whose
-phases are balanced on the occupied cells snap to an exact zero instead of
-float noise.  The one-index sum they are tested against is reference.exp_sum.
+contract that histogram with one exact integer phase table per coordinate,
+the first coordinate's streamed in blocks of index rows, and feed one
+exactly rounded sum, so results are bit-reproducible; sums whose phases are
+balanced on the occupied cells snap to an exact zero instead of float noise.
+The one-index sum they are tested against is reference.exp_sum.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .badic import (
     vb,
 )
 from .sequences import PointSet
-from .systems import HybridSystemSpec, is_balanced, phase_numerators
+from .systems import HybridSystemSpec, is_balanced, phase_numerators, phase_row_blocks
 
 __all__ = [
     "EXTREME",
@@ -218,21 +219,58 @@ class BoundReport:
     per_index: tuple[tuple[tuple[int, ...], float, float], ...] | None = None
 
 
+def _row_blocks(total: int, row_bytes: int) -> list[range]:
+    """Axis 0's index rows 0 .. total - 1 in blocks of about _BLOCK_BYTES of row_bytes rows each.
+
+    NumPy multiplies a one-row block as a vector, whose rounding differs from
+    the matrix product of the whole table, so every block has at least 2 rows
+    and a lone trailing row joins the block before it (total is b^g >= 2).
+    """
+    step = max(2, _block_rows(row_bytes))
+    starts = list(range(0, total, step))
+    if total - starts[-1] == 1:
+        starts.pop()
+    return [range(a, b) for a, b in zip(starts, starts[1:] + [total])]
+
+
 def _contract(
-    spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """|S_N(k)| over the index box, and the phase tables of the occupied cells: b_i^g_i by U_i each."""
-    tables = [phase_numerators(c, b, tag, gi) for c, (b, tag), gi in zip(cells, spec.coordinates, g)]
-    sums = hist
-    # each step contracts cell axis 0 and appends index axis i, so the axes end in order
-    for num, m in zip(tables, (b**gi for b, gi in zip(spec.bases, g))):
-        sums = np.tensordot(sums, np.exp(2j * np.pi * np.arange(m) / m)[num], axes=(0, 1))
-    sums /= int(hist.sum())
-    return np.abs(sums), tables
+    spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray, n: int
+) -> tuple[np.ndarray, list[range]]:
+    """|S_N(k)| over the index box, and the blocks of axis 0's rows it was built in.
+
+    hist is the complex histogram.  Axes 1 .. s-1 are looked up whole, as
+    complex b_i^g_i by U_i tables; axis 0's phase rows come in blocks, each
+    contracted with hist, then with the later axes, and dropped.
+    """
+    moduli = [b**gi for b, gi in zip(spec.bases, g)]
+    units = [np.exp(2j * np.pi * np.arange(m) / m) for m in moduli]
+    later = [
+        unit[phase_numerators(c, b, tag, gi)]
+        for unit, c, (b, tag), gi in zip(units[1:], cells[1:], spec.coordinates[1:], g[1:])
+    ]
+    # per row of axis 0: its int64 phases and their complex lookup, then one row of each product
+    sizes = [len(c) for c in cells[1:]]
+    products = [math.prod(moduli[1 : i + 1]) * math.prod(sizes[i:]) for i in range(len(sizes) + 1)]
+    spans = _row_blocks(moduli[0], 24 * len(cells[0]) + 16 * sum(products))
+    abs_sums = np.empty(moduli)
+    tables = phase_row_blocks(cells[0], *spec.coordinates[0], g[0], spans)
+    for rows in spans:
+        # each step contracts cell axis 0 and appends index axis i, so the axes end in order
+        sums = np.tensordot(hist, units[0][next(tables)], axes=(0, 1))
+        for lookup in later:
+            sums = np.tensordot(sums, lookup, axes=(0, 1))
+        sums /= n
+        np.abs(sums, out=abs_sums[rows.start : rows.stop])
+    return abs_sums, spans
 
 
 def _snap_exact_zeros(
-    abs_sums: np.ndarray, hist: np.ndarray, tables: list[np.ndarray], moduli: list[int]
+    abs_sums: np.ndarray,
+    spec: HybridSystemSpec,
+    g: tuple[int, ...],
+    cells: list[np.ndarray],
+    hist: np.ndarray,
+    spans: list[range],
 ) -> None:
     """Set to 0.0 each sum below _ZERO_SNAP whose exact integer phases are balanced.
 
@@ -240,26 +278,41 @@ def _snap_exact_zeros(
     support (those with k_i != 0): one residue per occupied cell of the
     histogram summed onto them, counted by its points, in the smallest signed
     type that holds a sum of s residues and the modulus itself.  Each
-    support's occupied cells are found once.
+    support's occupied cells are found once.  The histogram is complex, and
+    its real parts are the exact counts.  The later axes' integer tables are
+    built only here, and axis 0's rows again in the blocks that hold a
+    near-zero k.
     """
+    near = np.argwhere(abs_sums < _ZERO_SNAP)
+    if not len(near):
+        return
+    moduli = [b**gi for b, gi in zip(spec.bases, g)]
     common = math.lcm(*moduli)
     small = np.min_scalar_type(-1 - max(len(moduli) * (common - 1), common))
+    later = [
+        phase_numerators(c, b, tag, gi) for c, (b, tag), gi in zip(cells[1:], spec.coordinates[1:], g[1:])
+    ]
+    # k runs in lexicographic order, so each block's near-zero ks are one run of near
+    edges = np.searchsorted(near[:, 0], [(rows.start, rows.stop) for rows in spans]).tolist()
+    hits = [(rows, lo, hi) for rows, (lo, hi) in zip(spans, edges) if lo < hi]
+    firsts = phase_row_blocks(cells[0], *spec.coordinates[0], g[0], [rows for rows, _, _ in hits])
     occupied = {}
-    for k in zip(*np.nonzero(abs_sums < _ZERO_SNAP)):
-        support = tuple(i for i, ki in enumerate(k) if ki)
-        if support not in occupied:
-            marginal = hist.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
-            ranks = np.nonzero(marginal)
-            counts = marginal[ranks]
-            # equal counts need no weighting, and deciding that once saves it on every k
-            occupied[support] = ranks, None if np.all(counts == counts[0]) else counts
-        ranks, counts = occupied[support]
-        residues = sum(
-            (tables[i][k[i]] * (common // moduli[i])).astype(small)[rank]
-            for i, rank in zip(support, ranks)
-        )
-        if is_balanced(residues, common, counts):
-            abs_sums[k] = 0.0
+    for (rows, lo, hi), first in zip(hits, firsts):
+        for k in near[lo:hi].tolist():
+            support = tuple(i for i, ki in enumerate(k) if ki)
+            if support not in occupied:
+                marginal = hist.real.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
+                ranks = np.nonzero(marginal)
+                counts = marginal[ranks]
+                # equal counts need no weighting, and deciding that once saves it on every k
+                occupied[support] = ranks, None if np.all(counts == counts[0]) else counts
+            ranks, counts = occupied[support]
+            phases = [first[k[0] - rows.start], *(table[ki] for table, ki in zip(later, k[1:]))]
+            residues = sum(
+                (phases[i] * (common // moduli[i])).astype(small)[rank] for i, rank in zip(support, ranks)
+            )
+            if is_balanced(residues, common, counts):
+                abs_sums[tuple(k)] = 0.0
 
 
 def _weighted_sum(
@@ -297,18 +350,21 @@ def etk_bound(
     Every xi_k in the box is constant on the resolution-g cells, so after
     cell_histogram nothing reads the points.  The sums are that histogram of
     the occupied cells contracted, axis by axis, with one phase table of
-    b_i^{g_i} indices by U_i <= min(N, b_i^{g_i}) cells: memory is
-    O(|Delta| + sum_i b_i^{g_i} U_i), with no array over the N points.  A
-    sum below _ZERO_SNAP is re-tested on exact integer phases: one residue
-    per occupied cell of the histogram summed onto k's support (the axes
-    with k_i != 0), counted by its points, and it snaps to 0.0 when
-    is_balanced finds that multiset balanced, as it would the points' own.
-    The weighted terms feed one exactly rounded sum, so the result is
-    bit-reproducible and does not depend on per_index, whose rows run in
-    mixed-radix lexicographic order (coordinate 1 slowest).  The budget caps
-    |Delta| before anything is allocated, and the table entries
-    sum_i b_i^{g_i} U_i after the cells are counted and before any table is
-    built.
+    b_i^{g_i} indices by U_i <= min(N, b_i^{g_i}) cells.  Axis 0's table
+    comes in blocks of index rows, about _BLOCK_BYTES of scratch each, that
+    are contracted with the histogram and the later axes' whole tables and
+    dropped, so memory is O(prod_i U_i + sum_{i>=1} b_i^{g_i} U_i + one block
+    + |Delta|), with no array over the N points.  A sum below _ZERO_SNAP is
+    re-tested on exact integer phases: one residue per occupied cell of the
+    histogram summed onto k's support (the axes with k_i != 0), counted by
+    its points, and it snaps to 0.0 when is_balanced finds that multiset
+    balanced, as it would the points' own.  The weighted terms feed one
+    exactly rounded sum, so the result is bit-reproducible on one BLAS with
+    one thread count (how a threaded BLAS splits a product can move its last
+    bits) and does not depend on per_index, whose rows run in mixed-radix
+    lexicographic order (coordinate 1 slowest).  The budget caps |Delta|
+    before anything is allocated, and the table entries sum_i b_i^{g_i} U_i
+    after the cells are counted and before any table is built.
     """
     _check_variant(variant)
     g = tuple(g)
@@ -331,10 +387,11 @@ def etk_bound(
     entries = sum(m * len(c) for m, c in zip(moduli, cells))
     if entries > budget:
         raise BudgetExceededError(f"phase tables of {entries} entries exceed budget {budget}")
-    abs_sums, tables = _contract(spec, g, cells, hist)
-    _snap_exact_zeros(abs_sums, hist, tables, moduli)
+    hist = hist.astype(np.complex128)
+    abs_sums, spans = _contract(spec, g, cells, hist, n)
+    _snap_exact_zeros(abs_sums, spec, g, cells, hist, spans)
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
-    del tables, hist
+    del hist
     weighted, weights = _weighted_sum(abs_sums, spec.bases, g, star)
     rows = None
     if per_index:

@@ -5,11 +5,12 @@ rational phase phi, so evaluation is split in two: phase computation as an
 integer numerator over b^v in lowest terms (always exact, no Fraction
 objects) and a single conversion to complex at the end.  Full character
 sums then cancel exactly instead of accumulating float noise.  The scalar
-phases are the reference for phase_numerators, the table kernel over
-resolution-g cell indices, whose phases over b^g are linear in the index
-digits, so it builds no matrix of index digits; its digit recurrence
-(_digit_sums, _add_runs) also generates digital nets.  is_balanced is the
-one exact-zero test.
+phases are the reference for the table kernel over resolution-g cell
+indices, whose phases over b^g are linear in the index digits, so it builds
+no matrix of index digits: phase_row_blocks yields a table's rows in blocks
+from two half tables built once, and phase_numerators is its one whole
+block.  Its digit recurrence (_digit_sums, _add_runs) also generates digital
+nets.  is_balanced is the one exact-zero test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "is_balanced",
     "phase_counter_sum",
     "phase_numerators",
+    "phase_row_blocks",
     "walsh_phase",
     "xi_phase",
 ]
@@ -200,33 +202,41 @@ def _add_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, out: np.ndar
         np.add(lo[a - top * run : b - top * run], hi[top], out=out[a - first : b - first])
 
 
-def phase_numerators(
-    cells: np.ndarray, base: int, tag: str, g: int, indices: range | None = None
-) -> np.ndarray:
-    """Integer phase numerators over modulus b^g, shape (len(indices), N).
+def _reduced_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, count: int, modulus: int) -> np.ndarray:
+    """Rows first .. first + count - 1 of _add_runs's table, reduced mod modulus."""
+    out = np.empty((count, lo.shape[1]), dtype=np.int64)
+    _add_runs(lo, hi, run, first, out)
+    out %= modulus
+    return out
+
+
+def phase_row_blocks(
+    cells: np.ndarray, base: int, tag: str, g: int, spans: Iterable[range]
+) -> Iterator[np.ndarray]:
+    """Rows of the integer phase table over modulus b^g: one array for each span, in turn.
 
     `cells` holds N nonnegative integers c = sum_j d_j b^j, of which only
     the digits d_0 .. d_(g-1) are read, so c and c mod b^g give the same
     column.  For a point with digits d_0, d_1, ... it is the point's
-    resolution-g cell, on which every index below b^g is constant.
-    `indices` is a range of indices k below b^g with step 1, by default all
-    of them.  Row r of the result holds b^g times the phase of index
-    indices[r] (walsh_phase or chi_phase, by tag) in every cell.  Integer
+    resolution-g cell, on which every index below b^g is constant.  Each
+    span is a range of indices k below b^g with step 1, and its array, of
+    shape (len(span), N), holds in row r b^g times the phase of index
+    span[r] (walsh_phase or chi_phase, by tag) in every cell.  Integer
     arithmetic only, so the table carries no rounding.
 
     Row k is sum_j k_j step_j mod b^g, step_j = d_j b^(g-1) (Walsh) or z_(j+1) b^(g-1-j)
     (b-adic, z_v = c mod b^v the integer of the first v digits); the sums, below g b^(g+1),
-    are reduced once.
+    are reduced once.  k splits as lo + b^h hi at half its digits, and the
+    tables of the lo and the hi rows are built once, before the first span:
+    each span is then its runs of b^h rows, one slice of the first plus one
+    row of the second, as DigitalConfig.columns builds points.  At g = 1 the
+    whole table is the lo table, built once, and each span's array is a view
+    of it.
     """
     check_base(base)
     if tag not in _TAGS:
         raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
     modulus = base**g
-    if indices is None:
-        indices = range(modulus)
-    start, stop = indices.start, indices.stop
-    if indices.step != 1 or not 0 <= start <= stop <= modulus:
-        raise ValueError(f"indices must be a step-1 range within [0, {modulus}], got {indices}")
     powers = base ** np.arange(g, dtype=np.int64)[:, None]
     steps = cells % (base * powers)
     if tag == WALSH:
@@ -234,14 +244,22 @@ def phase_numerators(
     steps *= powers[::-1]
     h = (g + 1) // 2
     if h == g:
-        table = _digit_sums(steps, base)[start:stop]
+        lo = _digit_sums(steps, base)
+        lo %= modulus
     else:
-        # allocated before its scratch tables: the other order raised verify fc-bounds' peak RSS
-        table = np.empty((stop - start, len(cells)), dtype=np.int64)
         lo, hi = (_digit_sums(part, base) for part in (steps[:h], steps[h:]))
-        _add_runs(lo, hi, base**h, start, table)
-    table %= modulus
-    return table
+    del steps
+    for rows in spans:
+        start, stop = rows.start, rows.stop
+        if rows.step != 1 or not 0 <= start <= stop <= modulus:
+            raise ValueError(f"indices must be a step-1 range within [0, {modulus}], got {rows}")
+        # yielded unnamed, so the caller's drop of a block frees it
+        yield lo[start:stop] if h == g else _reduced_runs(lo, hi, base**h, start, stop - start, modulus)
+
+
+def phase_numerators(cells: np.ndarray, base: int, tag: str, g: int) -> np.ndarray:
+    """The whole phase table of phase_row_blocks, shape (b^g, N): its single block of every index."""
+    return next(phase_row_blocks(cells, base, tag, g, [range(base**g)]))
 
 
 @functools.lru_cache(maxsize=256)

@@ -42,7 +42,7 @@ from .sequences import (
     generate_points,
     hybrid_points,
 )
-from .systems import BADIC, WALSH, HybridSystemSpec, phase_numerators
+from .systems import BADIC, WALSH, HybridSystemSpec, phase_numerators, phase_row_blocks
 
 __all__ = [
     "SUITES",
@@ -196,8 +196,8 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
     of the (k, beta) table is one cumulative sum of phase values, looked up
     from the b^depth roots of unity; its columns are the cells in order of
     value, whose indices are the digit reversals of 0 .. b^depth - 1.  Rows
-    go in blocks of about badic._BLOCK_BYTES of complex values, and each
-    block builds only its own rows of the phase table.
+    go in blocks of about badic._BLOCK_BYTES of complex values, each built
+    from the phase table's half tables, which are built once per base and tag.
     """
     result = SuiteResult("fc-bounds", 0)
     for base in bases:
@@ -207,10 +207,11 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
         limits = np.array([rho_star(k, base) for k in range(1, grid)])
         unit = np.exp(-2j * np.pi * np.arange(grid) / grid)
         step = _block_rows(16 * grid)
+        spans = [range(start, min(start + step, grid)) for start in range(1, grid, step)]
         for tag in (WALSH, BADIC):
+            tables = phase_row_blocks(anchors, base, tag, depth, spans)
             for start in range(1, grid, step):
-                rows = range(start, min(start + step, grid))
-                coeffs = unit[phase_numerators(anchors, base, tag, depth, rows)]
+                coeffs = unit[next(tables)]
                 np.cumsum(coeffs, axis=1, out=coeffs)
                 coeffs /= grid
                 over = np.abs(coeffs)

@@ -36,3 +36,14 @@ def test_stages_of_etk_bound_cover_the_call(layers):
     row = layers._stages(etk_bound, spec, (3, 2), generate_points(HaltonConfig((2, 3)), 64))
     assert list(row) == [f"{stage}_s" for stage in layers.STAGES] + ["other_s"]
     assert all(value >= 0 for value in row.values())
+
+
+def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
+    """The fc-bounds phase rows come from a generator: its steps are timed, not only its call."""
+    import etkbound.verify as verify
+
+    for name in layers.LAYERS["fc-bounds"]:
+        monkeypatch.setattr(verify, name, getattr(verify, name))  # restored after the wrapping below
+    row = layers._child_layers("fc-bounds")["layers_s"]
+    assert list(row) == [*layers.LAYERS["fc-bounds"], "other"]
+    assert row["phase_row_blocks"] > 0 and row["phase_numerators"] == 0
