@@ -27,8 +27,9 @@ three calls (one call for the STRESS rows; inputs are built before them), and
 peak_alloc_mb, the tracemalloc peak of one more call; the phase cases also
 record table_mb, the size of the table returned.  The etk_bound cases of a
 tree that has the STAGES functions also record, from one more call, the
-seconds spent in each stage (histogram_s, contraction_s, retest_s,
-weighting_s) and the rest of the call (other_s).
+seconds spent in each stage (histogram_s, transform_s, retest_s,
+weighting_s) and the rest of the call (other_s); a tree from before the
+transform times its contraction as transform_s.
 
 The points section times generation (hybrid_points or generate_points, as
 `gen` calls them), write_point_set into a StringIO (as `gen` writes) and
@@ -87,12 +88,13 @@ BOUND_CASES = (
     "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
 )
 STRESS = BOUND_CASES[-3:]
-# the stages of etk_bound, each timed as the bounds function that runs it
+# the stages of etk_bound, each timed as the first bounds function named that
+# a tree has: before the transform, a BLAS contraction (_contract) ran that stage
 STAGES = {
-    "histogram": "cell_histogram",
-    "contraction": "_contract",
-    "retest": "_snap_exact_zeros",
-    "weighting": "_weighted_sum",
+    "histogram": ("cell_histogram",),
+    "transform": ("_transform", "_contract"),
+    "retest": ("_snap_exact_zeros",),
+    "weighting": ("_weighted_sum",),
 }
 # generation and point-file inputs: stream_wide's points at perfbench's first
 # seed, and the 2^20 Halton points of BOUND_CASES
@@ -218,14 +220,15 @@ def _child_tables() -> dict:
 def _stages(fn, *args) -> dict:
     """Seconds of one more etk_bound call spent in each of STAGES, the rest as other_s.
 
-    Empty on a tree whose bounds module lacks one of the stage functions."""
+    Empty on a tree whose bounds module has no function named for one of the stages."""
     import etkbound.bounds as bounds
 
-    if not all(hasattr(bounds, name) for name in STAGES.values()):
+    found = {stage: next((n for n in names if hasattr(bounds, n)), None) for stage, names in STAGES.items()}
+    if None in found.values():
         return {}
     spent = dict.fromkeys(STAGES, 0.0)
-    saved = {name: getattr(bounds, name) for name in STAGES.values()}
-    for stage, name in STAGES.items():
+    saved = {name: getattr(bounds, name) for name in found.values()}
+    for stage, name in found.items():
         setattr(bounds, name, _timed(spent, stage, saved[name]))
     try:
         start = time.perf_counter()

@@ -3,12 +3,13 @@
 The headline entry point is etk_bound: discrepancy of a point set is at most
 epsilon(g) plus the weighted sum of exponential-sum moduli over the punctured
 index box.  cell_histogram counts the points' cells from their digit
-columns in blocks of rows, and nothing after it reads the points: the sums
-contract that histogram with one exact integer phase table per coordinate,
-the first coordinate's streamed in blocks of index rows, and feed one
-exactly rounded sum, so results are bit-reproducible; sums whose phases are
-balanced on the occupied cells snap to an exact zero instead of float noise.
-The one-index sum they are tested against is reference.exp_sum.
+columns in blocks of rows, and nothing after it reads the points: every sum
+comes from one Walsh / b-adic transform of that histogram, digit by digit in
+place, with no BLAS product, and they feed one exactly rounded sum, so
+results are bit-reproducible; sums on base-2 Walsh axes come out exact, and
+the others whose phases are balanced on the occupied cells snap to an exact
+zero instead of float noise.  The one-index sum they are tested against is
+reference.exp_sum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +32,14 @@ from .badic import (
     vb,
 )
 from .sequences import PointSet
-from .systems import HybridSystemSpec, is_balanced, phase_numerators, phase_row_blocks
+from .systems import (
+    BADIC,
+    WALSH,
+    HybridSystemSpec,
+    is_balanced,
+    phase_numerators,
+    phase_row_blocks,
+)
 
 __all__ = [
     "EXTREME",
@@ -219,49 +227,94 @@ class BoundReport:
     per_index: tuple[tuple[tuple[int, ...], float, float], ...] | None = None
 
 
-def _row_blocks(total: int, row_bytes: int) -> list[range]:
-    """Axis 0's index rows 0 .. total - 1 in blocks of about _BLOCK_BYTES of row_bytes rows each.
+def _unit(numerators: np.ndarray, modulus: int) -> np.ndarray:
+    """e(r / modulus) for each integer r, as the nearest quarter turn times e of the rest.
 
-    NumPy multiplies a one-row block as a vector, whose rounding differs from
-    the matrix product of the whole table, so every block has at least 2 rows
-    and a lone trailing row joins the block before it (total is b^g >= 2).
+    The rest is at most an eighth of a turn and a quarter turn multiplies
+    exactly, so quarter phases come out exact and the others within an ulp."""
+    quarter = (4 * numerators + modulus // 2) // modulus
+    rest = (4 * numerators - quarter * modulus) / (4 * modulus)
+    return np.exp(2j * np.pi * rest) * np.array([1, 1j, -1, -1j])[quarter % 4]
+
+
+def _chunks(view: np.ndarray, column_bytes: int) -> Iterator[np.ndarray]:
+    """view, of shape (P, b, M), in blocks of about _BLOCK_BYTES at column_bytes of scratch per (p, m)."""
+    rows, _, cols = view.shape
+    step = _block_rows(column_bytes)
+    if step >= cols:
+        per = step // cols
+        for p in range(0, rows, per):
+            yield view[p : p + per]
+    else:
+        for p in range(rows):
+            for m in range(0, cols, step):
+                yield view[p : p + 1, :, m : m + step]
+
+
+def _butterfly(view: np.ndarray, base: int, occupied: np.ndarray) -> None:
+    """view[:, a] becomes the sum over d < b of view[:, d] e(a d / b), for every a < b, in place.
+
+    view has shape (P, b, M), and is 0 at each digit d not in occupied.  In
+    base 2 this adds and subtracts.  Otherwise each input at an occupied
+    digit is multiplied by its roots e(a d / b) in turn, built once; they
+    are exactly 1 at a = 0 and at d = 0, so slice 0 is a plain sum.
     """
-    step = max(2, _block_rows(row_bytes))
-    starts = list(range(0, total, step))
-    if total - starts[-1] == 1:
-        starts.pop()
-    return [range(a, b) for a, b in zip(starts, starts[1:] + [total])]
+    if base == 2:
+        for block in _chunks(view, view.itemsize):
+            low, high = block[:, 0], block[:, 1]
+            diff = low - high
+            low += high
+            high[...] = diff
+        return
+    digits = np.flatnonzero(np.bincount(occupied, minlength=base))
+    roots = _unit(np.multiply.outer(digits, np.arange(base)) % base, base)[:, :, None]
+    for block in _chunks(view, 16 * (len(digits) + base)):
+        inputs = block[:, digits, None]
+        np.multiply(inputs[:, 0], roots[0], out=block)
+        for i in range(1, len(digits)):
+            block += inputs[:, i] * roots[i]
 
 
-def _contract(
+def _twiddle(view: np.ndarray, base: int, low: int) -> None:
+    """Slice a >= 1 of view, of shape (P, b, low, R), times e(a z / (b low)) at its z < low, in place."""
+    a = np.arange(1, base)[:, None]
+    step = _block_rows(16 * (base - 1))
+    for start in range(0, low, step):
+        z = np.arange(start, min(start + step, low))
+        view[:, 1:, start : start + step] *= _unit(a * z, base * low)[:, :, None]
+
+
+def _transform(
     spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray, n: int
-) -> tuple[np.ndarray, list[range]]:
-    """|S_N(k)| over the index box, and the blocks of axis 0's rows it was built in.
+) -> np.ndarray:
+    """|S_N(k)| over the index box: the histogram's Walsh / b-adic transform, in place in one box.
 
-    hist is the complex histogram.  Axes 1 .. s-1 are looked up whole, as
-    complex b_i^g_i by U_i tables; axis 0's phase rows come in blocks, each
-    contracted with hist, then with the later axes, and dropped.
+    The histogram is scattered into a box of shape (b_i^g_i), entry c the
+    count of cell c.  Each axis then goes digit by digit, c = sum_j d_j b^j,
+    from j = g_i - 1 down to 0: a b-point DFT along digit j turns d_j into
+    k_j, and on a b-adic axis slice k_j = a then takes the twiddle
+    e(a (c mod b^j) / b^(j+1)), whose lower digits are not yet transformed.
+    Walsh phases are sum_j k_j d_j / b and b-adic ones sum_j k_j (c mod
+    b^(j+1)) / b^(j+1), so index k lands at position k.  The box is float64
+    when every axis is base-2 Walsh and complex otherwise; its slices with
+    k_i = 0 see only additions, so a sum whose support is on base-2 Walsh
+    axes is an exact integer over N.
     """
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
-    units = [np.exp(2j * np.pi * np.arange(m) / m) for m in moduli]
-    later = [
-        unit[phase_numerators(c, b, tag, gi)]
-        for unit, c, (b, tag), gi in zip(units[1:], cells[1:], spec.coordinates[1:], g[1:])
-    ]
-    # per row of axis 0: its int64 phases and their complex lookup, then one row of each product
-    sizes = [len(c) for c in cells[1:]]
-    products = [math.prod(moduli[1 : i + 1]) * math.prod(sizes[i:]) for i in range(len(sizes) + 1)]
-    spans = _row_blocks(moduli[0], 24 * len(cells[0]) + 16 * sum(products))
-    abs_sums = np.empty(moduli)
-    tables = phase_row_blocks(cells[0], *spec.coordinates[0], g[0], spans)
-    for rows in spans:
-        # each step contracts cell axis 0 and appends index axis i, so the axes end in order
-        sums = np.tensordot(hist, units[0][next(tables)], axes=(0, 1))
-        for lookup in later:
-            sums = np.tensordot(sums, lookup, axes=(0, 1))
-        sums /= n
-        np.abs(sums, out=abs_sums[rows.start : rows.stop])
-    return abs_sums, spans
+    real = all(coordinate == (2, WALSH) for coordinate in spec.coordinates)
+    box = np.zeros(moduli, dtype=np.float64 if real else np.complex128)
+    box[np.ix_(*cells)] = hist
+    for i, ((base, tag), gi, occupied) in enumerate(zip(spec.coordinates, g, cells)):
+        after = math.prod(moduli[i + 1 :])
+        for j in reversed(range(gi)):
+            low = base**j
+            _butterfly(box.reshape(-1, base, low * after), base, occupied // low % base)
+            if tag == BADIC and j:
+                _twiddle(box.reshape(-1, base, low, after), base, low)
+    abs_sums = np.abs(box, out=box) if real else np.abs(box)
+    del box
+    abs_sums /= n
+    return abs_sums
 
 
 def _snap_exact_zeros(
@@ -270,20 +323,23 @@ def _snap_exact_zeros(
     g: tuple[int, ...],
     cells: list[np.ndarray],
     hist: np.ndarray,
-    spans: list[range],
 ) -> None:
     """Set to 0.0 each sum below _ZERO_SNAP whose exact integer phases are balanced.
 
-    Row 0 of every table is 0, so k's phases depend only on the axes of its
-    support (those with k_i != 0): one residue per occupied cell of the
-    histogram summed onto them, counted by its points, in the smallest signed
-    type that holds a sum of s residues and the modulus itself.  Each
-    support's occupied cells are found once.  The histogram is complex, and
-    its real parts are the exact counts.  The later axes' integer tables are
-    built only here, and axis 0's rows again in the blocks that hold a
-    near-zero k.
+    A sum whose support (the axes with k_i != 0) lies on base-2 Walsh axes
+    only is already exact, 0.0 or at least 1/N, so only the others are
+    re-tested.  Row 0 of every table is 0, so k's phases depend only on the
+    axes of its support: one residue per occupied cell of the int64
+    histogram summed onto them, counted by its points, in the smallest
+    signed type that holds a sum of s residues and the modulus itself.  Each
+    support's occupied cells are found once.  The later axes' integer tables
+    are built only here, and axis 0's rows in the blocks of about
+    _BLOCK_BYTES that hold a near-zero k.
     """
-    near = np.argwhere(abs_sums < _ZERO_SNAP)
+    near = abs_sums < _ZERO_SNAP
+    # the ks with k_i = 0 on every axis that is not base-2 Walsh
+    near[tuple(slice(None) if c == (2, WALSH) else 0 for c in spec.coordinates)] = False
+    near = np.argwhere(near)
     if not len(near):
         return
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
@@ -293,15 +349,19 @@ def _snap_exact_zeros(
         phase_numerators(c, b, tag, gi) for c, (b, tag), gi in zip(cells[1:], spec.coordinates[1:], g[1:])
     ]
     # k runs in lexicographic order, so each block's near-zero ks are one run of near
+    step = _block_rows(8 * len(cells[0]))  # per row: its int64 phases
+    blocks = near[:, 0] // step
+    starts = (blocks[np.diff(blocks, prepend=-1) != 0] * step).tolist()
+    spans = [range(start, min(start + step, moduli[0])) for start in starts]
     edges = np.searchsorted(near[:, 0], [(rows.start, rows.stop) for rows in spans]).tolist()
-    hits = [(rows, lo, hi) for rows, (lo, hi) in zip(spans, edges) if lo < hi]
-    firsts = phase_row_blocks(cells[0], *spec.coordinates[0], g[0], [rows for rows, _, _ in hits])
+    firsts = phase_row_blocks(cells[0], *spec.coordinates[0], g[0], spans)
     occupied = {}
-    for (rows, lo, hi), first in zip(hits, firsts):
+    for rows, (lo, hi) in zip(spans, edges):
+        first = next(firsts)
         for k in near[lo:hi].tolist():
             support = tuple(i for i, ki in enumerate(k) if ki)
             if support not in occupied:
-                marginal = hist.real.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
+                marginal = hist.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
                 ranks = np.nonzero(marginal)
                 counts = marginal[ranks]
                 # equal counts need no weighting, and deciding that once saves it on every k
@@ -313,6 +373,7 @@ def _snap_exact_zeros(
             )
             if is_balanced(residues, common, counts):
                 abs_sums[tuple(k)] = 0.0
+        del first, phases  # so that the next block is built after this one is freed
 
 
 def _weighted_sum(
@@ -348,22 +409,26 @@ def etk_bound(
     """Evaluate the weighted inequality over the punctured index box.
 
     Every xi_k in the box is constant on the resolution-g cells, so after
-    cell_histogram nothing reads the points.  The sums are that histogram of
-    the occupied cells contracted, axis by axis, with one phase table of
-    b_i^{g_i} indices by U_i <= min(N, b_i^{g_i}) cells.  Axis 0's table
-    comes in blocks of index rows, about _BLOCK_BYTES of scratch each, that
-    are contracted with the histogram and the later axes' whole tables and
-    dropped, so memory is O(prod_i U_i + sum_{i>=1} b_i^{g_i} U_i + one block
-    + |Delta|), with no array over the N points.  A sum below _ZERO_SNAP is
-    re-tested on exact integer phases: one residue per occupied cell of the
-    histogram summed onto k's support (the axes with k_i != 0), counted by
-    its points, and it snaps to 0.0 when is_balanced finds that multiset
-    balanced, as it would the points' own.  The weighted terms feed one
-    exactly rounded sum, so the result is bit-reproducible on one BLAS with
-    one thread count (how a threaded BLAS splits a product can move its last
-    bits) and does not depend on per_index, whose rows run in mixed-radix
-    lexicographic order (coordinate 1 slowest).  The budget caps |Delta|
-    before anything is allocated, and the table entries sum_i b_i^{g_i} U_i
+    cell_histogram nothing reads the points.  The sums are the transform of
+    that histogram of the occupied cells, scattered into a box of
+    prod_i b_i^{g_i} = |Delta| entries and transformed in place, one digit of
+    one axis at a time (_transform), in chunks of about _BLOCK_BYTES of
+    scratch.  The box is float64 when every axis is base-2 Walsh and complex
+    otherwise, and |S| takes 8 bytes per index more, so memory is
+    O(prod_i U_i + |Delta|) with U_i <= min(N, b_i^{g_i}) occupied cells per
+    axis, at most 24 bytes per index past the histogram, plus one stage's
+    roots of unity, at most U_i b_i, and no array over the N points.  A sum
+    whose support (the axes with k_i != 0) lies on base-2 Walsh axes is an
+    exact integer over N.  Any other sum below _ZERO_SNAP is re-tested on
+    exact integer phases: one residue per occupied cell of the histogram
+    summed onto k's support, counted by its points, and it snaps to 0.0 when
+    is_balanced finds that multiset balanced, as it would the points' own.
+    Every step is elementwise and the weighted terms feed one exactly
+    rounded sum, so the result is bit-reproducible, does not depend on the
+    block size or on any BLAS, and does not depend on per_index, whose rows
+    run in mixed-radix lexicographic order (coordinate 1 slowest).  The
+    budget caps |Delta| before anything is allocated, and the table entries
+    sum_i b_i^{g_i} U_i, which the re-test's phase tables hold at most,
     after the cells are counted and before any table is built.
     """
     _check_variant(variant)
@@ -387,9 +452,8 @@ def etk_bound(
     entries = sum(m * len(c) for m, c in zip(moduli, cells))
     if entries > budget:
         raise BudgetExceededError(f"phase tables of {entries} entries exceed budget {budget}")
-    hist = hist.astype(np.complex128)
-    abs_sums, spans = _contract(spec, g, cells, hist, n)
-    _snap_exact_zeros(abs_sums, spec, g, cells, hist, spans)
+    abs_sums = _transform(spec, g, cells, hist, n)
+    _snap_exact_zeros(abs_sums, spec, g, cells, hist)
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
     del hist
     weighted, weights = _weighted_sum(abs_sums, spec.bases, g, star)

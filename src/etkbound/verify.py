@@ -222,6 +222,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
                         f"b={base} {tag} k={start + ki} beta={ai + 1}/{grid}: "
                         f"excess {over[ki, ai]:.3e}"
                     )
+                del coeffs, over  # so that the next block is built after this one is freed
     return result
 
 

@@ -1,11 +1,13 @@
 """Weights, truncation terms, exponential sums, and the streamed bound."""
 
+import ast
 import functools
 import itertools
 import math
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,8 +382,10 @@ def test_etk_bound_weighting_needs_no_more_than_the_contraction():
     """Two base-2 points at g = 20, b-adic: the whole table, its complex lookup
     and the sums took the contraction to 64 MiB, and the weighting added 40 MiB
     on top, in the tables and complex sums kept alive and in a list of one
-    2^20-wide row of terms.  With axis 0's rows in blocks the peak is the 2^20
-    roots of unity as they are built, 32 MiB.  The report is pinned bit for bit."""
+    2^20-wide row of terms.  A contraction of axis 0's rows in blocks still
+    peaked at 32 MiB, in its 2^20 roots of unity.  The transform in place
+    needs the complex box (16 MiB) and |S| (8 MiB), and the weighting its
+    weights and |S|.  The report is pinned bit for bit."""
     spec = HybridSystemSpec.from_tags((2,), (BADIC,))
     pts = generate_points(VdcConfig(2), 2)
     tracemalloc.start()
@@ -390,7 +394,7 @@ def test_etk_bound_weighting_needs_no_more_than_the_contraction():
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak <= 34
+    assert peak <= 26
     got = (rep.epsilon.hex(), rep.weighted_sum.hex(), rep.total.hex())
     assert got == ("0x1.0000000000000p-19", "0x1.86075bc424283p+3", "0x1.86075fc424283p+3")
     for variant in (EXTREME, STAR):
@@ -400,12 +404,14 @@ def test_etk_bound_weighting_needs_no_more_than_the_contraction():
         assert math.fsum(w * x for _, w, x in b.per_index) == b.weighted_sum
 
 
-@pytest.mark.parametrize("base, g, limit", [(2, 12, 16), (3, 7, 8)])
+@pytest.mark.parametrize("base, g, limit", [(2, 12, 1), (3, 7, 8)])
 def test_etk_bound_streams_a_full_period_table_in_blocks(base, g, limit, peak_mib):
-    """van der Corput's b^g points in Walsh at g: every sum is an exact zero that
-    is re-tested.  The b^g x b^g int64 table, its complex lookup and the table
-    kept through the re-test took 384.2 MiB at 2^12 and 109.6 at 3^7; in blocks
-    of axis 0's rows the half tables of the digit recurrence set the peak."""
+    """van der Corput's b^g points in Walsh at g: every sum is an exact zero.
+    The b^g x b^g int64 table, its complex lookup and the table kept through
+    the re-test took 384.2 MiB at 2^12 and 109.6 at 3^7, and axis 0's rows in
+    blocks 5.2 and 2.9.  In base 3 the re-test's half tables of the digit
+    recurrence set the peak; in base 2 the sums come out exact, and with no
+    re-test the peak is the transform's 2^12 float box and its scratch."""
     pts = generate_points(VdcConfig(base), base**g)
     rep = etk_bound(HybridSystemSpec.single(base, WALSH), (g,), pts, per_index=True)
     assert rep.weighted_sum == 0.0 and all(x == 0.0 for _, _, x in rep.per_index)
@@ -413,16 +419,17 @@ def test_etk_bound_streams_a_full_period_table_in_blocks(base, g, limit, peak_mi
 
 
 @st.composite
-def blocked_inputs(draw):
+def blocked_inputs(draw, walsh2=False):
     """s <= 3 axes of bases 2-5 and either tag with b^g_i <= 256, |Delta| at most
     1024 but for a last axis at g = 1, and N <= 300 points of 9 digits: random
     digits, or those of the point's own index (van der Corput in every axis),
-    whose sums are mostly exact zeros."""
+    whose sums are mostly exact zeros.  With walsh2, one axis is base-2 Walsh."""
     s = draw(st.integers(1, 3))
+    fixed = draw(st.integers(0, s - 1)) if walsh2 else None
     coords, g, room = [], [], 1024
-    for _ in range(s):
-        base = draw(st.integers(2, 5))
-        coords.append((base, draw(st.sampled_from((WALSH, BADIC)))))
+    for i in range(s):
+        base = 2 if i == fixed else draw(st.integers(2, 5))
+        coords.append((base, WALSH if i == fixed else draw(st.sampled_from((WALSH, BADIC)))))
         g.append(draw(st.integers(1, max((h for h in range(1, 9) if base**h <= min(256, room)), default=1))))
         room //= base ** g[-1]
     n = draw(st.integers(1, 300))
@@ -445,33 +452,25 @@ def _both_reports(spec, g, points):
 @given(case=blocked_inputs())
 @settings(max_examples=60, deadline=None)
 def test_etk_bound_is_the_same_at_every_block_size(case):
-    """Axis 0's rows in blocks of the default size and of two or three rows give
-    the same exact zeros and the same sums to rounding.  Not always to the bit:
-    a threaded OpenBLAS product splits the contracted axis where its one-thread
-    product does not, and whether a product is threaded depends on its size,
-    so the bits of a block's sums can depend on its row count.  On a 2-core
-    Haswell build, (4, w), (2, w) at g = (4, 1) with 130 to 300 random points
-    moved in 21 of 40 sets, by at most 4.2e-17."""
+    """The transform's chunks and the re-test's rows in blocks of the default
+    size and of one column or row give the same reports, bit for bit: every
+    step of the transform is elementwise, so no sum depends on where a chunk
+    ends."""
     got = []
     for size in (badic._BLOCK_BYTES, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(badic, "_BLOCK_BYTES", size)
             got.append(_both_reports(*case))
-    for whole, blocked in zip(*got):
-        assert (whole.variant, whole.epsilon) == (blocked.variant, blocked.epsilon)
-        assert math.isclose(whole.weighted_sum, blocked.weighted_sum, rel_tol=1e-13, abs_tol=1e-15)
-        assert math.isclose(whole.max_abs_sum, blocked.max_abs_sum, rel_tol=1e-13)
-        for (k, w, x), (k2, w2, x2) in zip(whole.per_index, blocked.per_index, strict=True):
-            assert (k, w) == (k2, w2)
-            assert abs(x - x2) <= 1e-14 and (x == 0.0) == (x2 == 0.0)
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("tags, g", [((WALSH, BADIC), (8, 5)), ((BADIC, WALSH), (5, 8))], ids=["w,b", "b,w"])
 def test_etk_bound_blocks_keep_bound_denses_reports(tags, g, at_both_block_sizes):
     """bound_dense's shape: `hybrid --walsh digital:2 --badic halton:3`, N = 4096, w,b at (8,5),
-    and its axes swapped, so that axis 0 has 243 rows and the two-row blocks leave a
-    lone last row.  The sums differ in the last bits when a block of one row is
-    multiplied, as a vector."""
+    and its axes swapped, so that axis 0 is the b-adic one, of 243 rows.  A
+    BLAS contraction of axis 0's rows in blocks rounded a one-row block apart,
+    as a vector product; the transform's chunks of one column are bit for bit
+    the default's."""
     pts = hybrid_points(tags, config_from_string("digital:2"), config_from_string("halton:3"), 4096)
     spec = HybridSystemSpec.from_tags(tuple(2 if tag == WALSH else 3 for tag in tags), tags)
     reports = at_both_block_sizes(_both_reports, spec, g, pts)
@@ -513,3 +512,89 @@ def test_etk_bound_allocates_no_table_over_the_points():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@st.composite
+def transform_inputs(draw):
+    """s <= 3 axes of bases 2-7 and either tag, in any order, with |Delta| <= 1024,
+    and N <= 12 points of random digits, two past g on each axis."""
+    coords, g, room = [], [], 1024
+    for _ in range(draw(st.integers(1, 3))):
+        if room < 2:
+            break
+        base = draw(st.integers(2, min(7, room)))
+        coords.append((base, draw(st.sampled_from((WALSH, BADIC)))))
+        g.append(draw(st.integers(1, max(h for h in range(1, 11) if base**h <= room))))
+        room //= base ** g[-1]
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = [DigitColumn(b, rng.integers(0, b, (n, gi + 2)), np.full(n, gi + 2)) for (b, _), gi in zip(coords, g)]
+    return HybridSystemSpec(tuple(coords)), tuple(g), PointSet(columns)
+
+
+@given(transform_inputs())
+@settings(max_examples=40, deadline=None)
+def test_etk_bound_transform_matches_scalar_exp_sum_to_an_ulp(case):
+    """Every |S| of the transform is the scalar reference's within 1e-15, and its exact zeros are 0.0."""
+    spec, g, points = case
+    for (k, _, abs_sum), want in zip(
+        etk_bound(spec, g, points, per_index=True).per_index,
+        (exp_sum(spec, k, points) for k in itertools.islice(enumerate_delta(spec.bases, g), 1, None)),
+        strict=True,
+    ):
+        assert abs(abs_sum - abs(want)) <= 1e-15
+        if want == 0j:
+            assert abs_sum == 0.0
+
+
+@given(case=blocked_inputs(walsh2=True))
+@settings(max_examples=60, deadline=None)
+def test_sums_on_base_2_walsh_axes_are_exact(case):
+    """A sum whose support (its axes with k_i != 0) lies on base-2 Walsh axes is
+    T / N for the integer T = sum_n (-1)^(sum_i popcount(k_i & c_i(n))), c_i(n)
+    the point's cell: |S| is Fraction(|T|, N) correctly rounded, 0.0 exactly
+    when T = 0, with no re-test."""
+    spec, g, points = case
+    n, moduli = points.n_points, [b**gi for b, gi in zip(spec.bases, g)]
+    rep = etk_bound(spec, g, points, per_index=True)
+    sums = np.array([0.0] + [x for _, _, x in rep.per_index]).reshape(moduli)
+    axes = [i for i, coordinate in enumerate(spec.coordinates) if coordinate == (2, WALSH)]
+    cells = [points.columns[i].digits[:, : g[i]] @ 2 ** np.arange(g[i]) for i in axes]
+    for k in itertools.islice(itertools.product(*(range(moduli[i]) for i in axes)), 1, None):
+        parity = sum(np.bitwise_count(ki & c) for ki, c in zip(k, cells)) % 2
+        total = n - 2 * int(parity.sum())
+        index = [0] * spec.s
+        for i, ki in zip(axes, k):
+            index[i] = ki
+        assert sums[tuple(index)] == float(Fraction(abs(total), n))
+
+
+_BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "matvec", "vecmat", "vecdot", "linalg", "fft"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    """Names, attributes and imports of BLAS-backed numpy routines (and of numpy.linalg
+    and numpy.fft) in source, and each use of the @ operator."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append("@")
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        uses += [name for name in names if name in _BLAS]
+    return uses
+
+
+def test_bounds_calls_no_blas_routine():
+    """The sums are elementwise transforms, so no report depends on how a BLAS
+    build or its thread count splits a product; nor does bounds reach numpy.fft."""
+    assert _blas_uses(Path(bounds.__file__).read_text(encoding="utf-8")) == []
+    probe = "np.tensordot(a, b)\nx = a @ b\nx @= b\nnp.linalg.norm(a)\nfrom numpy.fft import fft\nimport numpy.fft\n"
+    assert sorted(_blas_uses(probe)) == ["@", "@", "fft", "fft", "fft", "linalg", "tensordot"]

@@ -668,13 +668,46 @@ def test_cli_stdin_dash(tmp_path, monkeypatch):
     assert "star" in out
 
 
-def run_module(*argv) -> subprocess.CompletedProcess:
-    """python -m etkbound in a child process, which imports the same package as this one."""
+def run_module(*argv, env=None, code=None) -> subprocess.CompletedProcess:
+    """python -m etkbound in a child process, which imports the same package as this one,
+    with env's variables set; with code, python -c code and argv instead."""
     src = os.path.dirname(os.path.dirname(etkbound.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = ["-m", "etkbound"] if code is None else ["-c", code]
     return subprocess.run(
-        [sys.executable, "-m", "etkbound", *argv], capture_output=True, text=True, env=env
+        [sys.executable, *command, *argv],
+        capture_output=True, text=True, env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )
+
+
+# bound_dense's gen and bound steps, with the per-index table
+_DENSE_GEN = ("gen", "hybrid", "--walsh", "digital:2,seed=101", "--badic", "halton:3", "--n", "4096")
+_DENSE_BOUND = ("--tags", "w,b", "--g", "8,5", "--variant", "extreme", "--per-k", "--format", "json")
+
+
+def test_cli_bound_is_the_same_at_every_blas_thread_count(tmp_path):
+    """The bound report, every |S| included, is the same bytes at one and two
+    OpenBLAS threads: the sums are elementwise transforms, and a threaded BLAS
+    product could split a contracted axis where a one-thread product does not."""
+    pfile = tmp_path / "bd.pts"
+    assert run_module(*_DENSE_GEN, "--out", str(pfile)).returncode == 0
+    reports = []
+    for threads in ("1", "2"):
+        proc = run_module("bound", str(pfile), *_DENSE_BOUND, env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(_mask_runtime(proc.stdout))
+    assert len(json.loads(reports[0])["rows"][0]["per_k"]) == 256 * 243 - 1
+    assert reports[0] == reports[1]
+
+
+def test_cli_bound_leaves_numpy_fft_unloaded(tmp_path):
+    """A first numpy.fft call raised a bare numpy child's peak RSS from 26.8 to 27.4 MiB."""
+    pfile = tmp_path / "bd.pts"
+    assert run_module(*_DENSE_GEN, "--out", str(pfile)).returncode == 0
+    code = "import sys; from etkbound.cli import main; main(sys.argv[1:]); print('numpy.fft' in sys.modules)"
+    proc = run_module("bound", str(pfile), *_DENSE_BOUND, "--out", str(tmp_path / "bd.json"), code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_cli_subprocess_entry_point(tmp_path):

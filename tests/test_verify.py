@@ -147,10 +147,11 @@ def test_fc_suite_memory_is_bounded_by_blocks(peak_mib):
 
 def test_fc_suite_sums_each_block_in_place(peak_mib):
     """A block of base-5 rows is 1 MiB of complex values.  Summing them and
-    subtracting the limits in place keeps the suite at 3.0 MiB, 3.24 with the
-    phase rows' two half tables (0.24 MiB) kept across blocks; a new array for
-    the sums and one for the excess took it to 3.5 MiB."""
-    assert peak_mib(check_fc_bounds) < 3.25
+    subtracting the limits in place kept the suite at 3.24 MiB with the phase
+    rows' two half tables (0.24 MiB) kept across blocks; a new array for the
+    sums and one for the excess took it to 3.5 MiB.  Dropping each block's
+    sums before the next block is built keeps it at 1.8 MiB."""
+    assert peak_mib(check_fc_bounds) < 2
 
 
 def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
