@@ -37,6 +37,16 @@ read_point_set from a file (as `bound` reads) on POINT_CASES, one child per
 case.  Each row records cold_s, the first call in that child, s, the best of
 three more, and peak_alloc_mb, the tracemalloc peak of a fifth.
 
+The startup section runs each command shape of the four perfbench workloads
+(STARTUP_SHAPES) as `python -m etkbound`, as perfbench's children run:
+from a fresh copy of the tree's sources, with no `__pycache__` and
+PYTHONDONTWRITEBYTECODE=1, so every etkbound module is compiled.  Each shape
+records wall_s and peak_rss_mb (os.wait4) of one child, and from a second
+child under `-X importtime` import_s, the cumulative seconds of the etkbound
+imports that no other etkbound import encloses (numpy's included, which
+they import first), numpy_import_s, numpy's share of it, and modules, the
+etkbound modules the command loaded.
+
 Each tree gets PAIRS samples; with --parent, the two trees alternate which
 goes first in each pair.  The hot layer of a suite is the largest of
 import_s and its layers_s by median.  For the tables and points sections the
@@ -100,6 +110,20 @@ STAGES = {
 # seed, and the 2^20 Halton points of BOUND_CASES
 POINT_CASES = ("stream_wide", "halton 2^20")
 POINT_LAYERS = ("generate", "write", "read")
+# one CLI call of each command shape of the perfbench workloads, at its first
+# seed, run in this order in one work directory
+STARTUP_SHAPES = (
+    ("bound_dense gen", "gen hybrid --walsh digital:2,seed=101 --badic halton:3 --n 4096 --out bd.pts"),
+    ("bound_dense bound", "bound bd.pts --tags w,b --g 8,5 --variant extreme --format json --out bd.json"),
+    ("certify_caps gen", "gen digital --base 2 --s 2 --m 8 --seed=101000 --n 64 --out dig.pts"),
+    ("certify_caps bound --oracle",
+     "bound dig.pts --tags w,w --g 2,2 --variant extreme --oracle --format json --out dig.json"),
+    ("stream_wide gen",
+     "gen hybrid --walsh digital:2,m=16,seed=101 --badic halton:3,5 --n 32768 --out sw.pts"),
+    ("stream_wide bound", "bound sw.pts --tags w,b,b --g 2,1,1 --variant both --format json --out sw.json"),
+    ("verify_fourier verify fourier", "verify fourier"),
+    ("verify_fourier verify fc-bounds", "verify fc-bounds"),
+)
 
 
 # ---------------------------------------------------------------- child side
@@ -361,9 +385,63 @@ def _wall(tree: str, suite: str) -> float:
     return time.perf_counter() - start
 
 
+def _import_seconds(log: str) -> dict:
+    """import_s, numpy_import_s and modules from the stderr of `python -X importtime`."""
+    entries = []  # (depth, name, cumulative seconds), each module after the ones it imports
+    for line in log.splitlines():
+        if line.startswith("import time:") and not line.endswith("imported package"):
+            _, cumulative, name = line.split("|")
+            entries.append(((len(name) - len(name.lstrip()) - 1) // 2, name.strip(), cumulative.strip()))
+    out = {"import_s": 0.0, "numpy_import_s": 0.0, "modules": []}
+    enclosing: list[tuple[int, str]] = []
+    for depth, name, cumulative in reversed(entries):
+        while enclosing and enclosing[-1][0] >= depth:
+            enclosing.pop()
+        ours = name.split(".")[0] == "etkbound"
+        if ours and not any(outer.split(".")[0] == "etkbound" for _, outer in enclosing):
+            out["import_s"] += int(cumulative) / 1e6
+        if ours:
+            out["modules"].append(name)
+        if name == "numpy":
+            out["numpy_import_s"] = int(cumulative) / 1e6
+        enclosing.append((depth, name))
+    out["modules"].sort()
+    return out
+
+
+def _startup_row(src: str, workdir: str, command: str) -> dict:
+    """One command as `python -m etkbound`, with the package read from src and nothing cached."""
+    argv = [sys.executable, "-m", "etkbound", *command.split()]
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, cwd=workdir, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise SystemExit(f"{command} exited with {os.waitstatus_to_exitcode(status)}")
+    traced = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv[1:]],
+        cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True,
+    )
+    return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024, **_import_seconds(traced.stderr)}
+
+
+def _startup(tree: str) -> dict:
+    """Every STARTUP_SHAPES call on a fresh copy of the tree's sources."""
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src, workdir = os.path.join(tmp, "src"), os.path.join(tmp, "work")
+        shutil.copytree(os.path.join(tree, "src", "etkbound"), os.path.join(src, "etkbound"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        os.makedirs(workdir)
+        return {name: _startup_row(src, workdir, command) for name, command in STARTUP_SHAPES}
+
+
 def sample(tree: str) -> dict:
     """One sample of every measurement on one tree."""
-    out = {"micro": _spawn(tree, "micro")}
+    out = {"micro": _spawn(tree, "micro"), "startup": _startup(tree)}
     out["tables"] = {**_spawn(tree, "tables"), **_spawn(tree, "bounds")}
     out["points"] = {k: v for case in POINT_CASES for k, v in _spawn(tree, "points", case).items()}
     for suite in SUITES:
@@ -380,12 +458,14 @@ def summarize(samples: list[dict]) -> dict:
     """Median of each number over the samples; the suites' hot layers."""
     median = statistics.median
     out = {"micro": {k: median(s["micro"][k] for s in samples) for k in samples[0]["micro"]}}
-    for section in ("tables", "points"):
+    for section in ("tables", "points", "startup"):
         out[section] = {}
         for case in samples[0][section]:
             rows = [s[section][case] for s in samples]
-            row = {k: median(r[k] for r in rows) for k in rows[0]}
-            for k in ("s", "cold_s"):
+            row = {k: median(r[k] for r in rows) for k in rows[0] if k != "modules"}
+            if "modules" in rows[0]:
+                row["modules"] = sorted({tuple(r["modules"]) for r in rows})
+            for k in ("s", "cold_s", "wall_s"):
                 if k in row:
                     q1, _, q3 = statistics.quantiles([r[k] for r in rows], n=4)
                     row[f"{k}_quartiles"] = [q1, q3]
@@ -453,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for name, tree in record["trees"].items():
-        print(name, json.dumps({s: tree["median"][s] for s in ("micro", "tables", "points", *SUITES)}))
+        print(name, json.dumps({s: tree["median"][s] for s in ("micro", "startup", "tables", "points", *SUITES)}))
     return 0
 
 

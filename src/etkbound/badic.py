@@ -9,6 +9,11 @@ many digit vectors of one base as a single integer matrix, the form in which
 point sets are generated, written, read and turned into phase tables.  The
 additions of digit vectors with and without carry, and the radical inverse,
 are scalar references in `reference`.
+
+The module also holds what every command may need before it knows which
+layers it runs: the budget and block constants, the errors the CLI reports,
+and the names its parser offers (the discrepancy variants and the verify
+suites).  So building the parser imports no layer a command may not run.
 """
 
 from __future__ import annotations
@@ -22,7 +27,11 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "EXTREME",
+    "STAR",
+    "SUITES",
     "BudgetExceededError",
+    "CapExceededError",
     "DigitColumn",
     "DigitVector",
     "check_base",
@@ -43,8 +52,18 @@ DEFAULT_BUDGET = 1 << 24
 _BLOCK_BYTES = 1 << 20
 
 
+# The discrepancy variants of bounds and oracle, and the suites of verify.
+EXTREME = "extreme"
+STAR = "star"
+SUITES = ("orthonormality", "fourier", "fc-bounds", "weights", "domination", "all")
+
+
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured index budget."""
+
+
+class CapExceededError(RuntimeError):
+    """The point set is too large for exact enumeration at this dimension."""
 
 
 def check_base(base: int) -> None:

@@ -24,6 +24,8 @@ import numpy as np
 
 from .badic import (
     DEFAULT_BUDGET,
+    EXTREME,
+    STAR,
     BudgetExceededError,
     DigitColumn,
     _block_rows,
@@ -57,8 +59,6 @@ __all__ = [
     "weight_sum",
 ]
 
-EXTREME = "extreme"
-STAR = "star"
 _VARIANTS = (EXTREME, STAR)
 
 # |S| below this is either exact cancellation or needs no weight anyway; the
@@ -376,25 +376,40 @@ def _snap_exact_zeros(
         del first, phases  # so that the next block is built after this one is freed
 
 
-def _weighted_sum(
-    abs_sums: np.ndarray, bases: tuple[int, ...], g: tuple[int, ...], star: bool
-) -> tuple[float, np.ndarray]:
-    """The exactly rounded sum of weight times |S| over the box, and the weights."""
+def _weight_axes(bases: tuple[int, ...], g: tuple[int, ...], star: bool) -> list[np.ndarray]:
+    """Per axis, the weight factor of each index k_i < b_i^{g_i}."""
     weight = rho_star if star else rho
     axes = []
     for b, gi in zip(bases, g):
         # the weight depends only on vb(k) and k's leading digit: one call per run
         firsts = [0] + [a * b**v for v in range(gi) for a in range(1, b)]
         axes.append(np.repeat([weight(k, b) for k in firsts], np.diff(firsts + [b**gi])))
-    weights = math.prod(np.ix_(*axes))
-    # the terms in blocks, each about _BLOCK_BYTES as a list of floats
-    flat_weights, flat_sums = weights.reshape(-1), abs_sums.reshape(-1)
+    return axes
+
+
+def _weighted_sum(abs_sums: np.ndarray, axes: list[np.ndarray]) -> float:
+    """The exactly rounded sum of weight times |S| over the box.
+
+    A weight is the product of its axes' factors, multiplied from axis 0 on,
+    as math.prod(np.ix_(*axes)) forms the whole array.  Each block forms only
+    its own: single indices on the leading axes, a run of one axis and the
+    later axes whole, about _BLOCK_BYTES as weights and a list of floats.
+    """
     step = _block_rows(40)
-    blocks = (
-        (flat_weights[i : i + step] * flat_sums[i : i + step]).tolist()
-        for i in range(0, flat_sums.size, step)
-    )
-    return math.fsum(itertools.chain.from_iterable(blocks)), weights
+    sizes = abs_sums.shape
+    j = len(sizes)  # the axes from j on fit a block whole, and axis j - 1 goes in runs
+    while j > 1 and math.prod(sizes[j - 1 :]) <= step:
+        j -= 1
+    run = step // math.prod(sizes[j:])
+    index_sets = [[slice(p, p + 1) for p in range(size)] for size in sizes[: j - 1]]
+    index_sets.append([slice(c, c + run) for c in range(0, sizes[j - 1], run)])
+
+    def terms(index):
+        weights = math.prod(np.ix_(*(ax[i] for ax, i in zip(axes, index)), *axes[j:]))
+        weights *= abs_sums[index]
+        return weights.ravel().tolist()
+
+    return math.fsum(itertools.chain.from_iterable(map(terms, itertools.product(*index_sets))))
 
 
 def etk_bound(
@@ -456,9 +471,11 @@ def etk_bound(
     _snap_exact_zeros(abs_sums, spec, g, cells, hist)
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
     del hist
-    weighted, weights = _weighted_sum(abs_sums, spec.bases, g, star)
+    axes = _weight_axes(spec.bases, g, star)
+    weighted = _weighted_sum(abs_sums, axes)
     rows = None
     if per_index:
+        weights = math.prod(np.ix_(*axes))
         box = itertools.islice(itertools.product(*map(range, moduli)), 1, None)
         rows = tuple(zip(box, weights.ravel()[1:].tolist(), abs_sums.ravel()[1:].tolist()))
     return BoundReport(

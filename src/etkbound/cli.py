@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure.  Only
 bound takes a budget, on its index box and phase-table entries: --budget,
 else the ETKBOUND_BUDGET environment variable, else 2^24; a value below 1 is
 a usage error.
+
+Each command imports only the layers it runs: gen the generators and the
+point-file format, bound also bounds (and oracle with --oracle),
+discrepancy oracle, and verify every layer.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ import os
 import sys
 import time
 
-from .badic import DEFAULT_BUDGET, BudgetExceededError, _block_rows
-from .bounds import EXTREME, STAR, etk_bound
-from .oracle import (
+from .badic import (
+    DEFAULT_BUDGET,
+    EXTREME,
+    STAR,
+    SUITES,
+    BudgetExceededError,
     CapExceededError,
-    DiscrepancyResult,
-    extreme_discrepancy_exact,
-    star_discrepancy_exact,
+    _block_rows,
 )
 from .pointfile import read_point_set, write_point_set
 from .sequences import (
@@ -34,13 +39,37 @@ from .sequences import (
     hybrid_points,
 )
 from .systems import BADIC, WALSH, HybridSystemSpec
-from .verify import SUITES, run_suites
 
 __all__ = ["main"]
 
 BUDGET_ENV = "ETKBOUND_BUDGET"
 
 _TAG_LETTERS = {"w": WALSH, "b": BADIC}
+
+# the commands call the late names of __getattr__ as attributes of this module
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """Import a layer that only some commands run on first use (PEP 562).
+
+    The name is then cached in the module globals, where it can be rebound,
+    as perfbench rebinds it to its wrappers; so the commands call it as
+    `_cli.name`, never through an import of their own, which would bypass a
+    rebinding.
+    """
+    if name == "etk_bound":
+        from .bounds import etk_bound as value
+    elif name == "extreme_discrepancy_exact":
+        from .oracle import extreme_discrepancy_exact as value
+    elif name == "star_discrepancy_exact":
+        from .oracle import star_discrepancy_exact as value
+    elif name == "run_suites":
+        from .verify import run_suites as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 class UsageError(Exception):
@@ -160,10 +189,10 @@ def _variants(choice: str) -> list[str]:
     return [EXTREME, STAR] if choice == "both" else [choice]
 
 
-def _oracle(points: PointSet, variant: str) -> DiscrepancyResult:
+def _oracle(points: PointSet, variant: str):
     if variant == STAR:
-        return star_discrepancy_exact(points)
-    return extreme_discrepancy_exact(points)
+        return _cli.star_discrepancy_exact(points)
+    return _cli.extreme_discrepancy_exact(points)
 
 
 # CSV columns per report; list fields join with their separator, runtime_ms
@@ -226,12 +255,12 @@ def _bound_rows(args, points: PointSet, spec: HybridSystemSpec, budget: int) -> 
         if len(g) != spec.s:
             raise UsageError(f"--g {raw} has {len(g)} components, expected {spec.s}")
         g_list.append(g)
-    oracle_cache: dict[str, DiscrepancyResult] = {}
+    oracle_cache = {}
     rows = []
     for g in g_list:
         for variant in _variants(args.variant):
             start = time.perf_counter()
-            rep = etk_bound(spec, g, points, variant, per_index=args.per_k, budget=budget)
+            rep = _cli.etk_bound(spec, g, points, variant, per_index=args.per_k, budget=budget)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             exact = margin = None
             if args.oracle:
@@ -296,7 +325,7 @@ def cmd_discrepancy(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    results = run_suites(args.suite, trials=args.trials, seed=args.seed)
+    results = _cli.run_suites(args.suite, trials=args.trials, seed=args.seed)
     failed = False
     for result in results:
         status = "ok" if result.ok else "FAIL"

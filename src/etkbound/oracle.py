@@ -19,8 +19,7 @@ from math import prod
 
 import numpy as np
 
-from .badic import _block_rows
-from .bounds import EXTREME, STAR
+from .badic import EXTREME, STAR, CapExceededError, _block_rows
 from .sequences import PointSet
 
 __all__ = [
@@ -36,10 +35,6 @@ __all__ = [
 # re-checked exactly.  The same slack defines domination failure in
 # verify.domination_sweep.
 DOMINATION_SLACK = 1e-9
-
-
-class CapExceededError(RuntimeError):
-    """The point set is too large for exact enumeration at this dimension."""
 
 
 @dataclass(frozen=True)

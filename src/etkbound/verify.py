@@ -15,10 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .badic import _block_rows, enumerate_delta
+from .badic import EXTREME, STAR, SUITES, _block_rows, enumerate_delta
 from .bounds import (
-    EXTREME,
-    STAR,
     cb_constant,
     corollary_bound,
     epsilon_fraction,
@@ -352,9 +350,6 @@ def domination_sweep(variant: str, trials: int = 100, seed: int = 1) -> SuiteRes
             result.failures.append(f"{label}: corollary {closed:.12f} < bound {bound.total:.12f}")
     result.summary = f"seed={seed}, worst margin {worst:.3e}"
     return result
-
-
-SUITES = ("orthonormality", "fourier", "fc-bounds", "weights", "domination", "all")
 
 
 def run_suites(name: str, trials: int = 100, seed: int = 1) -> list[SuiteResult]:

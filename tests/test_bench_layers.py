@@ -47,3 +47,30 @@ def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
     row = layers._child_layers("fc-bounds")["layers_s"]
     assert list(row) == [*layers.LAYERS["fc-bounds"], "other"]
     assert row["phase_row_blocks"] > 0 and row["phase_numerators"] == 0
+
+
+def test_import_seconds_count_each_outer_etkbound_import_once(layers):
+    """-X importtime lists a module after the ones it imports, indented by depth."""
+    log = "\n".join([
+        "import time: self [us] | cumulative | imported package",
+        "import time:       100 |        100 |     numpy._core",
+        "import time:       200 |        300 |   numpy",
+        "import time:        50 |        350 | etkbound.badic",
+        "import time:        10 |         10 |   etkbound.systems",
+        "import time:        20 |         30 | etkbound.cli",
+        "import time:         5 |          5 | etkbound",
+        "import time:         7 |          7 | csv",
+    ])
+    row = layers._import_seconds(log)
+    assert row["import_s"] == (350 + 30 + 5) / 1e6
+    assert row["numpy_import_s"] == 300 / 1e6
+    assert row["modules"] == ["etkbound", "etkbound.badic", "etkbound.cli", "etkbound.systems"]
+
+
+def test_startup_row_records_one_command(layers, tmp_path):
+    src = os.path.join(ROOT, "src")
+    row = layers._startup_row(src, str(tmp_path), "gen vdc --base 2 --n 8 --out v.pts")
+    assert (tmp_path / "v.pts").read_text(encoding="utf-8").startswith("#bases 2")
+    assert row["modules"] == [f"etkbound{m}" for m in ("", ".badic", ".cli", ".pointfile", ".sequences", ".systems")]
+    assert 0 < row["numpy_import_s"] < row["import_s"] < row["wall_s"]
+    assert row["peak_rss_mb"] > 0

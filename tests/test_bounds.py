@@ -384,8 +384,8 @@ def test_etk_bound_weighting_needs_no_more_than_the_contraction():
     on top, in the tables and complex sums kept alive and in a list of one
     2^20-wide row of terms.  A contraction of axis 0's rows in blocks still
     peaked at 32 MiB, in its 2^20 roots of unity.  The transform in place
-    needs the complex box (16 MiB) and |S| (8 MiB), and the weighting its
-    weights and |S|.  The report is pinned bit for bit."""
+    needs the complex box (16 MiB) and |S| (8 MiB), and the weighting |S| and
+    one block of weights.  The report is pinned bit for bit."""
     spec = HybridSystemSpec.from_tags((2,), (BADIC,))
     pts = generate_points(VdcConfig(2), 2)
     tracemalloc.start()
@@ -402,6 +402,37 @@ def test_etk_bound_weighting_needs_no_more_than_the_contraction():
         b = etk_bound(spec, (12,), pts, variant, per_index=True)
         assert (a.epsilon, a.weighted_sum, a.total) == (b.epsilon, b.weighted_sum, b.total)
         assert math.fsum(w * x for _, w, x in b.per_index) == b.weighted_sum
+
+
+def test_etk_bound_weights_each_block_of_sums_on_its_own(monkeypatch):
+    """The net digital:2,s=2,m=11,seed=5 at (10,10): |S| takes 8 MiB.  The
+    weighting formed the whole 8 MiB array of weights beside it, which set
+    etk_bound's peak at 17.0 MiB (257.1 MiB at (12,12)).  Each block now
+    forms only its own weights, so the weighting adds about one block, and
+    the transform's box sets the peak.  The weighted sum is pinned bit for
+    bit: the weights are multiplied in the same order as before."""
+    spec = HybridSystemSpec.from_tags((2, 2), (WALSH, WALSH))
+    pts = generate_points(config_from_string("digital:2,s=2,m=11,seed=5"), 2048)
+    weighted_sum, seen = bounds._weighted_sum, {}
+
+    def traced(*args):
+        seen["before"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = weighted_sum(*args)
+        seen["added"] = tracemalloc.get_traced_memory()[1] - start
+        return out
+
+    monkeypatch.setattr(bounds, "_weighted_sum", traced)
+    tracemalloc.start()
+    try:
+        rep = etk_bound(spec, (10, 10), pts)
+        peak = max(seen["before"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert seen["added"] < 2 * 2**20
+    assert peak < 16 * 2**20
+    assert rep.weighted_sum.hex() == "0x1.0800000000000p-5"
 
 
 @pytest.mark.parametrize("base, g, limit", [(2, 12, 1), (3, 7, 8)])

@@ -1,5 +1,6 @@
 """Point-file round trips and the command-line surface."""
 
+import ast
 import hashlib
 import io
 import json
@@ -708,6 +709,112 @@ def test_cli_bound_leaves_numpy_fft_unloaded(tmp_path):
     proc = run_module("bound", str(pfile), *_DENSE_BOUND, "--out", str(tmp_path / "bd.json"), code=code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# python -m etkbound ARGV in this interpreter, then the etkbound modules it loaded, on stderr in import order
+_LOADED = """import runpy, sys
+try:
+    runpy.run_module("etkbound", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *(m for m in sys.modules if m.startswith("etkbound")), file=sys.stderr)
+"""
+_GEN_MODULES = ["etkbound", "etkbound.badic", "etkbound.cli", "etkbound.pointfile", "etkbound.sequences",
+                "etkbound.systems"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (("gen", "halton", "--bases", "2,3", "--n", "64", "--out", "@"), []),
+        (("bound", "@", "--tags", "w,b", "--g", "3,2", "--out", "-"), ["bounds"]),
+        (("bound", "@", "--tags", "w,b", "--g", "3,2", "--oracle", "--out", "-"), ["bounds", "oracle"]),
+        (("discrepancy", "@", "--out", "-"), ["oracle"]),
+        (("verify", "weights"), ["bounds", "fourier", "oracle", "verify"]),
+    ],
+    ids=["gen", "bound", "bound-oracle", "discrepancy", "verify"],
+)
+def test_each_command_imports_only_the_layers_it_runs(tmp_path, argv, extra):
+    """Importing all nine modules took 74-81 ms of every CLI child (less numpy), whatever
+    the command; the layers a command does not run are now never imported, and
+    those it runs are imported before cli."""
+    pfile = tmp_path / "h.pts"
+    assert run_module("gen", "halton", "--bases", "2,3", "--n", "64", "--out", str(pfile)).returncode == 0
+    proc = run_module(*(str(pfile) if a == "@" else a for a in argv), code=_LOADED)
+    code, *loaded = proc.stderr.split()
+    assert code == "0", proc.stderr
+    assert sorted(loaded) == sorted(_GEN_MODULES + [f"etkbound.{name}" for name in extra])
+    assert all(loaded.index(f"etkbound.{name}") < loaded.index("etkbound.cli") for name in extra)
+
+
+def test_importing_the_package_imports_no_module_and_resolves_every_export():
+    code = """import sys, etkbound
+print(*sorted(m for m in sys.modules if m.startswith("etkbound")))
+from etkbound import *
+exported = {name: globals()[name] for name in etkbound.__all__}
+print(len(exported), all(obj.__module__.startswith("etkbound.") for obj in exported.values()))
+import etkbound.oracle
+print(CapExceededError is etkbound.oracle.CapExceededError)
+"""
+    proc = run_module(code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "etkbound\n13 True\nTrue\n"
+    proc = run_module(code="import etkbound; etkbound.exp_sum")
+    assert "module 'etkbound' has no attribute 'exp_sum'" in proc.stderr
+
+
+def _benchmark_patch_names() -> list[str]:
+    """The names of etkbound.cli that perfbench/replay.py wraps, read from its _PATCHES."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "replay.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_PATCHES"]:
+            return [e.elts[1].value for e in node.value.elts if getattr(e.elts[0], "id", None) == "cli"]
+    raise AssertionError("no _PATCHES in perfbench/replay.py")
+
+
+def test_cli_calls_the_functions_bound_on_its_module(tmp_path):
+    """perfbench reads the nine names on etkbound.cli before any command runs,
+    rebinds them to counting wrappers, and checks one etk_bound call per output
+    row; the commands must call whatever is bound there, a late import included."""
+    names = _benchmark_patch_names()
+    assert len(names) == 9
+    code = """import collections, json, sys
+import etkbound.cli as cli
+names, argvs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+counts = collections.Counter()
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in names:
+    setattr(cli, name, counting(name, getattr(cli, name)))
+codes = [cli.main(argv) for argv in argvs]
+print(json.dumps([codes, counts]))
+"""
+    hal, hyb = str(tmp_path / "hal.pts"), str(tmp_path / "hyb.pts")
+    argvs = [
+        ["gen", "halton", "--bases", "2,3", "--n", "64", "--out", hal],
+        ["gen", "hybrid", "--walsh", "vdc:2", "--badic", "halton:3", "--n", "64", "--out", hyb],
+        ["bound", hal, "--tags", "w,b", "--g", "2,1", "--g", "3,2", "--oracle", "--out", str(tmp_path / "b.csv")],
+        ["discrepancy", hyb, "--out", str(tmp_path / "d.csv")],
+        ["verify", "weights"],
+    ]
+    proc = run_module(json.dumps(names), json.dumps(argvs), code=code)
+    assert proc.returncode == 0, proc.stderr
+    codes, counts = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 5
+    assert counts == {
+        "config_from_string": 2, "generate_points": 1, "hybrid_points": 1, "write_point_set": 2,
+        "read_point_set": 2, "etk_bound": 4, "extreme_discrepancy_exact": 2, "star_discrepancy_exact": 2,
+        "run_suites": 1,
+    }
+    rows = (tmp_path / "b.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + counts["etk_bound"]
 
 
 def test_cli_subprocess_entry_point(tmp_path):

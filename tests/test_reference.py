@@ -93,11 +93,16 @@ def _reached(paths):
     return names, attributes
 
 
+# module-level hooks that Python calls by name (PEP 562), never code
+_MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def _defined(path):
-    """Top-level functions and classes, and the non-dunder methods and properties
-    of those classes, as (qualified name, name, whether it is a class member)."""
+    """Top-level functions and classes other than the module hooks, and the
+    non-dunder methods and properties of those classes, as (qualified name,
+    name, whether it is a class member)."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in _MODULE_HOOKS:
             continue
         yield f"{path.stem}.{node.name}", node.name, False
         for item in node.body if isinstance(node, ast.ClassDef) else ():
@@ -207,3 +212,17 @@ def test_no_other_module_imports_reference():
     assert importers == []
     probe = ast.parse("from . import reference\nimport etkbound.reference\nfrom .reference import exp_sum")
     assert all(_imports_reference(node) for node in probe.body)
+
+
+def test_only_module_level_pep_562_hooks_are_exempt(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def __getattr__(name): ...\n"
+        "def __dir__(): ...\n"
+        "def __call__(): ...\n"
+        "class A:\n"
+        "    def __getattr__(self, name): ...\n"
+        "    def run(self): ...\n",
+        encoding="utf-8",
+    )
+    assert [q for q, _, _ in _defined(probe)] == ["probe.__call__", "probe.A", "probe.A.run"]
