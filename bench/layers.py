@@ -13,9 +13,10 @@ is cold (first call after import), as in the CLI.  For `verify fourier` and
 - import_s and suite_s: importing etkbound.cli, then one cli.main call;
 - peak_rss_mb: ru_maxrss of that child after the call;
 - peak_alloc_mb: the tracemalloc peak of the call, in another child;
-- layers_s: cumulative time inside the suite's named functions (wrapped,
-  in a third child; a generator's time is that of its steps), with the rest
-  of the call as "other";
+- layers_s: cumulative time inside each of the suite's LAYERS, the first
+  of its named functions that the tree has (wrapped, in a third child; a
+  generator's time is that of its steps), with the rest of the call as
+  "other";
 - stdout_sha256: so two trees can be checked for identical output.
 
 It also records perfbench's micro-samples systems.xi_phase_us and
@@ -72,11 +73,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SUITES = ("fourier", "fc-bounds")
 PAIRS = 5
-# functions of etkbound.verify that the suites spend their time in; a tree
-# that lacks one (phase_row_blocks before it existed) times the others
+# the layers that the suites spend their time in, each timed as the first
+# function of etkbound.verify named that a tree has (a dotted name is a
+# method): before PhaseTable, fc-bounds read its rows from phase_row_blocks
 LAYERS = {
-    "fourier": ("_xi_table", "elint_fourier_coeff"),
-    "fc-bounds": ("phase_row_blocks", "phase_numerators"),
+    "fourier": {"_xi_table": ("_xi_table",), "elint_fourier_coeff": ("elint_fourier_coeff",)},
+    "fc-bounds": {"phase_rows": ("PhaseTable.rows", "phase_row_blocks"), "phase_numerators": ("phase_numerators",)},
 }
 # (b, g, N): a full phase table of N points, in the cells 0..N-1 mod b^g.
 # Full-period inputs, two points at a deep g, and large bases with few points.
@@ -88,13 +90,15 @@ TABLE_CASES = (
 # Halton points (their cell-index step was the whole allocation peak), two
 # points whose tables are 2^20 rows deep (b-adic: in Walsh, half of those 2^20
 # sums are exact zeros), full-period inputs whose every sum is an exact zero
-# that is re-tested, and the STRESS rows: the same at 2^20 van der Corput
-# points, and a digital net whose sums are nearly all exact zeros.  A stress
+# that is re-tested, 3^7 Halton points whose base-3 axis alone has a
+# 2187-row table (the re-test built it whole before PhaseTable), and the
+# STRESS rows: the same at 2^20 van der Corput points, and a digital net
+# whose sums are nearly all exact zeros.  A stress
 # row is timed by one call, not the best of three: one call of vdc 2^20 at
 # g = 12 took 32 s before the cell histogram.
 BOUND_CASES = (
     "bound_dense w,b (8,5)", "halton 2^20 w,b (8,5)", "vdc 2 points b (20)",
-    "vdc 2^12 w (12)", "vdc 3^7 w (7)", "vdc 5^5 w (5)", "halton 5184 w,b (6,4)",
+    "vdc 2^12 w (12)", "vdc 3^7 w (7)", "vdc 5^5 w (5)", "halton 5184 w,b (6,4)", "halton 2187 b,b (1,7)",
     "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
 )
 STRESS = BOUND_CASES[-3:]
@@ -200,12 +204,25 @@ def _timed(spent: dict, name: str, fn):
     return wrapper
 
 
+def _resolve(module, name: str):
+    """(owner, attribute) of a dotted name under module, or None where the tree lacks it."""
+    *path, attribute = name.split(".")
+    owner = module
+    for part in path:
+        owner = getattr(owner, part, None)
+    return (owner, attribute) if hasattr(owner, attribute) else None
+
+
 def _child_layers(suite: str) -> dict:
     import etkbound.verify as verify
 
-    spent = dict.fromkeys((name for name in LAYERS[suite] if hasattr(verify, name)), 0.0)
-    for name in spent:
-        setattr(verify, name, _timed(spent, name, getattr(verify, name)))
+    spent = {}
+    for layer, names in LAYERS[suite].items():
+        found = next(filter(None, (_resolve(verify, name) for name in names)), None)
+        if found:
+            owner, attribute = found
+            spent[layer] = 0.0
+            setattr(owner, attribute, _timed(spent, layer, getattr(owner, attribute)))
     start = time.perf_counter()
     _run_suite(suite)
     total = time.perf_counter() - start
@@ -288,6 +305,7 @@ def _child_bounds() -> dict:
         (one(3, WALSH), (7,), generate_points(VdcConfig(3), 3**7)),
         (one(5, WALSH), (5,), generate_points(VdcConfig(5), 5**5)),
         (mixed, (6, 4), generate_points(HaltonConfig((2, 3)), 5184)),
+        (HybridSystemSpec.from_tags((2, 3), (BADIC, BADIC)), (1, 7), generate_points(HaltonConfig((2, 3)), 3**7)),
         (one(2, BADIC), (10,), vdc),
         (one(2, BADIC), (12,), vdc),
         (HybridSystemSpec.from_tags((2, 2), (WALSH, WALSH)), (8, 8), net),

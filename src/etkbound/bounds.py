@@ -38,9 +38,8 @@ from .systems import (
     BADIC,
     WALSH,
     HybridSystemSpec,
+    PhaseTable,
     is_balanced,
-    phase_numerators,
-    phase_row_blocks,
 )
 
 __all__ = [
@@ -207,10 +206,11 @@ def cell_histogram(
     shape = tuple(len(c) for c in cells)
     hist = np.zeros(math.prod(shape), dtype=np.int64)
     for start in range(0, n, step):
-        joint = 0
+        joint = np.zeros(min(step, n - start), dtype=np.int64)
         for col, gi, cells_i in zip(columns, g, cells):
             index = _cell_index(col, gi, slice(start, start + step))
-            joint = joint * len(cells_i) + np.searchsorted(cells_i, index)
+            joint *= len(cells_i)
+            joint += np.searchsorted(cells_i, index)
         hist += np.bincount(joint, minlength=hist.size)
     return cells, hist.reshape(shape)
 
@@ -332,9 +332,11 @@ def _snap_exact_zeros(
     axes of its support: one residue per occupied cell of the int64
     histogram summed onto them, counted by its points, in the smallest
     signed type that holds a sum of s residues and the modulus itself.  Each
-    support's occupied cells are found once.  The later axes' integer tables
-    are built only here, and axis 0's rows in the blocks of about
-    _BLOCK_BYTES that hold a near-zero k.
+    support's occupied cells are found once.  Every axis is read alike: its
+    PhaseTable is built once, so the re-test holds two half tables of
+    b_i^ceil(g_i/2) and b_i^floor(g_i/2) rows of U_i int64 entries per axis,
+    and each near-zero k reads one row of each axis of its support, unless
+    that axis's index is the previous k's, whose residues it keeps.
     """
     near = abs_sums < _ZERO_SNAP
     # the ks with k_i = 0 on every axis that is not base-2 Walsh
@@ -345,35 +347,25 @@ def _snap_exact_zeros(
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
     common = math.lcm(*moduli)
     small = np.min_scalar_type(-1 - max(len(moduli) * (common - 1), common))
-    later = [
-        phase_numerators(c, b, tag, gi) for c, (b, tag), gi in zip(cells[1:], spec.coordinates[1:], g[1:])
-    ]
-    # k runs in lexicographic order, so each block's near-zero ks are one run of near
-    step = _block_rows(8 * len(cells[0]))  # per row: its int64 phases
-    blocks = near[:, 0] // step
-    starts = (blocks[np.diff(blocks, prepend=-1) != 0] * step).tolist()
-    spans = [range(start, min(start + step, moduli[0])) for start in starts]
-    edges = np.searchsorted(near[:, 0], [(rows.start, rows.stop) for rows in spans]).tolist()
-    firsts = phase_row_blocks(cells[0], *spec.coordinates[0], g[0], spans)
+    tables = [PhaseTable(c, b, tag, gi) for c, (b, tag), gi in zip(cells, spec.coordinates, g)]
+    # k runs in lexicographic order, so each axis keeps its last residues until its index changes
+    lifted = [(0, None)] * len(tables)
     occupied = {}
-    for rows, (lo, hi) in zip(spans, edges):
-        first = next(firsts)
-        for k in near[lo:hi].tolist():
-            support = tuple(i for i, ki in enumerate(k) if ki)
-            if support not in occupied:
-                marginal = hist.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
-                ranks = np.nonzero(marginal)
-                counts = marginal[ranks]
-                # equal counts need no weighting, and deciding that once saves it on every k
-                occupied[support] = ranks, None if np.all(counts == counts[0]) else counts
-            ranks, counts = occupied[support]
-            phases = [first[k[0] - rows.start], *(table[ki] for table, ki in zip(later, k[1:]))]
-            residues = sum(
-                (phases[i] * (common // moduli[i])).astype(small)[rank] for i, rank in zip(support, ranks)
-            )
-            if is_balanced(residues, common, counts):
-                abs_sums[tuple(k)] = 0.0
-        del first, phases  # so that the next block is built after this one is freed
+    for k in near.tolist():
+        support = tuple(i for i, ki in enumerate(k) if ki)
+        if support not in occupied:
+            marginal = hist.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
+            ranks = np.nonzero(marginal)
+            counts = marginal[ranks]
+            # equal counts need no weighting, and deciding that once saves it on every k
+            occupied[support] = ranks, None if np.all(counts == counts[0]) else counts
+        ranks, counts = occupied[support]
+        for i in support:
+            if lifted[i][0] != k[i]:
+                lifted[i] = k[i], (tables[i].row(k[i]) * (common // moduli[i])).astype(small)
+        residues = sum(lifted[i][1][rank] for i, rank in zip(support, ranks))
+        if is_balanced(residues, common, counts):
+            abs_sums[tuple(k)] = 0.0
 
 
 def _weight_axes(bases: tuple[int, ...], g: tuple[int, ...], star: bool) -> list[np.ndarray]:
@@ -437,14 +429,16 @@ def etk_bound(
     exact integer over N.  Any other sum below _ZERO_SNAP is re-tested on
     exact integer phases: one residue per occupied cell of the histogram
     summed onto k's support, counted by its points, and it snaps to 0.0 when
-    is_balanced finds that multiset balanced, as it would the points' own.
-    Every step is elementwise and the weighted terms feed one exactly
-    rounded sum, so the result is bit-reproducible, does not depend on the
-    block size or on any BLAS, and does not depend on per_index, whose rows
-    run in mixed-radix lexicographic order (coordinate 1 slowest).  The
+    is_balanced finds that multiset balanced, as it would the points' own;
+    the re-test reads those residues from each axis's two half tables, one
+    row per axis at a time, and builds no whole table.  Every step is
+    elementwise and the weighted terms feed one exactly rounded sum, so the
+    result is bit-reproducible, does not depend on the block size or on any
+    BLAS, and does not depend on per_index, whose rows run in mixed-radix
+    lexicographic order (coordinate 1 slowest).  The
     budget caps |Delta| before anything is allocated, and the table entries
-    sum_i b_i^{g_i} U_i, which the re-test's phase tables hold at most,
-    after the cells are counted and before any table is built.
+    sum_i b_i^{g_i} U_i, more than the re-test's half tables hold, after the
+    cells are counted and before any table is built.
     """
     _check_variant(variant)
     g = tuple(g)

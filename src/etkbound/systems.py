@@ -7,10 +7,10 @@ objects) and a single conversion to complex at the end.  Full character
 sums then cancel exactly instead of accumulating float noise.  The scalar
 phases are the reference for the table kernel over resolution-g cell
 indices, whose phases over b^g are linear in the index digits, so it builds
-no matrix of index digits: phase_row_blocks yields a table's rows in blocks
-from two half tables built once, and phase_numerators is its one whole
-block.  Its digit recurrence (_digit_sums, _add_runs) also generates digital
-nets.  is_balanced is the one exact-zero test.
+no matrix of index digits: PhaseTable reads any row or block of rows from
+two half tables built once, and phase_numerators is its one whole block.
+Its digit recurrence (_digit_sums, _add_runs) also generates digital nets.
+is_balanced is the one exact-zero test.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,11 +30,11 @@ __all__ = [
     "WALSH",
     "HybridSystemSpec",
     "PhaseFraction",
+    "PhaseTable",
     "chi_phase",
     "is_balanced",
     "phase_counter_sum",
     "phase_numerators",
-    "phase_row_blocks",
     "walsh_phase",
     "xi_phase",
 ]
@@ -202,76 +202,72 @@ def _add_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, out: np.ndar
         np.add(lo[a - top * run : b - top * run], hi[top], out=out[a - first : b - first])
 
 
-def _reduced_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, count: int, modulus: int) -> np.ndarray:
-    """Rows first .. first + count - 1 of _add_runs's table, reduced mod modulus.
-
-    Each entry x >= 0 becomes x - (x // modulus) modulus with no scratch
-    array: the quotients are taken in place, times -modulus, and each run's
-    slice of lo and row of hi are added back.  On int64 a floor division by
-    a scalar takes under half the time of np.remainder."""
-    out = np.empty((count, lo.shape[1]), dtype=np.int64)
-    _add_runs(lo, hi, run, first, out)
-    out //= modulus
-    out *= -modulus
-    stop = first + count
-    for top in range(first // run, -(-stop // run)):
-        a, b = max(first, top * run), min(stop, top * run + run)
-        rows = out[a - first : b - first]
-        rows += lo[a - top * run : b - top * run]
-        rows += hi[top]
-    return out
-
-
-def phase_row_blocks(
-    cells: np.ndarray, base: int, tag: str, g: int, spans: Iterable[range]
-) -> Iterator[np.ndarray]:
-    """Rows of the integer phase table over modulus b^g: one array for each span, in turn.
+class PhaseTable:
+    """The integer phase table over modulus b^g of N cells, read by rows from two half tables.
 
     `cells` holds N nonnegative integers c = sum_j d_j b^j, of which only
     the digits d_0 .. d_(g-1) are read, so c and c mod b^g give the same
     column.  For a point with digits d_0, d_1, ... it is the point's
-    resolution-g cell, on which every index below b^g is constant.  Each
-    span is a range of indices k below b^g with step 1, and its array, of
-    shape (len(span), N), holds in row r b^g times the phase of index
-    span[r] (walsh_phase or chi_phase, by tag) in every cell.  Integer
-    arithmetic only, so the table carries no rounding.
+    resolution-g cell, on which every index below b^g is constant.  Row k of
+    the table, of N entries, holds b^g times the phase of index k
+    (walsh_phase or chi_phase, by tag) in every cell.  Integer arithmetic
+    only, so the table carries no rounding.
 
     Row k is sum_j k_j step_j mod b^g, step_j = d_j b^(g-1) (Walsh) or z_(j+1) b^(g-1-j)
     (b-adic, z_v = c mod b^v the integer of the first v digits); the sums, below g b^(g+1),
-    are reduced once.  k splits as lo + b^h hi at half its digits, and the
-    tables of the lo and the hi rows are built once, before the first span:
-    each span is then its runs of b^h rows, one slice of the first plus one
-    row of the second, as DigitalConfig.columns builds points.  At g = 1 the
-    whole table is the lo table, built once, and each span's array is a view
-    of it.
+    are reduced as they are read.  k splits as lo + b^h hi at half its digits,
+    and the tables of the lo and the hi rows are built once: row k is
+    lo[k % b^h] + hi[k // b^h], and a block of rows is its runs of b^h rows,
+    one slice of the first plus one row of the second, as DigitalConfig.columns
+    builds points.  At g = 1 the whole table is the lo table, reduced once,
+    and rows are views of it.
     """
-    check_base(base)
-    if tag not in _TAGS:
-        raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
-    modulus = base**g
-    powers = base ** np.arange(g, dtype=np.int64)[:, None]
-    steps = cells % (base * powers)
-    if tag == WALSH:
-        steps -= steps % powers
-    steps *= powers[::-1]
-    h = (g + 1) // 2
-    if h == g:
-        lo = _digit_sums(steps, base)
-        lo %= modulus
-    else:
-        lo, hi = (_digit_sums(part, base) for part in (steps[:h], steps[h:]))
-    del steps
-    for rows in spans:
-        start, stop = rows.start, rows.stop
-        if rows.step != 1 or not 0 <= start <= stop <= modulus:
-            raise ValueError(f"indices must be a step-1 range within [0, {modulus}], got {rows}")
-        # yielded unnamed, so the caller's drop of a block frees it
-        yield lo[start:stop] if h == g else _reduced_runs(lo, hi, base**h, start, stop - start, modulus)
+
+    def __init__(self, cells: np.ndarray, base: int, tag: str, g: int) -> None:
+        check_base(base)
+        if tag not in _TAGS:
+            raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
+        self.modulus = base**g
+        powers = base ** np.arange(g, dtype=np.int64)[:, None]
+        steps = cells % (base * powers)
+        if tag == WALSH:
+            steps -= steps % powers
+        steps *= powers[::-1]
+        h = (g + 1) // 2
+        self.run = base**h
+        self.lo = _digit_sums(steps[:h], base)
+        self.hi = _digit_sums(steps[h:], base) if h < g else None
+        if self.hi is None:
+            self.lo %= self.modulus
+
+    def _check(self, start: int, stop: int) -> None:
+        if not 0 <= start <= stop <= self.modulus:
+            raise ValueError(f"rows {start}..{stop} are not within the index box [0, {self.modulus}]")
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start .. stop - 1, shape (stop - start, N), reduced in place."""
+        self._check(start, stop)
+        if self.hi is None:
+            return self.lo[start:stop]
+        out = np.empty((stop - start, self.lo.shape[1]), dtype=np.int64)
+        _add_runs(self.lo, self.hi, self.run, start, out)
+        out %= self.modulus
+        return out
+
+    def row(self, k: int) -> np.ndarray:
+        """Row k, of N entries: lo[k % b^h] + hi[k // b^h], reduced by one floor division,
+        which on int64 by a scalar takes about half the time of np.remainder."""
+        self._check(k, k + 1)
+        if self.hi is None:
+            return self.lo[k]
+        out = self.lo[k % self.run] + self.hi[k // self.run]
+        out -= out // self.modulus * self.modulus
+        return out
 
 
 def phase_numerators(cells: np.ndarray, base: int, tag: str, g: int) -> np.ndarray:
-    """The whole phase table of phase_row_blocks, shape (b^g, N): its single block of every index."""
-    return next(phase_row_blocks(cells, base, tag, g, [range(base**g)]))
+    """The whole PhaseTable, shape (b^g, N)."""
+    return PhaseTable(cells, base, tag, g).rows(0, base**g)
 
 
 @functools.lru_cache(maxsize=256)

@@ -40,7 +40,7 @@ from .sequences import (
     generate_points,
     hybrid_points,
 )
-from .systems import BADIC, WALSH, HybridSystemSpec, phase_numerators, phase_row_blocks
+from .systems import BADIC, WALSH, HybridSystemSpec, PhaseTable, phase_numerators
 
 __all__ = [
     "SUITES",
@@ -194,8 +194,9 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
     of the (k, beta) table is one cumulative sum of phase values, looked up
     from the b^depth roots of unity; its columns are the cells in order of
     value, whose indices are the digit reversals of 0 .. b^depth - 1.  Rows
-    go in blocks of about badic._BLOCK_BYTES of complex values, each built
-    from the phase table's half tables, which are built once per base and tag.
+    go in blocks of about badic._BLOCK_BYTES of all that a block holds: its
+    complex sums, the int64 phase rows they are looked up from and the float
+    excess, each read from the PhaseTable of one base and tag.
     """
     result = SuiteResult("fc-bounds", 0)
     for base in bases:
@@ -204,12 +205,11 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
         anchors = np.arange(grid).reshape((base,) * depth).T.ravel()
         limits = np.array([rho_star(k, base) for k in range(1, grid)])
         unit = np.exp(-2j * np.pi * np.arange(grid) / grid)
-        step = _block_rows(16 * grid)
-        spans = [range(start, min(start + step, grid)) for start in range(1, grid, step)]
+        step = _block_rows(32 * grid)
         for tag in (WALSH, BADIC):
-            tables = phase_row_blocks(anchors, base, tag, depth, spans)
+            table = PhaseTable(anchors, base, tag, depth)
             for start in range(1, grid, step):
-                coeffs = unit[next(tables)]
+                coeffs = unit[table.rows(start, min(start + step, grid))]
                 np.cumsum(coeffs, axis=1, out=coeffs)
                 coeffs /= grid
                 over = np.abs(coeffs)

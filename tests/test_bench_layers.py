@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import time
 
 import pytest
 
@@ -39,14 +40,28 @@ def test_stages_of_etk_bound_cover_the_call(layers):
 
 
 def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
-    """The fc-bounds phase rows come from a generator: its steps are timed, not only its call."""
+    """The fc-bounds phase rows come from a method, PhaseTable.rows: its calls are timed."""
     import etkbound.verify as verify
 
-    for name in layers.LAYERS["fc-bounds"]:
-        monkeypatch.setattr(verify, name, getattr(verify, name))  # restored after the wrapping below
+    for names in layers.LAYERS["fc-bounds"].values():
+        for owner, attribute in filter(None, (layers._resolve(verify, name) for name in names)):
+            monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
     row = layers._child_layers("fc-bounds")["layers_s"]
     assert list(row) == [*layers.LAYERS["fc-bounds"], "other"]
-    assert row["phase_row_blocks"] > 0 and row["phase_numerators"] == 0
+    assert row["phase_rows"] > 0 and row["phase_numerators"] == 0
+    assert layers._resolve(verify, "phase_row_blocks") is None  # the name before PhaseTable, kept as a fallback
+
+
+def test_a_generator_layer_is_timed_by_its_steps(layers):
+    """A tree whose layer is a generator (phase_row_blocks) is timed over its steps, not only its call."""
+    spent = {"rows": 0.0}
+
+    def blocks():
+        time.sleep(0.01)
+        yield 1
+
+    assert list(layers._timed(spent, "rows", blocks)()) == [1]
+    assert spent["rows"] >= 0.01
 
 
 def test_import_seconds_count_each_outer_etkbound_import_once(layers):

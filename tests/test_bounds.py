@@ -241,8 +241,7 @@ def test_etk_bound_budget_counts_phase_table_entries(monkeypatch):
     def no_tables(*args):
         raise AssertionError("phase table built past the budget")
 
-    monkeypatch.setattr(bounds, "phase_numerators", no_tables)
-    monkeypatch.setattr(bounds, "phase_row_blocks", no_tables)
+    monkeypatch.setattr(bounds, "PhaseTable", no_tables)
     with pytest.raises(BudgetExceededError, match="phase tables of 145 entries exceed budget 144"):
         etk_bound(spec, (3, 2), pts, budget=entries - 1)
 
@@ -378,6 +377,15 @@ def test_cell_histogram_matches_unique_and_bincount(seed, axes, n):
         assert hist.dtype == np.int64 and np.array_equal(hist, want)
 
 
+def test_cell_histogram_ranks_each_block_in_place(peak_mib):
+    """A block's rows hold a cell index, its rank and the joint rank, 24 bytes
+    each, so the block is 1 MiB.  Forming the joint rank as a new array for
+    each axis took 2^17 Halton points in three axes to 1.34 MiB; ranked in
+    place they peak at 1.07, the block and the cell marks."""
+    columns = generate_points(HaltonConfig((2, 3, 5)), 2**17).columns
+    assert peak_mib(cell_histogram, columns, (2, 1, 1)) < 1.125
+
+
 def test_etk_bound_weighting_needs_no_more_than_the_contraction():
     """Two base-2 points at g = 20, b-adic: the whole table, its complex lookup
     and the sums took the contraction to 64 MiB, and the weighting added 40 MiB
@@ -435,18 +443,30 @@ def test_etk_bound_weights_each_block_of_sums_on_its_own(monkeypatch):
     assert rep.weighted_sum.hex() == "0x1.0800000000000p-5"
 
 
-@pytest.mark.parametrize("base, g, limit", [(2, 12, 1), (3, 7, 8)])
+@pytest.mark.parametrize("base, g, limit", [(2, 12, 1), (3, 7, 2.5)])
 def test_etk_bound_streams_a_full_period_table_in_blocks(base, g, limit, peak_mib):
     """van der Corput's b^g points in Walsh at g: every sum is an exact zero.
     The b^g x b^g int64 table, its complex lookup and the table kept through
     the re-test took 384.2 MiB at 2^12 and 109.6 at 3^7, and axis 0's rows in
-    blocks 5.2 and 2.9.  In base 3 the re-test's half tables of the digit
-    recurrence set the peak; in base 2 the sums come out exact, and with no
-    re-test the peak is the transform's 2^12 float box and its scratch."""
+    blocks 5.2 and 2.9.  Each zero's row read on its own from the half tables
+    of the digit recurrence took 3^7 to 2.26 MiB, which those half tables
+    set; in base 2 the sums come out exact, and with no re-test the peak is
+    the transform's 2^12 float box and its scratch."""
     pts = generate_points(VdcConfig(base), base**g)
     rep = etk_bound(HybridSystemSpec.single(base, WALSH), (g,), pts, per_index=True)
     assert rep.weighted_sum == 0.0 and all(x == 0.0 for _, _, x in rep.per_index)
     assert peak_mib(etk_bound, HybridSystemSpec.single(base, WALSH), (g,), pts) < limit
+
+
+def test_etk_bound_retest_reads_every_axis_from_half_tables(peak_mib):
+    """3^7 Halton points in b,b at g = (1,7): axis 1's table is 2187 x 2187
+    int64, and built whole for the re-test it set the peak at 38.5 MiB.  Each
+    axis's rows are read from its two half tables, which took it to 2.2 MiB;
+    the weighted sum keeps its value bit for bit."""
+    spec = HybridSystemSpec.from_tags((2, 3), (BADIC, BADIC))
+    pts = generate_points(HaltonConfig((2, 3)), 3**7)
+    assert etk_bound(spec, (1, 7), pts).weighted_sum.hex() == "0x1.5327a4964d562p-6"
+    assert peak_mib(etk_bound, spec, (1, 7), pts) < 4
 
 
 @st.composite
@@ -483,10 +503,9 @@ def _both_reports(spec, g, points):
 @given(case=blocked_inputs())
 @settings(max_examples=60, deadline=None)
 def test_etk_bound_is_the_same_at_every_block_size(case):
-    """The transform's chunks and the re-test's rows in blocks of the default
-    size and of one column or row give the same reports, bit for bit: every
-    step of the transform is elementwise, so no sum depends on where a chunk
-    ends."""
+    """The transform's chunks of the default size and of one column give the
+    same reports, bit for bit: every step of the transform is elementwise, so
+    no sum depends on where a chunk ends."""
     got = []
     for size in (badic._BLOCK_BYTES, 1):
         with pytest.MonkeyPatch.context() as mp:

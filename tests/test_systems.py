@@ -28,11 +28,11 @@ from etkbound.systems import (
     WALSH,
     HybridSystemSpec,
     PhaseFraction,
+    PhaseTable,
     chi_phase,
     is_balanced,
     phase_counter_sum,
     phase_numerators,
-    phase_row_blocks,
     walsh_phase,
     xi_phase,
 )
@@ -286,24 +286,26 @@ def test_weighted_balance_test_is_still_incomplete_for_mixed_moduli():
 @given(digit_columns(), st.sampled_from((WALSH, BADIC)), st.data())
 @settings(deadline=None)
 def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
-    """Each block of the generator, in any order and overlapping, is those rows of the whole table."""
+    """Each block of rows and each single row, in any order and overlapping, is those rows of the whole table."""
     base, g, column = case
     cells = np.array([x.as_integer() for x in column])
     full = phase_numerators(cells, base, tag, g)
     assert full.shape == (base**g, len(column))
+    table = PhaseTable(cells, base, tag, g)
     bound = st.integers(0, base**g)
-    spans = [range(a, data.draw(st.integers(a, base**g))) for a in data.draw(st.lists(bound, max_size=4))]
-    got = list(phase_row_blocks(cells, base, tag, g, spans))
-    assert len(got) == len(spans)
-    for rows, table in zip(spans, got):
-        assert table.shape == (len(rows), len(column))
-        assert np.array_equal(table, full[rows.start : rows.stop])
+    for start in data.draw(st.lists(bound, max_size=4)):
+        stop = data.draw(st.integers(start, base**g))
+        block = table.rows(start, stop)
+        assert block.shape == (stop - start, len(column))
+        assert np.array_equal(block, full[start:stop])
+    for k in data.draw(st.lists(st.integers(0, base**g - 1), max_size=4)):
+        assert np.array_equal(table.row(k), full[k])
 
 
 @pytest.mark.parametrize("g", [1, 2, 5])
-def test_phase_row_blocks_build_their_half_tables_once(g, monkeypatch):
+def test_phase_table_builds_its_half_tables_once(g, monkeypatch):
     """Rebuilding the half tables for each block took vdc 2^12 Walsh at g = 12
-    from 0.60 s to 2.17 s; they are built once, however many blocks follow."""
+    from 0.60 s to 2.17 s; they are built once, however many rows are read."""
     import etkbound.systems as systems
 
     calls = []
@@ -315,11 +317,14 @@ def test_phase_row_blocks_build_their_half_tables_once(g, monkeypatch):
 
     monkeypatch.setattr(systems, "_digit_sums", counted)
     cells = np.arange(40)
-    spans = [range(a, min(a + 2, 3**g)) for a in range(0, 3**g, 2)]
-    got = list(phase_row_blocks(cells, 3, WALSH, g, spans))
+    table = PhaseTable(cells, 3, WALSH, g)
+    got = [table.rows(a, min(a + 2, 3**g)) for a in range(0, 3**g, 2)]
+    rows = [table.row(k) for k in range(3**g)]
     assert calls == ([1] if g == 1 else [(g + 1) // 2, g // 2])
     monkeypatch.undo()
-    assert np.array_equal(np.concatenate(got), phase_numerators(cells, 3, WALSH, g))
+    full = phase_numerators(cells, 3, WALSH, g)
+    assert np.array_equal(np.concatenate(got), full)
+    assert np.array_equal(np.array(rows), full)
 
 
 @given(st.sampled_from((2, 3, 4, 5, 6, 7, 11)), st.sampled_from((WALSH, BADIC)), st.data())
@@ -340,10 +345,16 @@ def test_phase_table_scratch_stays_within_a_quarter_of_the_table(base, g, n, tag
     assert peak_mib(phase_numerators, np.arange(n), base, tag, g) <= 1.25 * table_mib + 1
 
 
-@pytest.mark.parametrize("indices", [range(0, 4, 2), range(-1, 3), range(0, 9), range(3, 2)])
+@pytest.mark.parametrize("indices", [(9, 9), (-1, 3), (0, 9), (3, 2)])
 def test_phase_table_rejects_rows_outside_the_index_box(indices):
-    with pytest.raises(ValueError, match="step-1 range"):
-        next(phase_row_blocks(np.arange(4), 2, BADIC, 3, [indices]))
+    with pytest.raises(ValueError, match="not within the index box"):
+        PhaseTable(np.arange(4), 2, BADIC, 3).rows(*indices)
+
+
+@pytest.mark.parametrize("g, k", [(1, -1), (1, 2), (3, -1), (3, 8)])
+def test_phase_table_rejects_an_index_outside_the_box(g, k):
+    with pytest.raises(ValueError, match="not within the index box"):
+        PhaseTable(np.arange(4), 2, BADIC, g).row(k)
 
 
 # The scalar phases in Fraction arithmetic, written from the definitions:

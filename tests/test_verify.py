@@ -146,32 +146,34 @@ def test_fc_suite_memory_is_bounded_by_blocks(peak_mib):
 
 
 def test_fc_suite_sums_each_block_in_place(peak_mib):
-    """A block of base-5 rows is 1 MiB of complex values.  Summing them and
-    subtracting the limits in place kept the suite at 3.24 MiB with the phase
-    rows' two half tables (0.24 MiB) kept across blocks; a new array for the
-    sums and one for the excess took it to 3.5 MiB.  Dropping each block's
-    sums before the next block is built keeps it at 1.8 MiB."""
-    assert peak_mib(check_fc_bounds) < 2
+    """Summing a block's rows and subtracting the limits in place kept the
+    suite at 3.24 MiB; a new array for the sums and one for the excess took
+    it to 3.5 MiB.  Dropping each block's sums before the next block is
+    built kept it at 1.8 MiB, with blocks of 1 MiB of complex sums that also
+    held their int64 phase rows and float excess.  Sized by all three, a
+    block of base-5 rows is 1 MiB in all, and the suite peaks at 1.07 MiB."""
+    assert peak_mib(check_fc_bounds) < 1.25
 
 
 def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
     """The base-5 depth-4 phase table is 625 x 625 int64, 3.0 MiB; built whole,
-    it took the suite's peak to 7.6 MiB, and one block's scratch is about 4 MiB."""
+    it took the suite's peak to 7.6 MiB.  Each block reads only its own rows
+    from the PhaseTable of its base and tag."""
     import etkbound.verify as verify
 
     built = []
-    kernel = verify.phase_row_blocks
+    rows = verify.PhaseTable.rows
 
-    def spy(cells, base, tag, g, spans):
-        for table in kernel(cells, base, tag, g, spans):
-            built.append((base, len(table)))
-            yield table
+    def spy(table, start, stop):
+        block = rows(table, start, stop)
+        built.append((table.modulus, len(block)))
+        return block
 
-    monkeypatch.setattr(verify, "phase_row_blocks", spy)
+    monkeypatch.setattr(verify.PhaseTable, "rows", spy)
     res = check_fc_bounds()
     assert res.checks == 793440
-    assert sum(rows for base, rows in built if base == 5) == 2 * 624
-    assert max(rows for base, rows in built if base == 5) <= _block_rows(16 * 625) < 624
+    assert sum(n for modulus, n in built if modulus == 625) == 2 * 624
+    assert max(n for modulus, n in built if modulus == 625) <= _block_rows(32 * 625) < 624
     monkeypatch.undo()
     assert peak_mib(check_fc_bounds) < 5
 
