@@ -36,7 +36,9 @@ The points section times generation (hybrid_points or generate_points, as
 `gen` calls them), write_point_set into a StringIO (as `gen` writes) and
 read_point_set from a file (as `bound` reads) on POINT_CASES, one child per
 case.  Each row records cold_s, the first call in that child, s, the best of
-three more, and peak_alloc_mb, the tracemalloc peak of a fifth.
+three more, and peak_alloc_mb, the tracemalloc peak of a fifth; the generate
+and read rows also record held_mb, the bytes of the digit matrices and counts
+of the point set returned, against which their peaks can be read.
 
 The startup section runs each command shape of the four perfbench workloads
 (STARTUP_SHAPES) as `python -m etkbound`, as perfbench's children run:
@@ -325,6 +327,11 @@ def _cold_warm(fn):
     return result, {"cold_s": cold, **_measure(fn)}
 
 
+def _held_mb(points) -> float:
+    """MiB of the digit matrices and counts that a point set holds."""
+    return sum(col.digits.nbytes + col.counts.nbytes for col in points.columns) / 2**20
+
+
 def _child_points(case: str, n: int | None = None) -> dict:
     """The generation, write and read layers on one POINT_CASES input (n points, if given)."""
     import io
@@ -359,6 +366,7 @@ def _child_points(case: str, n: int | None = None) -> dict:
         back, read_row = _cold_warm(read)
     if back != points:
         raise SystemExit(f"{case}: the point file does not read back as the points written")
+    generate["held_mb"], read_row["held_mb"] = _held_mb(points), _held_mb(back)
     rows = (generate, written, read_row)
     return {f"{case} {layer}": row for layer, row in zip(POINT_LAYERS, rows)}
 

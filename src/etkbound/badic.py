@@ -5,8 +5,10 @@ two ways: as the point sum_j d_j b^(-j-1) of the unit interval, and as the
 truncated b-adic integer sum_j d_j b^j.  Both readings use the same digit
 order, so the digit-mirroring (Monna) map is the identity on digit vectors
 and all arithmetic here stays in integers and Fractions.  A digit column is
-many digit vectors of one base as a single integer matrix, the form in which
-point sets are generated, written, read and turned into phase tables.  The
+many digit vectors of one base as a single integer matrix and the vectors'
+digit counts, each in the smallest unsigned dtype that holds it: the form in
+which point sets are generated, written, read and turned into phase tables.
+Its constructor is the one place that checks and casts them.  The
 additions of digit vectors with and without carry, and the radical inverse,
 are scalar references in `reference`.
 
@@ -176,12 +178,6 @@ def _check_column_base(base: int) -> None:
         raise ValueError(f"base {base} is too large for a digit matrix")
 
 
-def _check_digit_range(digits: np.ndarray, base: int) -> None:
-    if digits.size and (digits.min() < 0 or digits.max() >= base):
-        out = (digits < 0) | (digits >= base)
-        raise ValueError(f"digit {digits[out][0]} out of range for base {base}")
-
-
 @dataclass(frozen=True, eq=False)
 class DigitColumn:
     """N base-b digit vectors stored as one N x P integer matrix.
@@ -191,9 +187,10 @@ class DigitColumn:
     counts[n], the vector's stored precision.  The matrix is the vectors
     zero-padded to a common length, and counts keeps the trailing zeros they
     really store.  Digits use the smallest unsigned dtype that holds b - 1,
-    so bases must stay below 2^63; a matrix already in that dtype is kept,
-    not copied.  Because d_0 is the leading fraction digit, the
-    lexicographic order of the rows is the order of the values.
+    so bases must stay below 2^63, and counts the smallest that holds P; an
+    array already in its dtype is kept, not copied.  Because d_0 is the
+    leading fraction digit, the lexicographic order of the rows is the order
+    of the values.
     """
 
     base: int
@@ -203,52 +200,21 @@ class DigitColumn:
     def __post_init__(self) -> None:
         _check_column_base(self.base)
         digits = np.asarray(self.digits)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         if digits.ndim != 2 or counts.shape != digits.shape[:1]:
             raise ValueError(f"digit matrix {digits.shape} does not match counts {counts.shape}")
-        _check_digit_range(digits, self.base)
+        # both ranges are checked before the casts, so no digit or count can wrap
+        if digits.size and (digits.min() < 0 or digits.max() >= self.base):
+            out = (digits < 0) | (digits >= self.base)
+            raise ValueError(f"digit {digits[out][0]} out of range for base {self.base}")
         width = digits.shape[1]
         if counts.size and (counts.min() < 0 or counts.max() > width):
             raise ValueError(f"digit counts must lie in [0, {width}]")
+        counts = counts.astype(np.min_scalar_type(width), copy=False)
         if any(np.logical_and(digits[:, j], counts <= j).any() for j in range(width)):
             raise ValueError("digits past a vector's count must be zero")
-        dtype = np.min_scalar_type(self.base - 1)
-        object.__setattr__(self, "digits", digits.astype(dtype, copy=False))
+        object.__setattr__(self, "digits", digits.astype(np.min_scalar_type(self.base - 1), copy=False))
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_pieces(cls, base: int, pieces: list) -> "DigitColumn":
-        """Column from consecutive runs of rows, each a pair (its flat digits, its rows' counts).
-
-        Each run's digits are range-checked before they are copied, so the
-        matrix is allocated once, in its final dtype, and no digit can wrap on
-        the way in.  It is filled a block of rows at a time through that
-        block's mask, and nothing is concatenated.  The list is emptied as its
-        runs are copied, so each is freed on the way.
-        """
-        _check_column_base(base)
-        rows = sum(len(c) for _, c in pieces)
-        width = max((int(np.max(c, initial=0)) for _, c in pieces), default=0)
-        digits = np.zeros((rows, width), dtype=np.min_scalar_type(base - 1))
-        counts = np.empty(rows, dtype=np.int64)
-        step = _block_rows(16 * width + 16)  # a row's mask and its digits, in up to 8 bytes each
-        row = 0
-        pieces.reverse()
-        while pieces:
-            flat, run = map(np.asarray, pieces.pop())
-            _check_digit_range(flat, base)
-            counts[row : row + len(run)] = run
-            used = 0
-            for start in range(0, len(run), step):
-                block = run[start : start + step]
-                mask = np.arange(width) < block[:, None]
-                size = int(np.count_nonzero(mask))
-                digits[row + start : row + start + len(block)][mask] = flat[used : used + size]
-                used += size
-            if used != len(flat):
-                raise ValueError(f"{len(flat)} digits for rows that hold {used}")
-            row += len(run)
-        return cls(base, digits, counts)
 
     @classmethod
     def from_integers(cls, n: np.ndarray, base: int) -> "DigitColumn":
@@ -263,7 +229,7 @@ class DigitColumn:
             raise ValueError("expected nonnegative integers")
         width = vb(int(q.max()), base) if q.size else 0
         digits = np.empty((q.size, width), dtype=np.min_scalar_type(base - 1))
-        counts = np.zeros(q.shape, dtype=np.int64)
+        counts = np.zeros(q.shape, dtype=np.min_scalar_type(width))
         r = np.empty_like(q)
         for j in range(width):
             counts += q > 0

@@ -30,6 +30,7 @@ from .badic import (
     DigitColumn,
     _block_rows,
     _check_budget,
+    _check_domain,
     check_base,
     vb,
 )
@@ -103,13 +104,9 @@ def epsilon_fraction(bases: tuple[int, ...], g: tuple[int, ...], star: bool = Fa
     """Exact truncation term: 1 - prod_i (1 - c b_i^{-g_i}), c = 1 (star) or 2."""
     bases = tuple(bases)
     g = tuple(g)
-    if len(bases) != len(g) or not bases:
-        raise ValueError(f"bases and g must be nonempty and match: {bases} vs {g}")
-    for b in bases:
-        check_base(b)
-    for gi in g:
-        if gi < 1:
-            raise ValueError("resolution components must be >= 1")
+    _check_domain(bases, g)
+    if min(g) < 1:
+        raise ValueError("resolution components must be >= 1")
     c = 1 if star else 2
     prod = Fraction(1)
     for b, gi in zip(bases, g):
@@ -140,13 +137,10 @@ def weight_sum(bases: tuple[int, ...], g: tuple[int, ...], star: bool = False) -
     """
     bases = tuple(bases)
     g = tuple(g)
-    if len(bases) != len(g) or not bases:
-        raise ValueError(f"bases and g must be nonempty and match: {bases} vs {g}")
+    _check_domain(bases, g)
     c = 1.0 if star else 2.0
     out = 1.0
     for b, gi in zip(bases, g):
-        if gi < 0:
-            raise ValueError(f"resolution components must be >= 0, got {gi}")
         out *= 1.0 + c * gi * cb_constant(b)
     return out
 

@@ -17,9 +17,10 @@ ones through one mask.  The reader turns a block of whole lines into one
 array of character codes.  Line ends, words, blank and comment lines, arity,
 the "0." prefixes, digit ranges and counts are all masks over it or positions
 of its separators; only the few header lines are read one at a time, in line
-order.  It keeps each column's flat digits and counts per block, and at the
-end fills each digit matrix from them block by block, with no concatenation
-(DigitColumn.from_pieces).  parse_coordinate and reference.format_coordinate
+order.  It keeps each block of a column as a digit matrix padded to the
+block's widest row, with its counts, both in their final dtypes, and at the
+end copies the blocks into one matrix per column, freeing each block once it
+is copied.  parse_coordinate and reference.format_coordinate
 are the per-coordinate reference, and reference.read_point_set the per-line
 one; the reader words the error for its first bad line with parse_coordinate.
 """
@@ -200,6 +201,34 @@ def _digits(codes: np.ndarray, inside: np.ndarray, base: int, body: np.ndarray, 
     return value.astype(np.min_scalar_type(base - 1)), counts, rows
 
 
+def _block_column(flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block's digit matrix, row r its next counts[r] flat digits zero-padded to
+    the widest row, and its counts in the smallest dtype that holds that width."""
+    width = int(counts.max(initial=0))
+    counts = counts.astype(np.min_scalar_type(width))
+    digits = np.zeros((len(counts), width), dtype=flat.dtype)
+    # a mask from operands of one small dtype: int64 ones took 4 times its size
+    digits[np.arange(width, dtype=counts.dtype) < counts[:, None]] = flat
+    return digits, counts
+
+
+def _stack(base: int, runs: list) -> DigitColumn:
+    """One column from the digit matrices and counts of its runs of rows, in
+    order; the list is emptied as they are copied, so each run is freed on the way."""
+    rows = sum(len(counts) for _, counts in runs)
+    width = max(digits.shape[1] for digits, _ in runs)
+    column = np.zeros((rows, width), dtype=runs[0][0].dtype)
+    counts = np.empty(rows, dtype=np.min_scalar_type(width))
+    row = 0
+    runs.reverse()
+    while runs:
+        digits, run_counts = runs.pop()
+        column[row : row + len(digits), : digits.shape[1]] = digits
+        counts[row : row + len(digits)] = run_counts
+        row += len(digits)
+    return DigitColumn(base, column, counts)
+
+
 class _Reader:
     """A point file read a block of whole lines at a time.
 
@@ -215,8 +244,8 @@ class _Reader:
     def __init__(self) -> None:
         self.bases: tuple[int, ...] | None = None
         self.provenance = ""
-        # per block with points, each column's (flat digits, digit counts)
-        self.pieces: list[list] = []
+        # per block with points, each column's (digit matrix, digit counts)
+        self.blocks: list[list] = []
         self.lines = 0  # lines before the current block
 
     def feed(self, text: str) -> None:
@@ -238,7 +267,7 @@ class _Reader:
             return text[starts[first[i]] : stops[first[i] + nwords[i] - 1]]
 
         points = np.flatnonzero((nwords > 0) & (lead != _HASH))
-        seen = bool(self.pieces)
+        seen = bool(self.blocks)
         error = None
         for h in np.flatnonzero(lead == _HASH).tolist():
             before = points.size > 0 and points[0] < h
@@ -263,16 +292,16 @@ class _Reader:
         if points.size:
             if self.bases is None:
                 raise ValueError(f"line {self.lines + points[0] + 1}: points before the #bases header")
-            bad, pieces = self._points(codes, points, line, nwords, starts, stops)
+            bad, columns = self._points(codes, points, line, nwords, starts, stops)
             if bad is not None:
                 raise _line_error(self.lines + bad + 1, line_text(bad), self.bases)
-            self.pieces.append(pieces)
+            self.blocks.append(columns)
         if error is not None:
             raise error
         self.lines += len(ends)
 
     def _points(self, codes, points, line, nwords, starts, stops):
-        """The first bad point line (None if there is none) and each column's flat digits and counts."""
+        """The first bad point line, or None and each column's digit matrix and counts."""
         for b in self.bases:
             _check_column_base(b)  # no digit column holds a base of 2^63 or more
         s = len(self.bases)
@@ -298,25 +327,25 @@ class _Reader:
         values[1::2] = np.tile(np.arange(1, s + 1), len(body))
         label = np.repeat(values, np.diff(edges, prepend=0, append=len(codes)))
         wrong = ~prefix.all(axis=1)
-        pieces = []
+        columns = []
         for i, b in enumerate(self.bases):
             flat, counts, out = _digits(codes, label == i + 1, b, body[:, i], end[:, i])
             wrong |= out
-            # counts in the smallest type that holds them: int64 ones took as much as the digits
-            pieces.append((flat, counts.astype(np.min_scalar_type(counts.max(initial=0)))))
+            columns.append(_block_column(flat, counts))
         if wrong.any():  # every row lies before the first line with bad words
             first_bad = int(rows[np.argmax(wrong)])
-        return (None if first_bad == len(nwords) else first_bad), pieces
+        if first_bad < len(nwords):  # the block is dropped, so no stored one holds a digit of b or more
+            return first_bad, None
+        return None, columns
 
     def result(self) -> PointSet:
         if self.bases is None:
             raise ValueError("missing #bases header")
-        if not self.pieces:
+        if not self.blocks:
             raise ValueError("point file has no points")
-        by_column = [list(pieces) for pieces in zip(*self.pieces)]
-        self.pieces.clear()
-        # from_pieces empties each column's list as it copies, so every piece is freed once copied
-        columns = [DigitColumn.from_pieces(b, by_column.pop(0)) for b in self.bases]
+        by_column = [list(runs) for runs in zip(*self.blocks)]
+        self.blocks.clear()
+        columns = [_stack(b, runs) for b, runs in zip(self.bases, by_column)]
         return PointSet(columns, self.provenance)
 
 

@@ -12,7 +12,6 @@ runs it, and no other module of the package may import it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -194,13 +193,11 @@ def digit_column(vectors: Sequence[DigitVector], base: int) -> DigitColumn:
     for v in vectors:
         if v.base != base:
             raise ValueError(f"coordinate base {v.base} does not match {base}")
-    counts = np.fromiter((v.precision for v in vectors), dtype=np.int64, count=len(vectors))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(v.digits for v in vectors),
-        dtype=np.int64,
-        count=int(counts.sum()),
-    )
-    return DigitColumn.from_pieces(base, [(flat, counts)])
+    counts = [v.precision for v in vectors]
+    width = max(counts, default=0)
+    rows = [v.digits + (0,) * (width - v.precision) for v in vectors]
+    digits = np.array(rows, dtype=np.min_scalar_type(base - 1)).reshape(len(rows), width)
+    return DigitColumn(base, digits, counts)
 
 
 def point_set(

@@ -214,7 +214,7 @@ class DigitalConfig:
             rows %= base
             for i, y in enumerate(out):
                 y[start : start + len(rows)] = rows[:, i * m : (i + 1) * m]
-        counts = np.full(n_points, m)
+        counts = np.full(n_points, m, dtype=np.min_scalar_type(m))
         return tuple(DigitColumn(base, y, counts) for y in out)
 
     def describe(self) -> str:

@@ -1,5 +1,6 @@
 """Digit vectors, the Monna map, and index-box enumeration."""
 
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from etkbound.badic import (
     monna,
     vb,
 )
+from etkbound.pointfile import read_point_set, write_point_set
 from etkbound.reference import (
     add_with_carry,
     add_without_carry,
@@ -22,6 +24,7 @@ from etkbound.reference import (
     monna_pseudoinverse,
     radical_inverse,
 )
+from etkbound.sequences import DigitalConfig, GeneratorMatrix, PointSet
 
 
 def test_int_digits_least_significant_first():
@@ -218,19 +221,6 @@ def test_from_integers_keeps_its_preallocated_matrix(monkeypatch):
     assert not np.shares_memory(DigitColumn(3, wide, [3, 3]).digits, wide)
 
 
-def test_from_flat_allocates_its_matrix_in_the_final_dtype(peak_mib):
-    """A 2^16 x 16 base-12 column from int64 flat digits in one run: a uint8
-    matrix, built with at most 3 times its size; allocating in int64 and
-    casting took 9 times."""
-    rng = np.random.default_rng(12)
-    counts = rng.integers(0, 17, 2**16)
-    counts[0] = 16
-    flat = rng.integers(0, 12, int(counts.sum()))
-    final = DigitColumn.from_pieces(12, [(flat, counts)]).digits
-    assert final.shape == (2**16, 16) and final.dtype == np.uint8
-    assert peak_mib(DigitColumn.from_pieces, 12, [(flat, counts)]) <= 3 * final.nbytes / 2**20
-
-
 @pytest.mark.parametrize(
     "digits, counts, message",
     [
@@ -251,21 +241,60 @@ def test_column_rejects_counts_out_of_range_and_nonzero_padding(digits, counts, 
 @pytest.mark.parametrize("full", [False, True])
 def test_column_checks_its_padding_without_matrix_sized_scratch(full, peak_mib):
     """A 2^16 x 16 base-12 uint8 column: the constructor's checks take at most a
-    quarter of the matrix and from_pieces on one run at most 2.25 matrices; an
-    N x P padding mask and its gather took 1.5 and 2.5 with random row lengths."""
+    quarter of the matrix; an N x P padding mask took 1.5 with random row lengths."""
     rng = np.random.default_rng(13)
     counts = np.full(2**16, 16) if full else rng.integers(0, 17, 2**16)
     counts[0] = 16
     digits = rng.integers(0, 12, (2**16, 16)).astype(np.uint8)
     digits[np.arange(16) >= counts[:, None]] = 0
-    flat = digits[np.arange(16) < counts[:, None]].astype(np.int64)
-    size = digits.nbytes / 2**20
-    assert peak_mib(DigitColumn, 12, digits, counts) <= 0.25 * size
-    assert peak_mib(DigitColumn.from_pieces, 12, [(flat, counts)]) <= 2.25 * size
+    assert peak_mib(DigitColumn, 12, digits, counts) <= 0.25 * digits.nbytes / 2**20
 
 
 @pytest.mark.parametrize("base, digit", [(12, 257), (12, -1), (300, 70000), (300, -1)])
-def test_from_flat_rejects_a_digit_before_it_could_wrap(base, digit):
-    """257 and -1 would fit a uint8 matrix as 1 and 255, 70000 a uint16 one as 4464."""
+def test_column_rejects_a_digit_before_it_could_wrap(base, digit):
+    """An int64 matrix is range-checked before its cast: 257 and -1 would fit a
+    uint8 matrix as 1 and 255, 70000 a uint16 one as 4464."""
     with pytest.raises(ValueError, match=f"digit {digit} out of range for base {base}"):
-        DigitColumn.from_pieces(base, [(np.array([1, digit]), np.array([2]))])
+        DigitColumn(base, np.array([[1, digit]]), np.array([2]))
+
+
+def _identity_net(base: int) -> DigitColumn:
+    """Points 0 and 1 of the 3-digit identity net: digits 000 and 100, three stored."""
+    return DigitalConfig(base, (GeneratorMatrix.identity(base, 3),)).columns(2)[0]
+
+
+def _written_and_read(column: DigitColumn) -> DigitColumn:
+    """A column through gen's writer and bound's reader."""
+    buf = io.StringIO()
+    write_point_set(PointSet([column]), buf)
+    return read_point_set(io.StringIO(buf.getvalue())).columns[0]
+
+
+def _wide_column(base: int) -> DigitColumn:
+    """Rows 1 0 0 ... (300 digits stored) and b - 1 from an int64 matrix, so the
+    counts need 16 bits."""
+    digits = np.zeros((2, 300), dtype=np.int64)
+    digits[:, 0] = 1, base - 1
+    return DigitColumn(base, digits, np.array([300, 1]))
+
+
+# each way a digit column is built, on rows that store trailing zeros, and the counts it keeps
+_BUILDERS = {
+    "constructor": (_wide_column, [300, 1]),
+    "from_integers": (lambda b: DigitColumn.from_integers(np.array([0, b**2, b - 1]), b), [0, 3, 1]),
+    "DigitalConfig.columns": (_identity_net, [3, 3]),
+    "read_point_set": (lambda b: _written_and_read(_identity_net(b)), [3, 3]),
+    "reference.digit_column": (lambda b: digit_column([DigitVector(b, (1, 0, 0)), DigitVector(b, ())], b), [3, 0]),
+}
+
+
+@pytest.mark.parametrize("builder", _BUILDERS)
+@pytest.mark.parametrize("base", [2, 256, 257, 70000])
+def test_every_builder_stores_digits_and_counts_in_their_smallest_dtypes(builder, base):
+    """Digits take the smallest dtype that holds b - 1, counts the one that holds
+    the matrix's width, and every count value is kept."""
+    build, counts = _BUILDERS[builder]
+    column = build(base)
+    assert column.digits.dtype == np.min_scalar_type(base - 1)
+    assert column.counts.dtype == np.min_scalar_type(column.digits.shape[1])
+    assert column.counts.tolist() == counts

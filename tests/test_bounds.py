@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etkbound import badic, bounds
-from etkbound.badic import BudgetExceededError, DigitColumn, DigitVector, enumerate_delta
+from etkbound.badic import BudgetExceededError, DigitColumn, DigitVector, delta_size, enumerate_delta
 from etkbound.bounds import (
     EXTREME,
     STAR,
@@ -73,8 +73,27 @@ def test_epsilon_fraction_exact_values():
 
 
 def test_epsilon_requires_positive_resolution():
-    with pytest.raises(ValueError, match="resolution components must be >= 1"):
+    """The one rule epsilon adds to the domain check: weight_sum takes g_i = 0."""
+    with pytest.raises(ValueError) as exc:
         epsilon_fraction((2, 3), (1, 0))
+    assert str(exc.value) == "resolution components must be >= 1"
+    assert weight_sum((2, 3), (1, 0)) == 2.0
+
+
+@pytest.mark.parametrize(
+    "bases, g, message",
+    [
+        ((2, 3), (1,), "bases and g must be nonempty and match: (2, 3) vs (1,)"),
+        ((2, 3), (1, -1), "resolution components must be >= 0, got -1"),
+        ((2, 1), (1, 1), "base must be an integer >= 2, got 1"),
+    ],
+)
+def test_weight_sum_and_epsilon_check_bases_and_g_alike(bases, g, message):
+    """Both check the domain as delta_size does."""
+    for fn in (weight_sum, epsilon_fraction, delta_size):
+        with pytest.raises(ValueError) as exc:
+            fn(bases, g)
+        assert str(exc.value) == message
 
 
 def test_epsilon_term_is_float_of_fraction():
