@@ -7,8 +7,9 @@ order, so the digit-mirroring (Monna) map is the identity on digit vectors
 and all arithmetic here stays in integers and Fractions.  A digit column is
 many digit vectors of one base as a single integer matrix and the vectors'
 digit counts, each in the smallest unsigned dtype that holds it: the form in
-which point sets are generated, written, read and turned into phase tables.
-Its constructor is the one place that checks and casts them.  The
+which point sets are generated (by one digit recurrence, in `sequences`),
+written, read and turned into phase tables.  Its constructor is the one place
+that checks and casts them.  The
 additions of digit vectors with and without carry, and the radical inverse,
 are scalar references in `reference`.
 
@@ -215,27 +216,6 @@ class DigitColumn:
             raise ValueError("digits past a vector's count must be zero")
         object.__setattr__(self, "digits", digits.astype(np.min_scalar_type(self.base - 1), copy=False))
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_integers(cls, n: np.ndarray, base: int) -> "DigitColumn":
-        """Digits of nonnegative integers by repeated division; counts are vb(n).
-
-        Row i is int_digits(n[i], base), zero-padded to the longest row.  The
-        division runs in place on one int64 copy, so n is left unchanged.
-        """
-        _check_column_base(base)
-        q = np.array(n, dtype=np.int64)
-        if np.any(q < 0):
-            raise ValueError("expected nonnegative integers")
-        width = vb(int(q.max()), base) if q.size else 0
-        digits = np.empty((q.size, width), dtype=np.min_scalar_type(base - 1))
-        counts = np.zeros(q.shape, dtype=np.min_scalar_type(width))
-        r = np.empty_like(q)
-        for j in range(width):
-            counts += q > 0
-            np.divmod(q, base, out=(q, r))
-            digits[:, j] = r
-        return cls(base, digits, counts)
 
     def __len__(self) -> int:
         return len(self.counts)

@@ -187,7 +187,8 @@ def cell_histogram(
     hist is an int64 array of shape (U_1, ..., U_s) summing to N.  Both
     passes run over blocks of rows: the first marks the cells each axis meets
     in a boolean of b_i^g_i entries, the second ranks each block's cells
-    among them and adds its bincount.  No array is N wide.
+    among them and adds one to each joint rank in place (np.add.at), so no
+    block allocates a histogram-sized temporary.  No array is N wide.
     """
     n = len(columns[0])
     step = _block_rows(24)  # per row: a cell index, its rank and the joint rank, all int64
@@ -205,7 +206,7 @@ def cell_histogram(
             index = _cell_index(col, gi, slice(start, start + step))
             joint *= len(cells_i)
             joint += np.searchsorted(cells_i, index)
-        hist += np.bincount(joint, minlength=hist.size)
+        np.add.at(hist, joint, 1)
     return cells, hist.reshape(shape)
 
 

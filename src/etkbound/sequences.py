@@ -2,8 +2,9 @@
 
 All generators emit exact digits, so downstream analysis (phases,
 discrepancy grids) never touches floats.  Each config builds whole digit
-columns for points 0..N-1 at once (`columns`); the one-point generators they
-are tested against live in `reference`.
+columns for points 0..N-1 at once (`columns`), all by one digit recurrence
+(`_digital_digits`; van der Corput and Halton use the identity matrix).  The
+one-point generators they are tested against live in `reference`.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class VdcConfig:
         return (self.base,)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
-        return (DigitColumn.from_integers(np.arange(n_points), self.base),)
+        return (_radical_inverses(self.base, n_points),)
 
     def describe(self) -> str:
         return f"vdc:{self.base}"
@@ -147,7 +148,7 @@ class HaltonConfig:
         return tuple(self.halton_bases)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
-        return tuple(DigitColumn.from_integers(np.arange(n_points), b) for b in self.halton_bases)
+        return tuple(_radical_inverses(b, n_points) for b in self.halton_bases)
 
     def describe(self) -> str:
         return "halton:" + ",".join(str(b) for b in self.halton_bases)
@@ -181,41 +182,13 @@ class DigitalConfig:
         return (self.base,) * len(self.matrices)
 
     def columns(self, n_points: int) -> tuple[DigitColumn, ...]:
-        """All points as y_i(n) = sum_j n_j C_i[:, j] mod b, n_j the base-b digits of n.
-
-        Row n of every coordinate at once comes from the digit recurrence of
-        the phase tables: row a b^j + r is row r plus a times column j of the
-        matrices.  n splits as lo + b^h hi at half its digits, so only the rows
-        below b^h and the hi rows are built by it, and each run of b^h points is
-        one slice of the first plus one row of the second.  The sums stay
-        below width (b-1)^2, width the digits of n_points - 1, until one
-        reduction mod b per block of points.  They are kept in the smallest
-        unsigned type that holds them and b, and as exact Python integers past
-        64 bits, so nothing overflows whatever b and m.
-        """
-        base, m = self.base, self.precision
-        if n_points > base**m:
+        """All points, every coordinate with its m digits stored."""
+        m = self.precision
+        if n_points > self.base**m:
             raise ValueError(f"{m + 1} digits do not fit in precision {m}")
-        width = vb(n_points - 1, base)
-        bound = max(width * (base - 1) ** 2, base)
-        work = np.min_scalar_type(bound) if bound < 2**64 else object
-        # steps[j] is column j of every matrix: what digit j of n adds to each output digit
-        steps = np.concatenate([np.array(C.rows, dtype=work)[:, :width] for C in self.matrices]).T
-        h = (width + 1) // 2
-        run = base**h
-        lo = _digit_sums(steps[:h], base, min(run, n_points))
-        hi = _digit_sums(steps[h:], base, -(-n_points // run))
-        out = [np.empty((n_points, m), dtype=np.min_scalar_type(base - 1)) for _ in self.matrices]
-        step = _block_rows(np.dtype(work).itemsize * steps.shape[1])
-        buf = np.empty((min(step, n_points), steps.shape[1]), dtype=work)
-        for start in range(0, n_points, step):
-            rows = buf[: n_points - start]
-            _add_runs(lo, hi, run, start, rows)
-            rows %= base
-            for i, y in enumerate(out):
-                y[start : start + len(rows)] = rows[:, i * m : (i + 1) * m]
         counts = np.full(n_points, m, dtype=np.min_scalar_type(m))
-        return tuple(DigitColumn(base, y, counts) for y in out)
+        digits = _digital_digits(self.base, [C.rows for C in self.matrices], n_points)
+        return tuple(DigitColumn(self.base, y, counts) for y in digits)
 
     def describe(self) -> str:
         return self.label or f"digital:{self.base},s={len(self.matrices)},m={self.precision}"
@@ -225,6 +198,46 @@ GeneratorConfig = VdcConfig | HaltonConfig | DigitalConfig
 
 # Default digit precision for matrix sequences built from CLI strings.
 DEFAULT_PRECISION = 32
+
+
+def _digital_digits(base: int, matrices: Sequence, n_points: int) -> list[np.ndarray]:
+    """Digits sum_j n_j C[:, j] mod b of the points n < n_points, for each of the m x m matrices C.
+
+    n_j is digit j of n, below width, the digit count of n_points - 1.  Row a b^j + r is row r
+    plus a C[:, j], the recurrence of the phase tables, run on the lo and hi halves of n's digits:
+    each run of b^h points is one slice of the lo rows plus one hi row.  The sums, below width
+    (b-1)^2, are reduced once per block in the smallest unsigned type that holds them and b, or
+    as exact Python integers past 64 bits, so nothing overflows whatever b and m.
+    """
+    width, m = vb(n_points - 1, base), len(matrices[0])
+    bound = max(width * (base - 1) ** 2, base)
+    work = np.min_scalar_type(bound) if bound < 2**64 else object
+    # steps[j] is column j of every matrix: what digit j of n adds to each output digit
+    steps = np.concatenate([np.array(C, dtype=work)[:, :width] for C in matrices]).T
+    h = (width + 1) // 2
+    run = base**h
+    lo = _digit_sums(steps[:h], base, min(run, n_points))
+    hi = _digit_sums(steps[h:], base, -(-n_points // run))
+    out = [np.empty((n_points, m), dtype=np.min_scalar_type(base - 1)) for _ in matrices]
+    step = _block_rows(np.dtype(work).itemsize * max(steps.shape[1], 1))
+    buf = np.empty((min(step, n_points), steps.shape[1]), dtype=work)
+    for start in range(0, n_points, step):
+        rows = buf[: n_points - start]
+        _add_runs(lo, hi, run, start, rows)
+        rows %= base
+        for i, y in enumerate(out):
+            y[start : start + len(rows)] = rows[:, i * m : (i + 1) * m]
+    return out
+
+
+def _radical_inverses(base: int, n_points: int) -> DigitColumn:
+    """Van der Corput points n < n_points, the identity's digital sequence, each with vb(n) digits:
+    one point has none and b^j - b^(j-1) have j, for j up to the width (the last j up to n_points)."""
+    width = vb(n_points - 1, base)
+    (digits,) = _digital_digits(base, [np.eye(width, dtype=np.uint8)], n_points)
+    sizes = np.diff([0, *(base**j for j in range(width)), n_points])
+    counts = np.repeat(np.arange(width + 1, dtype=np.min_scalar_type(width)), sizes)
+    return DigitColumn(base, digits, counts)
 
 
 def generate_points(config: GeneratorConfig, n_points: int) -> PointSet:

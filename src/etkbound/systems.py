@@ -9,7 +9,8 @@ phases are the reference for the table kernel over resolution-g cell
 indices, whose phases over b^g are linear in the index digits, so it builds
 no matrix of index digits: PhaseTable reads any row or block of rows from
 two half tables built once, and phase_numerators is its one whole block.
-Its digit recurrence (_digit_sums, _add_runs) also generates digital nets.
+Its digit recurrence (_digit_sums, _add_runs) also generates the points of
+every construction: van der Corput, Halton and digital nets.
 is_balanced is the one exact-zero test.
 """
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .badic import EXTREME, STAR, SUITES, _block_rows, enumerate_delta
 from .bounds import (
+    _unit,
     cb_constant,
     corollary_bound,
     epsilon_fraction,
@@ -111,7 +112,8 @@ def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]
     xi_k is constant on the resolution-max(g, cells) elints, so each axis's integer
     table is phase_numerators of their cell indices, in index order (fc-bounds orders
     its cells by value); the tables are lifted to their lcm and outer-summed,
-    coordinate 1 slowest, before one exp.  Fine cell c' lies in elint c when
+    coordinate 1 slowest, and turned into unit values (`_unit`) row by row, so
+    no scratch is as large as the table.  Fine cell c' lies in elint c when
     c' mod b^cells = c, so the refinement axes average out.
     """
     common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
@@ -119,7 +121,9 @@ def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]
     for (base, tag), gi, ci in zip(spec.coordinates, g, cells):
         axis = phase_numerators(np.arange(base ** max(gi, ci)), base, tag, gi) * (common // base**gi)
         total = np.add.outer(total, axis).transpose(0, 2, 1, 3).reshape(len(total) * len(axis), -1)
-    values = np.exp(2j * np.pi * (total % common) / common)
+    values = np.empty(total.shape, dtype=complex)
+    for row, out in zip(total, values):
+        out[:] = _unit(row % common, common)
     split = [n for b, gi, ci in zip(spec.bases, g, cells) for n in (b ** max(gi - ci, 0), b**ci)]
     means = values.reshape(len(values), *split).mean(axis=tuple(range(1, 2 * spec.s, 2)))
     return means.reshape(len(values), -1)
@@ -204,7 +208,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
         # column a is the cell whose lower corner is a/b^depth: its index is a's digits reversed
         anchors = np.arange(grid).reshape((base,) * depth).T.ravel()
         limits = np.array([rho_star(k, base) for k in range(1, grid)])
-        unit = np.exp(-2j * np.pi * np.arange(grid) / grid)
+        unit = _unit(-np.arange(grid), grid)
         step = _block_rows(32 * grid)
         for tag in (WALSH, BADIC):
             table = PhaseTable(anchors, base, tag, depth)

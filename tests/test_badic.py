@@ -24,7 +24,7 @@ from etkbound.reference import (
     monna_pseudoinverse,
     radical_inverse,
 )
-from etkbound.sequences import DigitalConfig, GeneratorMatrix, PointSet
+from etkbound.sequences import DigitalConfig, GeneratorMatrix, HaltonConfig, PointSet, VdcConfig
 
 
 def test_int_digits_least_significant_first():
@@ -185,26 +185,7 @@ def test_enumerate_delta_budget():
     assert str(exc.value) == "domain size 2^40*3^30 exceeds budget 16777216"
 
 
-def test_from_integers_fills_one_preallocated_matrix(peak_mib):
-    """2^18 integers in base 2 make an 18-column uint8 matrix; stacking an
-    int64 array per digit and casting once took about 16 times that."""
-    n = np.arange(2**18)
-    final = DigitColumn.from_integers(n, 2).digits
-    assert final.shape == (2**18, 18) and final.dtype == np.uint8
-    assert peak_mib(DigitColumn.from_integers, n, 2) < 4 * final.nbytes / 2**20
-
-
-def test_from_integers_divides_one_copy_in_place(peak_mib):
-    """2^18 base-2 integers: the 4.5 MiB matrix, one int64 copy of the input,
-    its remainders and the counts take 11.0 MiB.  A new quotient and remainder
-    per digit took 12.5; dividing the input itself would overwrite the
-    caller's array (etk_bound passes cell_histogram's cells)."""
-    n = np.arange(2**18)
-    assert peak_mib(DigitColumn.from_integers, n, 2) < 11.5
-    assert np.array_equal(n, np.arange(2**18))
-
-
-def test_from_integers_keeps_its_preallocated_matrix(monkeypatch):
+def test_column_keeps_a_matrix_already_in_its_dtype(monkeypatch):
     """The constructor casts without copying a matrix already in the smallest dtype."""
     passed = []
     construct = DigitColumn.__post_init__
@@ -214,7 +195,7 @@ def test_from_integers_keeps_its_preallocated_matrix(monkeypatch):
         construct(self)
 
     monkeypatch.setattr(DigitColumn, "__post_init__", spy)
-    column = DigitColumn.from_integers(np.arange(1000), 3)
+    (column,) = VdcConfig(3).columns(1000)
     assert column.digits.dtype == np.uint8
     assert np.shares_memory(column.digits, passed[0])
     wide = np.zeros((2, 3), dtype=np.int64)
@@ -278,10 +259,12 @@ def _wide_column(base: int) -> DigitColumn:
     return DigitColumn(base, digits, np.array([300, 1]))
 
 
-# each way a digit column is built, on rows that store trailing zeros, and the counts it keeps
+# each way a digit column is built, on rows that store trailing zeros, and the counts it
+# keeps; None for the radical inverses of 0 .. b, which keep vb(n) digits of point n
 _BUILDERS = {
     "constructor": (_wide_column, [300, 1]),
-    "from_integers": (lambda b: DigitColumn.from_integers(np.array([0, b**2, b - 1]), b), [0, 3, 1]),
+    "VdcConfig.columns": (lambda b: VdcConfig(b).columns(b + 1)[0], None),
+    "HaltonConfig.columns": (lambda b: HaltonConfig((2, b)).columns(b + 1)[1], None),
     "DigitalConfig.columns": (_identity_net, [3, 3]),
     "read_point_set": (lambda b: _written_and_read(_identity_net(b)), [3, 3]),
     "reference.digit_column": (lambda b: digit_column([DigitVector(b, (1, 0, 0)), DigitVector(b, ())], b), [3, 0]),
@@ -297,4 +280,4 @@ def test_every_builder_stores_digits_and_counts_in_their_smallest_dtypes(builder
     column = build(base)
     assert column.digits.dtype == np.min_scalar_type(base - 1)
     assert column.counts.dtype == np.min_scalar_type(column.digits.shape[1])
-    assert column.counts.tolist() == counts
+    assert column.counts.tolist() == (counts or [vb(n, base) for n in range(base + 1)])
