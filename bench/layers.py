@@ -28,9 +28,10 @@ three calls (one call for the STRESS rows; inputs are built before them), and
 peak_alloc_mb, the tracemalloc peak of one more call; the phase cases also
 record table_mb, the size of the table returned.  The etk_bound cases of a
 tree that has the STAGES functions also record, from one more call, the
-seconds spent in each stage (histogram_s, transform_s, retest_s,
+seconds spent in each stage (histogram_s, transform_s, zeros_s,
 weighting_s) and the rest of the call (other_s); a tree from before the
-transform times its contraction as transform_s.
+transform times its contraction as transform_s, and one from before the
+orbit rule its integer re-test as zeros_s.
 
 The points section times generation (hybrid_points or generate_points, as
 `gen` calls them), write_point_set into a StringIO (as `gen` writes) and
@@ -91,25 +92,31 @@ TABLE_CASES = (
 # etk_bound inputs: bound_dense's points at perfbench's first seed, 2^20
 # Halton points (their cell-index step was the whole allocation peak), two
 # points whose tables are 2^20 rows deep (b-adic: in Walsh, half of those 2^20
-# sums are exact zeros), full-period inputs whose every sum is an exact zero
-# that is re-tested, 3^7 Halton points whose base-3 axis alone has a
-# 2187-row table (the re-test built it whole before PhaseTable), and the
-# STRESS rows: the same at 2^20 van der Corput points, and a digital net
-# whose sums are nearly all exact zeros.  A stress
-# row is timed by one call, not the best of three: one call of vdc 2^20 at
-# g = 12 took 32 s before the cell histogram.
+# sums are exact zeros), full-period inputs whose every sum is an exact zero,
+# 3^7 Halton points whose base-3 axis alone has a 2187-row table (the integer
+# re-test built it whole before PhaseTable), 2000 points in base 2000 (the
+# transform's roots were a 2000 x 2000 table), one base-12 coordinate whose
+# cells {0,0,0,4,6,6,8} cancel at k = 1, 5, 7 and 11, and the STRESS rows:
+# full-period Halton at 62208 points (the integer re-test's cost grew as the
+# square of the cells: 40 s a call), 2^20 van der Corput points, and a
+# digital net whose sums are nearly all exact zeros.  A stress row is timed
+# by one call, not the best of three: one call of vdc 2^20 at g = 12 took
+# 32 s before the cell histogram.
 BOUND_CASES = (
     "bound_dense w,b (8,5)", "halton 2^20 w,b (8,5)", "vdc 2 points b (20)",
     "vdc 2^12 w (12)", "vdc 3^7 w (7)", "vdc 5^5 w (5)", "halton 5184 w,b (6,4)", "halton 2187 b,b (1,7)",
-    "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
+    "vdc 2000 w (1)", "base 12 cells {0,0,0,4,6,6,8} w (1)",
+    "halton 62208 w,b (8,5)", "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
 )
-STRESS = BOUND_CASES[-3:]
+STRESS = BOUND_CASES[-4:]
 # the stages of etk_bound, each timed as the first bounds function named that
-# a tree has: before the transform, a BLAS contraction (_contract) ran that stage
+# a tree has: before the transform, a BLAS contraction (_contract) ran that
+# stage, and before the orbit rule the integer re-test (_snap_exact_zeros)
+# found the exact zeros
 STAGES = {
     "histogram": ("cell_histogram",),
     "transform": ("_transform", "_contract"),
-    "retest": ("_snap_exact_zeros",),
+    "zeros": ("_orbit_zeros", "_snap_exact_zeros"),
     "weighting": ("_weighted_sum",),
 }
 # generation and point-file inputs: stream_wide's points at perfbench's first
@@ -284,9 +291,12 @@ def _stages(fn, *args) -> dict:
 
 
 def _child_bounds() -> dict:
+    import numpy as np
+    from etkbound.badic import DigitColumn
     from etkbound.bounds import etk_bound
     from etkbound.sequences import (
         HaltonConfig,
+        PointSet,
         VdcConfig,
         config_from_string,
         generate_points,
@@ -308,6 +318,9 @@ def _child_bounds() -> dict:
         (one(5, WALSH), (5,), generate_points(VdcConfig(5), 5**5)),
         (mixed, (6, 4), generate_points(HaltonConfig((2, 3)), 5184)),
         (HybridSystemSpec.from_tags((2, 3), (BADIC, BADIC)), (1, 7), generate_points(HaltonConfig((2, 3)), 3**7)),
+        (one(2000, WALSH), (1,), generate_points(VdcConfig(2000), 2000)),
+        (one(12, WALSH), (1,), PointSet([DigitColumn(12, np.array([[0], [0], [0], [4], [6], [6], [8]]), np.ones(7))])),
+        (mixed, (8, 5), generate_points(HaltonConfig((2, 3)), 62208)),
         (one(2, BADIC), (10,), vdc),
         (one(2, BADIC), (12,), vdc),
         (HybridSystemSpec.from_tags((2, 2), (WALSH, WALSH)), (8, 8), net),

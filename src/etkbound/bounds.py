@@ -7,9 +7,8 @@ columns in blocks of rows, and nothing after it reads the points: every sum
 comes from one Walsh / b-adic transform of that histogram, digit by digit in
 place, with no BLAS product, and they feed one exactly rounded sum, so
 results are bit-reproducible; sums on base-2 Walsh axes come out exact, and
-the others whose phases are balanced on the occupied cells snap to an exact
-zero instead of float noise.  The one-index sum they are tested against is
-reference.exp_sum.
+the other exact zeros, read off the transform's Galois orbits, are 0.0 too.
+The one-index sum they are tested against is reference.exp_sum.
 """
 
 from __future__ import annotations
@@ -35,13 +34,7 @@ from .badic import (
     vb,
 )
 from .sequences import PointSet
-from .systems import (
-    BADIC,
-    WALSH,
-    HybridSystemSpec,
-    PhaseTable,
-    is_balanced,
-)
+from .systems import BADIC, WALSH, HybridSystemSpec, _prime_steps
 
 __all__ = [
     "EXTREME",
@@ -61,9 +54,8 @@ __all__ = [
 
 _VARIANTS = (EXTREME, STAR)
 
-# |S| below this is either exact cancellation or needs no weight anyway; the
-# integer coset test decides which and snaps true zeros to 0.0.
-_ZERO_SNAP = 1e-12
+# Bytes per entry that _unit holds, its result included: two int64 and two complex arrays.
+_UNIT_BYTES = 48
 
 
 def _check_variant(variant: str) -> None:
@@ -227,9 +219,14 @@ def _unit(numerators: np.ndarray, modulus: int) -> np.ndarray:
 
     The rest is at most an eighth of a turn and a quarter turn multiplies
     exactly, so quarter phases come out exact and the others within an ulp."""
-    quarter = (4 * numerators + modulus // 2) // modulus
-    rest = (4 * numerators - quarter * modulus) / (4 * modulus)
-    return np.exp(2j * np.pi * rest) * np.array([1, 1j, -1, -1j])[quarter % 4]
+    rest = 4 * numerators
+    quarter = (rest + modulus // 2) // modulus
+    rest -= quarter * modulus
+    out = 2j * np.pi * (rest / (4 * modulus))
+    np.exp(out, out=out)
+    quarter %= 4
+    out *= np.array([1, 1j, -1, -1j])[quarter]
+    return out
 
 
 def _chunks(view: np.ndarray, column_bytes: int) -> Iterator[np.ndarray]:
@@ -251,8 +248,9 @@ def _butterfly(view: np.ndarray, base: int, occupied: np.ndarray) -> None:
 
     view has shape (P, b, M), and is 0 at each digit d not in occupied.  In
     base 2 this adds and subtracts.  Otherwise each input at an occupied
-    digit is multiplied by its roots e(a d / b) in turn, built once; they
-    are exactly 1 at a = 0 and at d = 0, so slice 0 is a plain sum.
+    digit is multiplied by its roots e(a d / b) in turn, read from one table
+    of the b roots e(a / b) as unit[a d mod b]; they are exactly 1 at a = 0
+    and at d = 0, so slice 0 is a plain sum.
     """
     if base == 2:
         for block in _chunks(view, view.itemsize):
@@ -261,28 +259,28 @@ def _butterfly(view: np.ndarray, base: int, occupied: np.ndarray) -> None:
             low += high
             high[...] = diff
         return
-    digits = np.flatnonzero(np.bincount(occupied, minlength=base))
-    roots = _unit(np.multiply.outer(digits, np.arange(base)) % base, base)[:, :, None]
+    digits, a = np.flatnonzero(np.bincount(occupied, minlength=base)), np.arange(base)
+    unit = _unit(a, base)
     for block in _chunks(view, 16 * (len(digits) + base)):
         inputs = block[:, digits, None]
-        np.multiply(inputs[:, 0], roots[0], out=block)
+        np.multiply(inputs[:, 0], unit[digits[0] * a % base, None], out=block)
         for i in range(1, len(digits)):
-            block += inputs[:, i] * roots[i]
+            block += inputs[:, i] * unit[digits[i] * a % base, None]
 
 
 def _twiddle(view: np.ndarray, base: int, low: int) -> None:
     """Slice a >= 1 of view, of shape (P, b, low, R), times e(a z / (b low)) at its z < low, in place."""
     a = np.arange(1, base)[:, None]
-    step = _block_rows(16 * (base - 1))
+    step = _block_rows((8 + _UNIT_BYTES) * (base - 1))  # the numerators, and what _unit holds
     for start in range(0, low, step):
         z = np.arange(start, min(start + step, low))
         view[:, 1:, start : start + step] *= _unit(a * z, base * low)[:, :, None]
 
 
 def _transform(
-    spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray, n: int
+    spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray
 ) -> np.ndarray:
-    """|S_N(k)| over the index box: the histogram's Walsh / b-adic transform, in place in one box.
+    """N |S_N(k)| over the index box: the histogram's Walsh / b-adic transform, in place in one box.
 
     The histogram is scattered into a box of shape (b_i^g_i), entry c the
     count of cell c.  Each axis then goes digit by digit, c = sum_j d_j b^j,
@@ -293,7 +291,7 @@ def _transform(
     b^(j+1)) / b^(j+1), so index k lands at position k.  The box is float64
     when every axis is base-2 Walsh and complex otherwise; its slices with
     k_i = 0 see only additions, so a sum whose support is on base-2 Walsh
-    axes is an exact integer over N.
+    axes is an exact integer.
     """
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
     real = all(coordinate == (2, WALSH) for coordinate in spec.coordinates)
@@ -306,61 +304,78 @@ def _transform(
             _butterfly(box.reshape(-1, base, low * after), base, occupied // low % base)
             if tag == BADIC and j:
                 _twiddle(box.reshape(-1, base, low, after), base, low)
-    abs_sums = np.abs(box, out=box) if real else np.abs(box)
-    del box
-    abs_sums /= n
-    return abs_sums
+    return np.abs(box, out=box) if real else np.abs(box)
 
 
-def _snap_exact_zeros(
-    abs_sums: np.ndarray,
-    spec: HybridSystemSpec,
-    g: tuple[int, ...],
-    cells: list[np.ndarray],
-    hist: np.ndarray,
-) -> None:
-    """Set to 0.0 each sum below _ZERO_SNAP whose exact integer phases are balanced.
+def _stage_constant(base: int) -> float:
+    """c_b, in units of u, the relative 2-norm error one digit of a base-b axis adds: a root of _unit
+    is within 4u, a complex product adds 2 sqrt(2) u (Higham 2002, Lemma 3.5) and a running sum
+    of b terms sqrt(2) (b - 1) u of their moduli, at most sqrt(b) ||x||_2; over b outputs of norm
+    sqrt(b) ||x||_2 that is (sqrt(2) (b + 1) + 4) sqrt(b) u, and a twiddle adds 4 + 2 sqrt(2)."""
+    return (math.sqrt(2) * (base + 1) + 4) * math.sqrt(base) + 4 + 2 * math.sqrt(2)
 
-    A sum whose support (the axes with k_i != 0) lies on base-2 Walsh axes
-    only is already exact, 0.0 or at least 1/N, so only the others are
-    re-tested.  Row 0 of every table is 0, so k's phases depend only on the
-    axes of its support: one residue per occupied cell of the int64
-    histogram summed onto them, counted by its points, in the smallest
-    signed type that holds a sum of s residues and the modulus itself.  Each
-    support's occupied cells are found once.  Every axis is read alike: its
-    PhaseTable is built once, so the re-test holds two half tables of
-    b_i^ceil(g_i/2) and b_i^floor(g_i/2) rows of U_i int64 entries per axis,
-    and each near-zero k reads one row of each axis of its support, unless
-    that axis's index is the previous k's, whose residues it keeps.
+
+def _unit_group(modulus: int) -> list[tuple[int, int]]:
+    """(u, r) for each cyclic factor of the units mod L, of generator u and order r: -1 and 5 for
+    2^e || L, and for an odd p^e a primitive root mod p^2, so mod p^e; each 1 mod the rest of L."""
+    out = []
+    for step in _prime_steps(modulus):
+        p = q = modulus // step
+        while modulus % (q * p) == 0:
+            q *= p
+        if p == 2:
+            factors = [(q - 1, 2)] * (q > 2) + [(5, q // 4)] * (q > 4)
+        else:
+            root = next(a for a in range(2, p) if all(pow(a, e, p) != 1 for e in _prime_steps(p - 1)))
+            factors = [(root + p * (pow(root, p - 1, p * p) == 1), q // p * (p - 1))]
+        lift = modulus // q * pow(modulus // q, -1, q)  # 1 mod q and 0 mod the rest
+        out += [(((u - 1) * lift + 1) % modulus, r) for u, r in factors]
+    return out
+
+
+def _orbit_zeros(abs_sums: np.ndarray, spec: HybridSystemSpec, g: tuple[int, ...]) -> None:
+    """Set to 0.0 each N |S| whose whole Galois orbit reads below 1/2, in place.
+
+    N S(k) is an algebraic integer of Q(zeta_L), L the lcm of the axis moduli
+    (b Walsh, b^g b-adic), and zeta_L -> zeta_L^u maps it to N S(u.k), u
+    multiplying each digit of a Walsh index and the digit reversal of a
+    b-adic one.  A nonzero value has a nonzero integer norm, so a member of
+    its orbit has modulus >= 1 (Washington 1997, Ch. 2).  Pass t of the
+    pointer doubling over a cyclic factor of the units ANDs each candidate
+    (below 1/2, not yet cleared) with its partner under u^(2^t), read in
+    place, so a later pass's value ANDs more of the same orbit.  u
+    multiplies on the boolean box of Walsh digits and reversed b-adic
+    indices; candidates go in blocks, in the smallest type for its size.
     """
-    near = abs_sums < _ZERO_SNAP
-    # the ks with k_i = 0 on every axis that is not base-2 Walsh
-    near[tuple(slice(None) if c == (2, WALSH) else 0 for c in spec.coordinates)] = False
-    near = np.argwhere(near)
-    if not len(near):
+    shape, order, fine = [], [], []  # digit axes, their order with b-adic digits reversed, and u's moduli
+    for (b, tag), gi in zip(spec.coordinates, g):
+        axes = range(len(shape), len(shape) + gi)
+        order += reversed(axes) if tag == BADIC else axes
+        shape += [b] * gi
+        fine += [b] * gi if tag == WALSH else [b**gi]
+    modulus = math.lcm(*fine)
+    if modulus <= 2:  # every phase is 0 or 1/2, and every sum an exact integer
         return
-    moduli = [b**gi for b, gi in zip(spec.bases, g)]
-    common = math.lcm(*moduli)
-    small = np.min_scalar_type(-1 - max(len(moduli) * (common - 1), common))
-    tables = [PhaseTable(c, b, tag, gi) for c, (b, tag), gi in zip(cells, spec.coordinates, g)]
-    # k runs in lexicographic order, so each axis keeps its last residues until its index changes
-    lifted = [(0, None)] * len(tables)
-    occupied = {}
-    for k in near.tolist():
-        support = tuple(i for i, ki in enumerate(k) if ki)
-        if support not in occupied:
-            marginal = hist.sum(axis=tuple(i for i, ki in enumerate(k) if not ki))
-            ranks = np.nonzero(marginal)
-            counts = marginal[ranks]
-            # equal counts need no weighting, and deciding that once saves it on every k
-            occupied[support] = ranks, None if np.all(counts == counts[0]) else counts
-        ranks, counts = occupied[support]
-        for i in support:
-            if lifted[i][0] != k[i]:
-                lifted[i] = k[i], (tables[i].row(k[i]) * (common // moduli[i])).astype(small)
-        residues = sum(lifted[i][1][rank] for i, rank in zip(support, ranks))
-        if is_balanced(residues, common, counts):
-            abs_sums[tuple(k)] = 0.0
+    zero = np.ascontiguousarray((abs_sums < 0.5).reshape(shape).transpose(order)).ravel()
+    strides = [math.prod(fine[f + 1 :]) for f in range(len(fine))]
+    step = _block_rows(48)  # per candidate: its index, its partner and a digit, with their scratch
+    kind = np.min_scalar_type(zero.size)  # a candidate's flat index
+    live = [(np.flatnonzero(zero[a : a + step]) + a).astype(kind) for a in range(0, zero.size, step)]
+    for u, r in _unit_group(modulus):
+        for _ in range((r - 1).bit_length()):
+            moves = [(m, stride, u % m) for m, stride in zip(fine, strides) if u % m != 1]
+            for i, block in enumerate(live):
+                k = block.astype(np.int64)
+                partner = k.copy()
+                for m, stride, w in moves:
+                    digit = k // stride % m
+                    partner += (digit * w % m - digit) * stride
+                zero[k] = zero[partner]
+                live[i] = block[zero[k]]
+            live = [block for block in live if len(block)]
+            u = u * u % modulus
+    for block in live:  # the survivors, through a view of abs_sums with the b-adic digits reversed
+        abs_sums.reshape(shape).transpose(order)[np.unravel_index(block, shape)] = 0.0
 
 
 def _weight_axes(bases: tuple[int, ...], g: tuple[int, ...], star: bool) -> list[np.ndarray]:
@@ -412,28 +427,22 @@ def etk_bound(
 
     Every xi_k in the box is constant on the resolution-g cells, so after
     cell_histogram nothing reads the points.  The sums are the transform of
-    that histogram of the occupied cells, scattered into a box of
-    prod_i b_i^{g_i} = |Delta| entries and transformed in place, one digit of
-    one axis at a time (_transform), in chunks of about _BLOCK_BYTES of
-    scratch.  The box is float64 when every axis is base-2 Walsh and complex
-    otherwise, and |S| takes 8 bytes per index more, so memory is
-    O(prod_i U_i + |Delta|) with U_i <= min(N, b_i^{g_i}) occupied cells per
-    axis, at most 24 bytes per index past the histogram, plus one stage's
-    roots of unity, at most U_i b_i, and no array over the N points.  A sum
-    whose support (the axes with k_i != 0) lies on base-2 Walsh axes is an
-    exact integer over N.  Any other sum below _ZERO_SNAP is re-tested on
-    exact integer phases: one residue per occupied cell of the histogram
-    summed onto k's support, counted by its points, and it snaps to 0.0 when
-    is_balanced finds that multiset balanced, as it would the points' own;
-    the re-test reads those residues from each axis's two half tables, one
-    row per axis at a time, and builds no whole table.  Every step is
-    elementwise and the weighted terms feed one exactly rounded sum, so the
-    result is bit-reproducible, does not depend on the block size or on any
-    BLAS, and does not depend on per_index, whose rows run in mixed-radix
-    lexicographic order (coordinate 1 slowest).  The
-    budget caps |Delta| before anything is allocated, and the table entries
-    sum_i b_i^{g_i} U_i, more than the re-test's half tables hold, after the
-    cells are counted and before any table is built.
+    that histogram, scattered into a box of prod_i b_i^{g_i} = |Delta|
+    entries and transformed in place, one digit of one axis at a time
+    (_transform), in chunks of about _BLOCK_BYTES of scratch.  The box is
+    float64 when every axis is base-2 Walsh and complex otherwise, and |S|
+    takes 8 bytes per index more, so memory is O(prod_i U_i + |Delta|), U_i
+    <= min(N, b_i^{g_i}) occupied cells per axis, at most 24 bytes per index
+    past the histogram, and no array over the N points.  A sum is 0.0 when
+    every member of its Galois orbit has N |S| below 1/2 (_orbit_zeros),
+    which needs the transform's error below 1/2: a call whose bound
+    sum_i g_i c_(b_i) u sqrt(|Delta|) ||h||_2 on it (u = 2^-53, h the
+    histogram) reaches 1/2 is refused.  Every step is elementwise and the
+    weighted terms feed one exactly rounded sum, so the result is
+    bit-reproducible, does not depend on the block size or on any BLAS, and
+    does not depend on per_index, whose rows run in mixed-radix
+    lexicographic order (coordinate 1 slowest).  The budget caps |Delta|
+    before anything is allocated.
     """
     _check_variant(variant)
     g = tuple(g)
@@ -453,13 +462,15 @@ def etk_bound(
     eps = epsilon_term(spec.bases, g, star)
 
     cells, hist = cell_histogram(points.columns, g)
-    entries = sum(m * len(c) for m, c in zip(moduli, cells))
-    if entries > budget:
-        raise BudgetExceededError(f"phase tables of {entries} entries exceed budget {budget}")
-    abs_sums = _transform(spec, g, cells, hist, n)
-    _snap_exact_zeros(abs_sums, spec, g, cells, hist)
-    abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
+    stages = sum(gi * _stage_constant(b) for b, gi in zip(spec.bases, g))
+    error = stages * 2.0**-53 * math.sqrt(math.prod(moduli) * np.square(hist, dtype=np.float64).sum())
+    if error >= 0.5:
+        raise BudgetExceededError(f"transform error bound {error:.3g} on N|S| is not below 1/2")
+    abs_sums = _transform(spec, g, cells, hist)
     del hist
+    _orbit_zeros(abs_sums, spec, g)
+    abs_sums /= n
+    abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1
     axes = _weight_axes(spec.bases, g, star)
     weighted = _weighted_sum(abs_sums, axes)
     rows = None

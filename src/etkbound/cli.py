@@ -1,9 +1,9 @@
 """Command-line front end: gen, bound, discrepancy, verify.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure.  Only
-bound takes a budget, on its index box and phase-table entries: --budget,
-else the ETKBOUND_BUDGET environment variable, else 2^24; a value below 1 is
-a usage error.
+bound takes a budget, a cap on its index box: --budget, else the
+ETKBOUND_BUDGET environment variable, else 2^24; a value below 1 is a usage
+error.  It also refuses a transform error bound of 1/2 (bounds.etk_bound).
 
 Each command imports only the layers it runs: gen the generators and the
 point-file format, bound also bounds (and oracle with --oracle),
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--oracle", action="store_true", help="also run the exact oracle")
     bound.add_argument("--per-k", action="store_true", help="include the per-index table")
     bound.add_argument("--format", choices=("csv", "json"), default="csv")
-    bound.add_argument("--budget", type=int, help="cap on the index box and phase-table entries")
+    bound.add_argument("--budget", type=int, help="cap on the index box")
     bound.add_argument("--out", help="output path (default stdout)")
     bound.set_defaults(func=cmd_bound)
 

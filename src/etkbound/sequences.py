@@ -205,12 +205,13 @@ def _digital_digits(base: int, matrices: Sequence, n_points: int) -> list[np.nda
 
     n_j is digit j of n, below width, the digit count of n_points - 1.  Row a b^j + r is row r
     plus a C[:, j], the recurrence of the phase tables, run on the lo and hi halves of n's digits:
-    each run of b^h points is one slice of the lo rows plus one hi row.  The sums, below width
-    (b-1)^2, are reduced once per block in the smallest unsigned type that holds them and b, or
-    as exact Python integers past 64 bits, so nothing overflows whatever b and m.
+    each run of b^h points is one slice of the lo rows plus one hi row.  The sums, below width (b-1)
+    times the columns' largest entry (1 for the identity), are reduced once per block in the smallest
+    unsigned type that holds them and b, or as Python integers past 64 bits, so nothing overflows.
     """
     width, m = vb(n_points - 1, base), len(matrices[0])
-    bound = max(width * (base - 1) ** 2, base)
+    largest = max((int(e) for C in matrices for row in C for e in row[:width]), default=0)
+    bound = max(width * (base - 1) * largest, base)
     work = np.min_scalar_type(bound) if bound < 2**64 else object
     # steps[j] is column j of every matrix: what digit j of n adds to each output digit
     steps = np.concatenate([np.array(C, dtype=work)[:, :width] for C in matrices]).T

@@ -10,8 +10,9 @@ indices, whose phases over b^g are linear in the index digits, so it builds
 no matrix of index digits: PhaseTable reads any row or block of rows from
 two half tables built once, and phase_numerators is its one whole block.
 Its digit recurrence (_digit_sums, _add_runs) also generates the points of
-every construction: van der Corput, Halton and digital nets.
-is_balanced is the one exact-zero test.
+every construction: van der Corput, Halton and digital nets.  is_balanced
+serves only phase_counter_sum, the scalar path; bounds reads exact zeros off
+the transform's Galois orbits.
 """
 
 from __future__ import annotations
@@ -241,28 +242,15 @@ class PhaseTable:
         if self.hi is None:
             self.lo %= self.modulus
 
-    def _check(self, start: int, stop: int) -> None:
-        if not 0 <= start <= stop <= self.modulus:
-            raise ValueError(f"rows {start}..{stop} are not within the index box [0, {self.modulus}]")
-
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows start .. stop - 1, shape (stop - start, N), reduced in place."""
-        self._check(start, stop)
+        if not 0 <= start <= stop <= self.modulus:
+            raise ValueError(f"rows {start}..{stop} are not within the index box [0, {self.modulus}]")
         if self.hi is None:
             return self.lo[start:stop]
         out = np.empty((stop - start, self.lo.shape[1]), dtype=np.int64)
         _add_runs(self.lo, self.hi, self.run, start, out)
         out %= self.modulus
-        return out
-
-    def row(self, k: int) -> np.ndarray:
-        """Row k, of N entries: lo[k % b^h] + hi[k // b^h], reduced by one floor division,
-        which on int64 by a scalar takes about half the time of np.remainder."""
-        self._check(k, k + 1)
-        if self.hi is None:
-            return self.lo[k]
-        out = self.lo[k % self.run] + self.hi[k // self.run]
-        out -= out // self.modulus * self.modulus
         return out
 
 

@@ -43,6 +43,22 @@ def test_stages_of_etk_bound_cover_the_call(layers):
     assert all(value >= 0 for value in row.values())
 
 
+def test_zeros_stage_times_the_orbit_rule_or_the_integer_retest(layers, monkeypatch):
+    """zeros_s times _orbit_zeros, and in a tree from before it, _snap_exact_zeros."""
+    import etkbound.bounds as bounds
+
+    assert layers.STAGES["zeros"] == ("_orbit_zeros", "_snap_exact_zeros")
+
+    def call(name):
+        return lambda: getattr(bounds, name)()
+
+    monkeypatch.setattr(bounds, "_orbit_zeros", lambda: time.sleep(0.01))
+    assert layers._stages(call("_orbit_zeros"))["zeros_s"] >= 0.01
+    monkeypatch.delattr(bounds, "_orbit_zeros")
+    monkeypatch.setattr(bounds, "_snap_exact_zeros", lambda: time.sleep(0.01), raising=False)
+    assert layers._stages(call("_snap_exact_zeros"))["zeros_s"] >= 0.01
+
+
 def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
     """The fc-bounds phase rows come from a method, PhaseTable.rows: its calls are timed."""
     import etkbound.verify as verify

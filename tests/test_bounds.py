@@ -39,7 +39,7 @@ from etkbound.sequences import (
     generate_points,
     hybrid_points,
 )
-from etkbound.systems import BADIC, WALSH, HybridSystemSpec
+from etkbound.systems import BADIC, WALSH, HybridSystemSpec, phase_numerators
 
 
 def test_rho_values():
@@ -247,22 +247,20 @@ def test_etk_bound_validates_input():
         etk_bound(spec, (2,), pts, "anchored")
 
 
-def test_etk_bound_budget_counts_phase_table_entries(monkeypatch):
-    """The budget caps the tables as built, sum_i b_i^g_i U_i, before any table exists."""
-    import etkbound.bounds as bounds
-
+def test_etk_bound_refuses_a_transform_whose_error_bound_reaches_one_half(monkeypatch):
+    """The exact zeros need the transform's error on N|S| below 1/2: past
+    sum_i g_i c_(b_i) u sqrt(|Delta|) ||h||_2 = 1/2 the call is refused, and no
+    other path decides them."""
     pts = generate_points(HaltonConfig((2, 3)), 10)
     spec = HybridSystemSpec.from_tags((2, 3), (WALSH, BADIC))
-    entries = 8 * 8 + 9 * 9  # 145: 10 points fill 8 of 8 and 9 of 9 cells; |Delta| is 72
-    etk_bound(spec, (3, 2), pts, budget=entries)
-    etk_bound(spec, (3, 2), pts, budget=150)  # N * sum_i b_i^g_i = 170 would refuse this
-
-    def no_tables(*args):
-        raise AssertionError("phase table built past the budget")
-
-    monkeypatch.setattr(bounds, "PhaseTable", no_tables)
-    with pytest.raises(BudgetExceededError, match="phase tables of 145 entries exceed budget 144"):
-        etk_bound(spec, (3, 2), pts, budget=entries - 1)
+    stages = 3 * bounds._stage_constant(2) + 2 * bounds._stage_constant(3)
+    assert stages * 2.0**-53 * math.sqrt(72 * 10) < 1e-11  # 10 points in 10 cells, |Delta| = 72
+    at_half = 2.0**52 / (5 * math.sqrt(72 * 10))  # the stage constant that puts the bound at 1/2
+    monkeypatch.setattr(bounds, "_stage_constant", lambda base: 0.99 * at_half)
+    etk_bound(spec, (3, 2), pts)
+    monkeypatch.setattr(bounds, "_stage_constant", lambda base: 1.01 * at_half)
+    with pytest.raises(BudgetExceededError, match=r"transform error bound 0\.505 on N\|S\| is not below 1/2"):
+        etk_bound(spec, (3, 2), pts)
 
 
 def test_etk_bound_refuses_a_huge_index_box_by_its_product():
@@ -485,15 +483,149 @@ def test_etk_bound_streams_a_full_period_table_in_blocks(base, g, limit, peak_mi
     assert peak_mib(etk_bound, HybridSystemSpec.single(base, WALSH), (g,), pts) < limit
 
 
-def test_etk_bound_retest_reads_every_axis_from_half_tables(peak_mib):
-    """3^7 Halton points in b,b at g = (1,7): axis 1's table is 2187 x 2187
-    int64, and built whole for the re-test it set the peak at 38.5 MiB.  Each
-    axis's rows are read from its two half tables, which took it to 2.2 MiB;
-    the weighted sum keeps its value bit for bit."""
+def test_etk_bound_orbit_zeros_keep_halton_b_b_bit_for_bit(peak_mib):
+    """3^7 Halton points in b,b at g = (1,7): every sum off k = 0 is an exact
+    zero.  The integer re-test built axis 1's 2187 x 2187 table whole at 38.5
+    MiB, and read it from two half tables at 2.2; the orbit rule reads only the
+    transform's box, and the weighted sum keeps its value bit for bit."""
     spec = HybridSystemSpec.from_tags((2, 3), (BADIC, BADIC))
     pts = generate_points(HaltonConfig((2, 3)), 3**7)
     assert etk_bound(spec, (1, 7), pts).weighted_sum.hex() == "0x1.5327a4964d562p-6"
-    assert peak_mib(etk_bound, spec, (1, 7), pts) < 4
+    assert peak_mib(etk_bound, spec, (1, 7), pts) < 1
+
+
+def _single_axis(base, cells):
+    """One coordinate of base b, a point in each of the cells (g = 1)."""
+    return PointSet([DigitColumn(base, np.array(cells)[:, None], np.ones(len(cells), dtype=np.uint8))])
+
+
+@pytest.mark.parametrize("tag", [WALSH, BADIC])
+def test_etk_bound_zeros_a_vanishing_sum_whose_modulus_is_not_a_prime_power(tag):
+    """Cells {0,0,0,4,6,6,8} mod 12 are a pair plus a triangle: N S(k) is exactly
+    0 at the units k = 1, 5, 7 and 11, though no rotation of prime order fixes
+    the multiset, and the integer re-test left 5.6e-17 there.  Every other k
+    has an orbit member of modulus at least 1."""
+    rep = etk_bound(HybridSystemSpec.single(12, tag), (1,), _single_axis(12, [0, 0, 0, 4, 6, 6, 8]), per_index=True)
+    zeros = [k for (k,), _, abs_sum in rep.per_index if abs_sum == 0.0]
+    assert zeros == [1, 5, 7, 11]
+
+
+def test_etk_bound_keeps_a_nonzero_sum_below_one_half():
+    """Cells {0,3,5,5} mod 7: N|S(5)| = 0.198 is not zero, and its orbit, every
+    unit of Z_7, holds a member of modulus at least 1 (its norm is a nonzero
+    integer); reading k alone would zero it."""
+    points = _single_axis(7, [0, 3, 5, 5])
+    spec = HybridSystemSpec.single(7, WALSH)
+    rep = etk_bound(spec, (1,), points, per_index=True)
+    sums = [abs_sum for _, _, abs_sum in rep.per_index]
+    assert abs(4 * sums[4] - 0.19806226419516) < 1e-12
+    assert max(sums) * 4 >= 1
+    for (k,), _, abs_sum in rep.per_index:
+        assert abs(abs_sum - abs(exp_sum(spec, (k,), points))) <= 1e-15 and abs_sum > 0
+
+
+def test_unit_group_generates_every_unit_once():
+    """For every L < 400 the generators' cyclic groups, each of its stated order,
+    multiply out to the units mod L, each unit once."""
+    for modulus in range(2, 400):
+        units = {u for u in range(modulus) if math.gcd(u, modulus) == 1}
+        reached = {1}
+        for u, r in bounds._unit_group(modulus):
+            assert pow(u, r, modulus) == 1 and all(pow(u, j, modulus) != 1 for j in range(1, r))
+            reached = {x * pow(u, j, modulus) % modulus for x in reached for j in range(r)}
+        assert reached == units and math.prod(r for _, r in bounds._unit_group(modulus)) == len(units)
+
+
+@functools.lru_cache(maxsize=8)
+def _powers_mod_cyclotomic(modulus):
+    """Row i holds the coefficients of x^i mod Phi_L, lowest first, for i < L."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    phi = np.array([int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(modulus, x), x).all_coeffs())])
+    rows = np.zeros((modulus, len(phi) - 1), dtype=np.int64)
+    row = np.zeros(len(phi) - 1, dtype=np.int64)
+    row[0] = 1
+    for i in range(modulus):
+        rows[i] = row
+        row = np.concatenate(([0], row[:-1])) - row[-1] * phi[:-1]  # times x, then minus its top term's Phi_L
+    assert np.abs(rows).max() < 2**40
+    return rows
+
+
+@st.composite
+def orbit_inputs(draw):
+    """s <= 3 axes of bases 2, 3, 4, 5, 6, 10 and 12 and either tag, |Delta| <= 2048,
+    and up to 40 points: whole p-gons on one axis (p a prime of its base), which
+    cancel, around random cells, and a few random points."""
+    coords, g, room = [], [], 2048
+    for _ in range(draw(st.integers(1, 3))):
+        choices = [b for b in (2, 3, 4, 5, 6, 10, 12) if b <= room]
+        if not choices:
+            break
+        base = draw(st.sampled_from(choices))
+        coords.append((base, draw(st.sampled_from((WALSH, BADIC)))))
+        g.append(draw(st.integers(1, max(h for h in range(1, 12) if base**h <= room))))
+        room //= base ** g[-1]
+    moduli = [b**gi for (b, _), gi in zip(coords, g)]
+    anchor = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+    points = []
+    for cell in draw(st.lists(anchor, min_size=1, max_size=4)):
+        i = draw(st.integers(0, len(coords) - 1))
+        p = draw(st.sampled_from([p for p in (2, 3, 5) if coords[i][0] % p == 0]))
+        for j in range(p):
+            points.append(tuple(c + j * m // p if axis == i else c for axis, (c, m) in enumerate(zip(cell, moduli))))
+    points += draw(st.lists(anchor, max_size=4))
+    columns = []
+    for axis, ((b, _), gi) in enumerate(zip(coords, g)):
+        cells = np.array([point[axis] % moduli[axis] for point in points])
+        columns.append(DigitColumn(b, cells[:, None] // b ** np.arange(gi) % b, np.full(len(points), gi)))
+    return HybridSystemSpec(tuple(coords)), tuple(g), PointSet(columns)
+
+
+@given(orbit_inputs())
+@settings(max_examples=40, deadline=None)
+def test_etk_bound_zeros_are_the_sums_divisible_by_the_cyclotomic_polynomial(case):
+    """N S(k) = P_k(zeta_L) for the residue polynomial P_k(x) = sum_n x^(r_k(n)),
+    r_k(n) = L times point n's phase mod L, L the lcm of the axis moduli (b on a
+    Walsh axis, b^g on a b-adic one), and it is 0 exactly when Phi_L divides
+    P_k: |S| is 0.0 at exactly those k."""
+    spec, g, points = case
+    modulus = math.lcm(*(b if tag == WALSH else b**gi for (b, tag), gi in zip(spec.coordinates, g)))
+    residues = np.zeros((1, points.n_points), dtype=np.int64)
+    for (base, tag), gi, column in zip(spec.coordinates, g, points.columns):
+        cells = column.digits.astype(np.int64) @ base ** np.arange(gi)
+        axis = phase_numerators(cells, base, tag, gi) * modulus // base**gi
+        residues = (residues[:, None, :] + axis[None, :, :]).reshape(-1, points.n_points) % modulus
+    powers = _powers_mod_cyclotomic(modulus)
+    remainders = np.zeros((len(residues), powers.shape[1]), dtype=np.int64)
+    for column in residues.T:
+        remainders += powers[column]
+    divisible = ~remainders.any(axis=1)
+    rep = etk_bound(spec, g, points, per_index=True)
+    assert [abs_sum == 0.0 for _, _, abs_sum in rep.per_index] == divisible[1:].tolist()
+
+
+def test_butterfly_reads_its_roots_from_one_table_of_b(peak_mib):
+    """van der Corput's 2000 points in base 2000, Walsh at g = 1: every sum off
+    k = 0 is an exact zero.  A table of 2000 x 2000 roots, and _unit's scratch
+    for it, took the call to 244 MiB; one row of b roots read as unit[a d mod b]
+    leaves the box and the histogram."""
+    pts = generate_points(VdcConfig(2000), 2000)
+    spec = HybridSystemSpec.single(2000, WALSH)
+    assert etk_bound(spec, (1,), pts).weighted_sum == 0.0
+    assert peak_mib(etk_bound, spec, (1,), pts) < 1
+
+
+def test_twiddle_blocks_hold_what_unit_holds(peak_mib):
+    """_unit holds two int64 and two complex arrays per entry beside its input;
+    blocks sized at 16 bytes per entry took a base-3 twiddle over 3^10 positions
+    to 3.5 MiB of scratch.  Sized by what _unit holds, it stays near one block."""
+    view = np.ones((1, 3, 3**10, 1), dtype=complex)
+    want = view.copy()
+    want[:, 1:] *= np.exp(2j * np.pi * np.arange(1, 3)[:, None] * np.arange(3**10) / 3**11)[:, :, None]
+    assert peak_mib(bounds._twiddle, view, 3, 3**10) < 1.25 * badic._BLOCK_BYTES / 2**20
+    assert np.abs(view - want).max() < 1e-14
 
 
 @st.composite

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -491,15 +492,24 @@ def test_cli_bound_refuses_a_huge_resolution(tmp_path):
     assert err == "etkbound: error: index domain size 2^99999 exceeds budget 16777216\n"
 
 
-def test_cli_bound_budget_caps_phase_tables(tmp_path):
-    """|Delta| = 2^20 passes the default budget, but the tables would hold 2^20 x 4096 entries."""
+def test_cli_bound_runs_a_box_of_2_20_on_4096_points(tmp_path):
+    """|Delta| = 2^20 passes the default budget, which caps only the box: `--g 20`
+    on 4096 base-2 points runs.  Phase tables of 2^20 x 4096 entries, 32 GiB,
+    were refused by a second budget on their entries; the transform needs the
+    8 MiB float box and the weighting's blocks."""
     pfile = tmp_path / "pts.txt"
     run_cli("gen", "vdc", "--base", "2", "--n", "4096", "--out", str(pfile))
     start = time.perf_counter()
-    code, _, err = run_cli("bound", str(pfile), "--tags", "w", "--g", "20")
-    assert code == 1
-    assert "phase tables of 4294967296 entries exceed budget 16777216" in err
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("bound", str(pfile), "--tags", "w", "--g", "20", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["rows"]) == 2  # both variants
     assert time.perf_counter() - start < 10
+    assert peak < 24
 
 
 def test_cli_runtime_ms_excludes_the_oracle(monkeypatch, tmp_path):
