@@ -6,16 +6,19 @@ Usage, from the root of a checkout:
     python3 bench/layers.py --parent ../other-checkout --out BENCH_16.json
 
 Each sample of each tree runs in new child processes, so every suite timing
-is cold (first call after import), as in the CLI.  For `verify fourier` and
-`verify fc-bounds` it records:
+is cold (first call after import), as in the CLI.  For `verify
+orthonormality`, `verify fourier` and `verify fc-bounds` it records:
 
 - wall_s: the whole `python -m etkbound verify SUITE` subprocess;
 - import_s and suite_s: importing etkbound.cli, then one cli.main call;
 - peak_rss_mb: ru_maxrss of that child after the call;
-- peak_alloc_mb: the tracemalloc peak of the call, in another child;
-- layers_s: cumulative time inside each of the suite's LAYERS, the first
-  of its named functions that the tree has (wrapped, in a third child; a
-  generator's time is that of its steps), with the rest of the call as
+- peak_alloc_mb: the tracemalloc peak of the call, in another child that
+  imports etkbound.verify before the trace starts, so that the peak is the
+  suite's and not that of compiling the modules it imports;
+- layers_s: cumulative self time inside each of the suite's LAYERS, the
+  first of its named functions that the tree has (wrapped, in a third
+  child; a generator's time is that of its steps, and a layer called from
+  inside another counts only in its own), with the rest of the call as
   "other";
 - stdout_sha256: so two trees can be checked for identical output.
 
@@ -74,13 +77,21 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-SUITES = ("fourier", "fc-bounds")
+SUITES = ("orthonormality", "fourier", "fc-bounds")
 PAIRS = 5
 # the layers that the suites spend their time in, each timed as the first
 # function of etkbound.verify named that a tree has (a dotted name is a
-# method): before PhaseTable, fc-bounds read its rows from phase_row_blocks
+# method): before PhaseTable, fc-bounds read its rows from phase_row_blocks,
+# and before verify read only the phase tables, the other suites took their
+# coefficients, memberships and exact inner products from the scalar
+# fourier functions
 LAYERS = {
-    "fourier": {"_xi_table": ("_xi_table",), "elint_fourier_coeff": ("elint_fourier_coeff",)},
+    "orthonormality": {"_xi_table": ("_xi_table",), "orthogonal": ("_orthogonal", "partition_inner_product")},
+    "fourier": {
+        "_xi_table": ("_xi_table",),
+        "coefficients": ("_coefficients", "elint_fourier_coeff"),
+        "membership": ("_membership", "elint_contains"),
+    },
     "fc-bounds": {"phase_rows": ("PhaseTable.rows", "phase_row_blocks"), "phase_numerators": ("phase_numerators",)},
 }
 # (b, g, N): a full phase table of N points, in the cells 0..N-1 mod b^g.
@@ -177,6 +188,7 @@ def _child_alloc(suite: str) -> dict:
     import tracemalloc
 
     import etkbound.cli  # noqa: F401
+    import etkbound.verify  # noqa: F401  (compiled here, not inside the trace: children write no bytecode)
 
     tracemalloc.start()
     _run_suite(suite)
@@ -185,30 +197,39 @@ def _child_alloc(suite: str) -> dict:
     return {"peak_alloc_mb": peak / 2**20}
 
 
+_OPEN: list[list[float]] = []  # per timed call in progress, the seconds of the timed calls inside it
+
+
+def _self_time(spent: dict, name: str, call):
+    """call(), adding its seconds to spent[name], less those of the timed calls nested in it."""
+    _OPEN.append([0.0])
+    start = time.perf_counter()
+    try:
+        return call()
+    finally:
+        elapsed = time.perf_counter() - start
+        spent[name] += elapsed - _OPEN.pop()[0]
+        if _OPEN:
+            _OPEN[-1][0] += elapsed
+
+
 def _timed(spent: dict, name: str, fn):
-    """fn, adding the seconds of each call to spent[name]; of a generator, each step."""
+    """fn, adding the self seconds of each call to spent[name]; of a generator, each step."""
     if inspect.isgeneratorfunction(fn):
 
         def stepped(*args, **kwargs):
             items = fn(*args, **kwargs)
             while True:
-                start = time.perf_counter()
                 try:
-                    item = next(items)
+                    item = _self_time(spent, name, lambda: next(items))
                 except StopIteration:
                     return
-                finally:
-                    spent[name] += time.perf_counter() - start
                 yield item
 
         return stepped
 
     def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            spent[name] += time.perf_counter() - start
+        return _self_time(spent, name, lambda: fn(*args, **kwargs))
 
     return wrapper
 

@@ -7,7 +7,7 @@ error.  It also refuses a transform error bound of 1/2 (bounds.etk_bound).
 
 Each command imports only the layers it runs: gen the generators and the
 point-file format, bound also bounds (and oracle with --oracle),
-discrepancy oracle, and verify every layer.
+discrepancy oracle, and verify every layer but fourier.
 """
 
 from __future__ import annotations

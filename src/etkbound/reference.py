@@ -3,10 +3,13 @@
 Digit vectors add with carry (the b-adic integers) and without it (Z_b^m),
 the two additions of which the b-adic and the Walsh system functions are
 characters.  Generators give one point as a tuple of DigitVector, and point
-sets are built from such tuples.  Exponential sums group the exact phases of
-every point, and Fourier coefficients sum exact cells.  The column and table
-paths of the other modules compute the same things in bulk; these functions
-are what they are tested against.  Only tests import this module: no command
+sets are built from such tuples.  Exponential sums and inner products over
+a tiling group the exact phases of every point or cell, and snap a multiset
+unchanged by a rotation of prime order to an exact zero; elint membership
+compares exact fractions, and Fourier coefficients sum exact cells.  The
+column and table paths of the other modules (verify's suites among them)
+compute the same things in bulk; these functions are what they are tested
+against.  Only tests import this module: no command
 runs it, and no other module of the package may import it.
 """
 
@@ -16,19 +19,29 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .badic import DigitColumn, DigitVector, check_base, enumerate_delta, int_digits, vb
-from .fourier import Elint, _check_spec_matches, _point_values, elint_fourier_coeff, elint_partition
+from .badic import (
+    DigitColumn,
+    DigitVector,
+    check_base,
+    delta_size,
+    enumerate_delta,
+    int_digits,
+    monna,
+    vb,
+)
+from .fourier import Elint, _check_spec_matches, elint_fourier_coeff, elint_partition
 from .pointfile import parse_coordinate
 from .sequences import GeneratorConfig, GeneratorMatrix, HaltonConfig, PointSet, VdcConfig
 from .systems import (
     BADIC,
     HybridSystemSpec,
+    PhaseFraction,
+    _prime_steps,
     chi_phase,
-    phase_counter_sum,
     walsh_phase,
     xi_phase,
 )
@@ -41,11 +54,15 @@ __all__ = [
     "config_point",
     "digit_column",
     "digital_point",
+    "elint_contains",
     "exp_sum",
     "format_coordinate",
     "halton",
     "interval_fourier_coeff",
+    "is_balanced",
     "monna_pseudoinverse",
+    "partition_inner_product",
+    "phase_counter_sum",
     "point_set",
     "point_set_from_values",
     "point_values",
@@ -275,6 +292,58 @@ def point_values(points: PointSet) -> tuple[tuple[Fraction, ...], ...]:
 # ---------------------------------------------------------------- phases and sums
 
 
+def is_balanced(residues: np.ndarray, modulus: int, counts: np.ndarray | None = None) -> bool:
+    """True when the residue multiset mod M is unchanged by a rotation r -> r + M/p.
+
+    For a prime p dividing M it then splits into rotated regular p-gons, so
+    its phase sum of e(r/M) is exactly zero.  Every full coset with equal
+    counts is balanced, and for a prime-power M so is every vanishing sum:
+    Phi_M(x) = Phi_p(x^(M/p)), so its counts repeat with period M/p.
+
+    counts, if given, holds each residue's multiplicity: the multiset is
+    np.repeat(residues, counts), and the answer is the same as on that
+    expansion.  Equal counts scale the multiset without changing which
+    rotations fix it, so they take the unweighted path; otherwise the counts
+    are added per distinct residue, and a rotation must map the sorted
+    residues and their counts onto themselves.
+    """
+    r = np.asarray(residues) % modulus
+    if counts is None or np.all((counts := np.asarray(counts)) == counts[:1]):
+        r, counts = np.sort(r), None
+    else:
+        r, inverse = np.unique(r, return_inverse=True)
+        counts = np.bincount(inverse, weights=counts, minlength=len(r))
+    for step in _prime_steps(modulus):
+        i = np.searchsorted(r, modulus - step)  # r[i:] + step wrap past M to the front
+        if not np.array_equal(np.concatenate((r[i:] + (step - modulus), r[:i] + step)), r):
+            continue
+        if counts is None or np.array_equal(np.concatenate((counts[i:], counts[:i])), counts):
+            return True
+    return False
+
+
+def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
+    """Sum of count * e(phase) over a phase multiset, exact where structure allows.
+
+    A balanced phase multiset (see is_balanced) sums to exactly zero; full
+    character sums have that shape, so they return complex 0.0 with no float
+    residue.  Everything else falls back to compensated (exactly rounded)
+    float summation.
+    """
+    items = [(p, n) for p, n in counts.items() if n]
+    modulus = math.lcm(*(p.modulus for p, _ in items))
+    residues = [p.numerator * (modulus // p.modulus) for p, _ in items]
+    if is_balanced(residues, modulus, [n for _, n in items]):
+        return 0j
+    if all(p.modulus in (1, 2, 4) for p, _ in items):
+        # quarter phases have exact unit values, so this sum has no rounding
+        return complex(sum(n * p.to_complex() for p, n in items))
+    # int / int rounds correctly, as float(Fraction) does
+    re = math.fsum(n * math.cos(2.0 * math.pi * (p.numerator / p.modulus)) for p, n in items)
+    im = math.fsum(n * math.sin(2.0 * math.pi * (p.numerator / p.modulus)) for p, n in items)
+    return complex(re, im)
+
+
 def xi_eval(spec: HybridSystemSpec, k: tuple[int, ...], x: tuple[DigitVector, ...]) -> complex:
     """Value of the hybrid system function: one complex conversion of the exact phase."""
     return xi_phase(spec, k, x).to_complex()
@@ -296,6 +365,54 @@ def exp_sum(spec: HybridSystemSpec, k: tuple[int, ...], points: PointSet) -> com
 
 
 # ---------------------------------------------------------------- Fourier
+
+
+def _point_values(x: Sequence) -> tuple[Fraction, ...]:
+    out = []
+    for xi in x:
+        out.append(monna(xi) if isinstance(xi, DigitVector) else Fraction(xi))
+    return tuple(out)
+
+
+def elint_contains(e: Elint, x: Sequence) -> bool:
+    """Exact membership test; coordinates may be DigitVectors or Fractions."""
+    values = _point_values(x)
+    if len(values) != e.s:
+        raise ValueError(f"expected {e.s} coordinates, got {len(values)}")
+    for val, z, gi in zip(values, e.anchor_digits(), e.g):
+        if not z.value <= val < z.value + Fraction(1, z.base**gi):
+            return False
+    return True
+
+
+def partition_inner_product(
+    spec: HybridSystemSpec,
+    g: tuple[int, ...],
+    k: tuple[int, ...],
+    l: tuple[int, ...],
+) -> complex:
+    """Inner product of xi_k and conj(xi_l) as the exact sum over the resolution-g tiling.
+
+    Both functions are constant on each cell, so the integral is a phase
+    multiset sum scaled by the common cell measure; for k = l it is exactly 1
+    and for k != l exactly 0 up to the final float conversion.
+    """
+    g = tuple(g)
+    size = delta_size(spec.bases, g)
+    for name, idx in (("k", tuple(k)), ("l", tuple(l))):
+        if len(idx) != spec.s:
+            raise ValueError(f"expected {spec.s} components in {name}, got {len(idx)}")
+        for ki, b, gi in zip(idx, spec.bases, g):
+            if not 0 <= ki < b**gi:
+                raise ValueError(f"index {ki} outside the resolution-{gi} domain of base {b}")
+    phases = []
+    for e in elint_partition(spec.bases, g):
+        anchor = e.anchor_digits()
+        p, q = xi_phase(spec, tuple(k), anchor), xi_phase(spec, tuple(l), anchor)
+        common = math.lcm(p.modulus, q.modulus)
+        diff = p.numerator * (common // p.modulus) - q.numerator * (common // q.modulus)
+        phases.append(PhaseFraction(diff, common))
+    return phase_counter_sum(Counter(phases)) / size
 
 
 def step_representation(k: tuple[int, ...], spec: HybridSystemSpec) -> list[tuple[Elint, complex]]:

@@ -3,16 +3,18 @@
 Every system function here has modulus-one values e(phi) for an exact
 rational phase phi, so evaluation is split in two: phase computation as an
 integer numerator over b^v in lowest terms (always exact, no Fraction
-objects) and a single conversion to complex at the end.  Full character
-sums then cancel exactly instead of accumulating float noise.  The scalar
+objects) and a single conversion to complex at the end, so a sum that
+groups the exact phases first (the references') can cancel exactly on a
+full character sum instead of accumulating float noise.  The scalar
 phases are the reference for the table kernel over resolution-g cell
 indices, whose phases over b^g are linear in the index digits, so it builds
 no matrix of index digits: PhaseTable reads any row or block of rows from
 two half tables built once, and phase_numerators is its one whole block.
-Its digit recurrence (_digit_sums, _add_runs) also generates the points of
-every construction: van der Corput, Halton and digital nets.  is_balanced
-serves only phase_counter_sum, the scalar path; bounds reads exact zeros off
-the transform's Galois orbits.
+Every command reads phases from that kernel alone; the scalar phases stay
+here for the point-by-point references and for perfbench, which times
+xi_phase.  The kernel's digit recurrence (_digit_sums, _add_runs) also
+generates the points of every construction: van der Corput, Halton and
+digital nets.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -34,8 +36,6 @@ __all__ = [
     "PhaseFraction",
     "PhaseTable",
     "chi_phase",
-    "is_balanced",
-    "phase_counter_sum",
     "phase_numerators",
     "walsh_phase",
     "xi_phase",
@@ -269,55 +269,3 @@ def _prime_steps(modulus: int) -> tuple[int, ...]:
             while m % p == 0:
                 m //= p
     return tuple(modulus // p for p in primes + ([m] if m > 1 else []))
-
-
-def is_balanced(residues: np.ndarray, modulus: int, counts: np.ndarray | None = None) -> bool:
-    """True when the residue multiset mod M is unchanged by a rotation r -> r + M/p.
-
-    For a prime p dividing M it then splits into rotated regular p-gons, so
-    its phase sum of e(r/M) is exactly zero.  Every full coset with equal
-    counts is balanced, and for a prime-power M so is every vanishing sum:
-    Phi_M(x) = Phi_p(x^(M/p)), so its counts repeat with period M/p.
-
-    counts, if given, holds each residue's multiplicity: the multiset is
-    np.repeat(residues, counts), and the answer is the same as on that
-    expansion.  Equal counts scale the multiset without changing which
-    rotations fix it, so they take the unweighted path; otherwise the counts
-    are added per distinct residue, and a rotation must map the sorted
-    residues and their counts onto themselves.
-    """
-    r = np.asarray(residues) % modulus
-    if counts is None or np.all((counts := np.asarray(counts)) == counts[:1]):
-        r, counts = np.sort(r), None
-    else:
-        r, inverse = np.unique(r, return_inverse=True)
-        counts = np.bincount(inverse, weights=counts, minlength=len(r))
-    for step in _prime_steps(modulus):
-        i = np.searchsorted(r, modulus - step)  # r[i:] + step wrap past M to the front
-        if not np.array_equal(np.concatenate((r[i:] + (step - modulus), r[:i] + step)), r):
-            continue
-        if counts is None or np.array_equal(np.concatenate((counts[i:], counts[:i])), counts):
-            return True
-    return False
-
-
-def phase_counter_sum(counts: Mapping[PhaseFraction, int]) -> complex:
-    """Sum of count * e(phase) over a phase multiset, exact where structure allows.
-
-    A balanced phase multiset (see is_balanced) sums to exactly zero; full
-    character sums have that shape, so they return complex 0.0 with no float
-    residue.  Everything else falls back to compensated (exactly rounded)
-    float summation.
-    """
-    items = [(p, n) for p, n in counts.items() if n]
-    modulus = math.lcm(*(p.modulus for p, _ in items))
-    residues = [p.numerator * (modulus // p.modulus) for p, _ in items]
-    if is_balanced(residues, modulus, [n for _, n in items]):
-        return 0j
-    if all(p.modulus in (1, 2, 4) for p, _ in items):
-        # quarter phases have exact unit values, so this sum has no rounding
-        return complex(sum(n * p.to_complex() for p, n in items))
-    # int / int rounds correctly, as float(Fraction) does
-    re = math.fsum(n * math.cos(2.0 * math.pi * (p.numerator / p.modulus)) for p, n in items)
-    im = math.fsum(n * math.sin(2.0 * math.pi * (p.numerator / p.modulus)) for p, n in items)
-    return complex(re, im)

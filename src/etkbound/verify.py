@@ -4,6 +4,8 @@ Each suite returns a SuiteResult with the number of checks run and a list of
 failure descriptions; an empty list is a pass.  The domination sweep is the
 heavyweight one: seeded random configurations, bound versus exact oracle,
 with the closed-form and truncation cross-checks folded into each trial.
+The orthonormality, fourier and fc-bounds suites read the system only from the
+integer phase tables; tests hold their arrays to the scalar references.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ from .bounds import (
     rho_star,
     rho_vec,
     weight_sum,
-)
-from .fourier import (
-    elint_contains,
-    elint_fourier_coeff,
-    elint_partition,
-    partition_inner_product,
 )
 from .oracle import DOMINATION_SLACK, extreme_discrepancy_exact, star_discrepancy_exact
 from .sequences import (
@@ -106,27 +102,75 @@ _RECONSTRUCTION_CONFIGS = (
 )
 
 
+def _outer(ufunc, axes: list[np.ndarray]) -> np.ndarray:
+    """ufunc.outer over the axes' 2-D tables, rows and columns in index order, coordinate 1 slowest."""
+    total = axes[0]
+    for axis in axes[1:]:
+        total = ufunc.outer(total, axis).transpose(0, 2, 1, 3).reshape(len(total) * len(axis), -1)
+    return total
+
+
 def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]) -> np.ndarray:
     """Mean of xi_k over each elint: rows k in enumerate_delta(g), columns elint_partition(cells).
 
     xi_k is constant on the resolution-max(g, cells) elints, so each axis's integer
     table is phase_numerators of their cell indices, in index order (fc-bounds orders
     its cells by value); the tables are lifted to their lcm and outer-summed,
-    coordinate 1 slowest, and turned into unit values (`_unit`) row by row, so
-    no scratch is as large as the table.  Fine cell c' lies in elint c when
-    c' mod b^cells = c, so the refinement axes average out.
+    and turned into unit values (`_unit`) row by row, so no scratch is as
+    large as the table.  Fine cell c' lies in elint c when c' mod b^cells = c,
+    so the refinement axes average out.
     """
     common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
-    total = np.zeros((1, 1), dtype=np.int64)
-    for (base, tag), gi, ci in zip(spec.coordinates, g, cells):
-        axis = phase_numerators(np.arange(base ** max(gi, ci)), base, tag, gi) * (common // base**gi)
-        total = np.add.outer(total, axis).transpose(0, 2, 1, 3).reshape(len(total) * len(axis), -1)
+    axes = [
+        phase_numerators(np.arange(base ** max(gi, ci)), base, tag, gi) * (common // base**gi)
+        for (base, tag), gi, ci in zip(spec.coordinates, g, cells)
+    ]
+    total = _outer(np.add, axes)
     values = np.empty(total.shape, dtype=complex)
     for row, out in zip(total, values):
         out[:] = _unit(row % common, common)
     split = [n for b, gi, ci in zip(spec.bases, g, cells) for n in (b ** max(gi - ci, 0), b**ci)]
     means = values.reshape(len(values), *split).mean(axis=tuple(range(1, 2 * spec.s, 2)))
     return means.reshape(len(values), -1)
+
+
+def _coefficients(spec: HybridSystemSpec, g: tuple[int, ...], box: tuple[int, ...]) -> np.ndarray:
+    """Coefficients against xi_k of the elint indicators: rows k in enumerate_delta(box), box >= g,
+    columns elint_partition(g).  In the resolution-g box xi_k is constant on each elint, and the
+    coefficient is its measure times conj(xi_k) at its anchor cell; outside, it is exactly 0j."""
+    table = _xi_table(spec, g, g)
+    sizes = [b**gi for b, gi in zip(spec.bases, g)]
+    out = np.zeros([b**bi for b, bi in zip(spec.bases, box)] + [len(table)], dtype=complex)
+    out[tuple(map(slice, sizes))] = (table.conj() * (1 / len(table))).reshape(sizes + [-1])
+    return out.reshape(-1, len(table))
+
+
+def _membership(bases: tuple[int, ...], g: tuple[int, ...], cells: tuple[int, ...]) -> np.ndarray:
+    """Rows elint_partition(g), columns elint_partition(cells), cells >= g: whether the cell c'
+    lies in the elint c, that is, whether c'_i mod b_i^g_i = c_i on every axis."""
+    axes = [np.arange(b**ci) % b**gi == np.arange(b**gi)[:, None] for b, gi, ci in zip(bases, g, cells)]
+    return _outer(np.logical_and, axes)
+
+
+def _orthogonal(
+    spec: HybridSystemSpec, g: tuple[int, ...], k: tuple[int, ...], l: tuple[int, ...]
+) -> bool:
+    """Whether xi_k and xi_l are exactly orthogonal over the resolution-g tiling, decided in integers.
+
+    Their phase difference over L, the lcm of the b^g, is PhaseTable row k_i minus row l_i
+    on each axis, lifted to L and outer-summed.  When it takes each multiple of L/d equally
+    often, for some d > 1, it sums the d-th roots of unity, each as often, to exactly 0; the
+    phases of a nontrivial character take that form.
+    """
+    common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
+    axes = []
+    for (base, tag), gi, ki, li in zip(spec.coordinates, g, k, l):
+        table = PhaseTable(np.arange(base**gi), base, tag, gi)
+        axes.append((table.rows(ki, ki + 1) - table.rows(li, li + 1)) * (common // base**gi))
+    diff = _outer(np.add, axes).ravel() % common
+    step = math.gcd(common, int(np.gcd.reduce(diff)))
+    counts = np.bincount(diff // step, minlength=common // step)
+    return step < common and bool((counts == counts[0]).all())
 
 
 def check_orthonormality() -> SuiteResult:
@@ -138,12 +182,11 @@ def check_orthonormality() -> SuiteResult:
         result.checks += len(table) ** 2
         if err > _TOL:
             result.failures.append(f"{spec.bases}/{spec.tags} g={g}: gram error {err:.3e}")
-        # spot-check the exact-phase route: xi_0 and the last index are orthogonal
+        # spot-check in integers: xi_0 and the last index are exactly orthogonal
         k, l = (0,) * spec.s, tuple(b**gi - 1 for b, gi in zip(spec.bases, g))
-        exact = partition_inner_product(spec, g, k, l)
         result.checks += 1
-        if abs(exact) > _TOL:
-            result.failures.append(f"{spec.bases}/{spec.tags} g={g}: ip(k0,klast) = {exact}")
+        if not _orthogonal(spec, g, k, l):
+            result.failures.append(f"{spec.bases}/{spec.tags} g={g}: ip(k0,klast) is not exactly 0")
     return result
 
 
@@ -151,22 +194,17 @@ def check_fourier() -> SuiteResult:
     """Coefficient formula equals direct integration; zero outside the box exactly."""
     result = SuiteResult("fourier", 0)
     for spec, g in _FOURIER_CONFIGS:
+        g_fine = tuple(gi + 1 for gi in g)
+        coeffs = _coefficients(spec, g, g_fine)
         # the integral of conj(xi_k) over an elint is its measure times the conjugate mean
-        means = _xi_table(spec, tuple(gi + 1 for gi in g), g)
-        integrals = (means.conj() / means.shape[1]).T.tolist()
-        for e, column in zip(elint_partition(spec.bases, g), integrals):
-            for k, direct in zip(enumerate_delta(spec.bases, tuple(gi + 1 for gi in g)), column):
-                coeff = elint_fourier_coeff(e, k, spec)
-                result.checks += 1
-                if any(ki >= b**gi for ki, b, gi in zip(k, spec.bases, g)):
-                    if coeff != 0:
-                        result.failures.append(f"{spec.bases} g={g} k={k}: nonzero outside box")
-                    if abs(direct) > _TOL:
-                        result.failures.append(f"{spec.bases} g={g} k={k}: integral {direct}")
-                elif abs(coeff - direct) > _TOL:
-                    result.failures.append(
-                        f"{spec.bases} g={g} c={e.c} k={k}: {coeff} vs {direct}"
-                    )
+        means = _xi_table(spec, g_fine, g)
+        integrals = means.conj() / means.shape[1]
+        result.checks += coeffs.size
+        for row, col in np.argwhere(np.abs(coeffs - integrals) > _TOL):
+            c, k = [*enumerate_delta(spec.bases, g)][col], [*enumerate_delta(spec.bases, g_fine)][row]
+            result.failures.append(
+                f"{spec.bases} g={g} c={c} k={k}: {coeffs[row, col]} vs {integrals[row, col]}"
+            )
     return result
 
 
@@ -175,18 +213,14 @@ def check_reconstruction() -> SuiteResult:
     result = SuiteResult("reconstruction", 0)
     for spec, g in _RECONSTRUCTION_CONFIGS:
         g_fine = tuple(gi + 1 for gi in g)
-        elints = list(elint_partition(spec.bases, g))
-        indices = list(enumerate_delta(spec.bases, g))
-        coeffs = np.array([[elint_fourier_coeff(e, k, spec) for k in indices] for e in elints])
-        probes = [cell.anchor_digits() for cell in elint_partition(spec.bases, g_fine)]
-        for e, row in zip(elints, (coeffs @ _xi_table(spec, g, g_fine)).real.tolist()):
-            for x, got in zip(probes, row):
-                want = 1.0 if elint_contains(e, x) else 0.0
-                result.checks += 1
-                if abs(got - want) > _SUM_TOL:
-                    result.failures.append(
-                        f"{spec.bases}/{spec.tags} g={g} c={e.c}: {got} vs {want}"
-                    )
+        series = (_coefficients(spec, g, g).T @ _xi_table(spec, g, g_fine)).real
+        want = _membership(spec.bases, g, g_fine)
+        result.checks += series.size
+        for row, col in np.argwhere(np.abs(series - want) > _SUM_TOL):
+            c = [*enumerate_delta(spec.bases, g)][row]
+            result.failures.append(
+                f"{spec.bases}/{spec.tags} g={g} c={c}: {series[row, col]} vs {float(want[row, col])}"
+            )
     return result
 
 

@@ -2,6 +2,8 @@
 
 import importlib.util
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -70,6 +72,52 @@ def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
     assert list(row) == [*layers.LAYERS["fc-bounds"], "other"]
     assert row["phase_rows"] > 0 and row["phase_numerators"] == 0
     assert layers._resolve(verify, "phase_row_blocks") is None  # the name before PhaseTable, kept as a fallback
+
+
+@pytest.mark.parametrize("suite", ["orthonormality", "fourier"])
+def test_table_suites_time_the_array_path(layers, monkeypatch, suite):
+    """The suites that verify runs on the phase tables alone time those tables and the
+    array functions built on them; the scalar fourier names are kept only as fallbacks."""
+    import etkbound.verify as verify
+
+    for names in layers.LAYERS[suite].values():
+        for owner, attribute in filter(None, (layers._resolve(verify, name) for name in names)):
+            monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
+    row = layers._child_layers(suite)["layers_s"]
+    assert list(row) == [*layers.LAYERS[suite], "other"]
+    assert all(value > 0 for value in row.values())
+    for names in layers.LAYERS[suite].values():
+        assert layers._resolve(verify, names[0]) is not None
+        assert all(layers._resolve(verify, name) is None for name in names[1:])
+
+
+def test_a_layer_called_inside_another_counts_only_in_its_own(layers):
+    """_coefficients calls _xi_table: the inner call's seconds leave the outer layer's."""
+    spent = {"outer": 0.0, "inner": 0.0}
+    inner = layers._timed(spent, "inner", lambda: time.sleep(0.03))
+    outer = layers._timed(spent, "outer", lambda: (time.sleep(0.01), inner()))
+    outer()
+    assert spent["inner"] >= 0.03
+    assert 0.01 <= spent["outer"] < 0.025
+
+
+def test_alloc_child_imports_verify_before_it_starts_the_trace(layers):
+    """Run as the script runs it, in a fresh child that writes no bytecode, the
+    alloc child has etkbound.verify loaded when tracemalloc starts.  Compiling
+    verify's imports inside the trace peaked at 1.48 MiB, above the suites'
+    own peaks of 0.86 (fourier) and 1.12 MiB (fc-bounds)."""
+    code = "\n".join([
+        "import sys, tracemalloc",
+        f"sys.path.insert(0, {os.path.join(ROOT, 'bench')!r})",
+        "import layers",
+        "start = tracemalloc.start",
+        "tracemalloc.start = lambda *args: (print('etkbound.verify' in sys.modules), start(*args))[1]",
+        "print(layers._child_alloc('orthonormality')['peak_alloc_mb'] > 0)",
+    ])
+    env = {**layers._env(ROOT), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "True"]
 
 
 def test_a_generator_layer_is_timed_by_its_steps(layers):

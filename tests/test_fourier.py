@@ -7,17 +7,13 @@ import pytest
 
 from etkbound.badic import DigitVector, enumerate_delta, vb
 from etkbound.bounds import rho_star
-from etkbound.fourier import (
-    Elint,
-    elint_contains,
-    elint_fourier_coeff,
-    elint_partition,
-    partition_inner_product,
-)
+from etkbound.fourier import Elint, elint_fourier_coeff, elint_partition
 from etkbound.reference import (
     BadicInterval,
     anchored_fourier_coeff,
+    elint_contains,
     interval_fourier_coeff,
+    partition_inner_product,
     reconstruct_indicator,
     step_representation,
 )
@@ -30,10 +26,11 @@ B2 = HybridSystemSpec.single(2, BADIC)
 
 def test_elint_geometry():
     e = Elint((2, 3), (1, 1), (1, 2))
-    assert e.lower == (Fraction(1, 2), Fraction(2, 3))
-    assert e.widths == (Fraction(1, 2), Fraction(1, 3))
-    assert math.prod(e.widths) == Fraction(1, 6)
+    assert tuple(z.value for z in e.anchor_digits()) == (Fraction(1, 2), Fraction(2, 3))
     assert e.anchor_digits()[0] == DigitVector(2, (1,))
+    assert elint_contains(e, (Fraction(1, 2), Fraction(2, 3)))
+    assert not elint_contains(e, (Fraction(1, 2), Fraction(1)))
+    assert not elint_contains(e, (Fraction(1), Fraction(2, 3)))
 
 
 def test_elint_rejects_out_of_range_anchor():
@@ -44,9 +41,8 @@ def test_elint_rejects_out_of_range_anchor():
 def test_elint_partition_tiles_the_cube():
     cells = list(elint_partition((2, 3), (1, 1)))
     assert len(cells) == 6
-    assert sum(math.prod(c.widths) for c in cells) == 1
-    x = (Fraction(3, 4), Fraction(1, 3))
-    assert sum(elint_contains(c, x) for c in cells) == 1
+    for x in ((Fraction(3, 4), Fraction(1, 3)), (Fraction(0), Fraction(8, 9)), (Fraction(1, 2), Fraction(0))):
+        assert sum(elint_contains(c, x) for c in cells) == 1
 
 
 def test_elint_contains_digit_vectors():
@@ -73,14 +69,14 @@ def test_elint_coeff_at_zero_index_is_measure():
     # 1/3 * 1/25 rounds twice and misses float(1/75) by an ulp
     e = Elint((3, 5), (1, 2), (2, 7))
     spec = HybridSystemSpec(((3, WALSH), (5, BADIC)))
-    assert elint_fourier_coeff(e, (0, 0), spec) == float(math.prod(e.widths))
+    assert elint_fourier_coeff(e, (0, 0), spec) == float(Fraction(1, 75))
 
 
 def test_step_representation_sums_to_zero():
     for spec in (W2, B2, HybridSystemSpec.single(3, WALSH)):
         for k in (1, 2, 3):
             pieces = step_representation((k,), spec)
-            total = sum(v * complex(math.prod(e.widths)) for e, v in pieces)
+            total = sum(v for _, v in pieces) / len(pieces)  # equal cells tile the cube
             assert abs(total) < 1e-15
 
 

@@ -68,6 +68,23 @@ def test_importing_the_package_and_cli_leaves_reference_unloaded():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize("suite", ["fourier", "orthonormality"])
+def test_verify_suites_on_the_phase_tables_leave_fourier_unloaded(suite):
+    """`python -m etkbound verify fourier` and `verify orthonormality` read the
+    phase tables alone: the scalar elint coefficients are never imported."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('etkbound.fourier' in sys.modules))\n"
+        f"sys.argv = ['etkbound', 'verify', {suite!r}]\n"
+        "runpy.run_module('etkbound', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *report, loaded = proc.stdout.splitlines()
+    assert report[-1].startswith("all suites passed") and loaded == "False"
+
+
 def _imports_reference(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any(a.name.split(".")[-1] == "reference" for a in node.names)

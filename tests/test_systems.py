@@ -20,6 +20,8 @@ from etkbound.fourier import elint_fourier_coeff, elint_partition
 from etkbound.reference import (
     add_with_carry,
     add_without_carry,
+    is_balanced,
+    phase_counter_sum,
     radical_inverse,
     xi_eval,
 )
@@ -30,8 +32,6 @@ from etkbound.systems import (
     PhaseFraction,
     PhaseTable,
     chi_phase,
-    is_balanced,
-    phase_counter_sum,
     phase_numerators,
     walsh_phase,
     xi_phase,
@@ -479,5 +479,6 @@ def test_elint_coefficients_match_the_fraction_formula_bit_for_bit(spec, g):
             if any(ki >= b**gi for ki, b, gi in zip(k, spec.bases, g)):
                 want = 0j
             else:
-                want = float(math.prod(e.widths)) * _unit(-_xi_fraction(spec, k, anchor) % 1)
+                measure = Fraction(1, math.prod(b**gi for b, gi in zip(e.bases, e.g)))
+                want = float(measure) * _unit(-_xi_fraction(spec, k, anchor) % 1)
             assert _bits(elint_fourier_coeff(e, k, spec)) == _bits(want)

@@ -5,16 +5,17 @@ import pytest
 
 from etkbound.badic import _block_rows, enumerate_delta, int_digits
 from etkbound.bounds import EXTREME, STAR
-from etkbound.fourier import (
-    Elint,
-    elint_fourier_coeff,
-    elint_partition,
-    partition_inner_product,
-)
-from etkbound.reference import reconstruct_indicator
+from etkbound.fourier import Elint, elint_fourier_coeff, elint_partition
+from etkbound.reference import elint_contains, partition_inner_product, reconstruct_indicator
 from etkbound.systems import BADIC, WALSH, HybridSystemSpec, xi_phase
 from etkbound.verify import (
+    _FOURIER_CONFIGS,
+    _ORTHO_CONFIGS,
+    _RECONSTRUCTION_CONFIGS,
     SUITES,
+    _coefficients,
+    _membership,
+    _orthogonal,
     _xi_table,
     check_fc_bounds,
     check_fourier,
@@ -117,6 +118,55 @@ def test_gram_matrix_matches_partition_inner_product(spec, g):
             assert abs(gram[row, col] - partition_inner_product(spec, g, k, l)) <= 1e-15
 
 
+# the suites' coefficient arrays over the index box each reads: the refined box
+# for fourier (and for the orthonormality menu, whose tables are the same), g
+# for reconstruction
+_COEFFICIENT_CASES = [
+    *((spec, g, _fine(g)) for spec, g in _ORTHO_CONFIGS + _FOURIER_CONFIGS),
+    *((spec, g, g) for spec, g in _RECONSTRUCTION_CONFIGS),
+]
+
+
+@pytest.mark.parametrize("spec, g, box", _COEFFICIENT_CASES)
+def test_coefficient_arrays_are_the_scalar_elint_coefficients(spec, g, box):
+    """Entry (k, e) is elint_fourier_coeff(e, k): measure * conj(xi_k) at the anchor, 0j outside g."""
+    coeffs = _coefficients(spec, g, box)
+    indices = list(enumerate_delta(spec.bases, box))
+    elints = list(elint_partition(spec.bases, g))
+    assert coeffs.shape == (len(indices), len(elints))
+    want = np.array([[elint_fourier_coeff(e, k, spec) for e in elints] for k in indices])
+    assert np.abs(coeffs - want).max() <= 1e-15
+    assert np.array_equal(coeffs == 0, want == 0)
+
+
+@pytest.mark.parametrize("spec, g", _FOURIER_CONFIGS + _RECONSTRUCTION_CONFIGS)
+def test_membership_arrays_are_elint_contains(spec, g):
+    """Cell c' of the refined tiling lies in elint c exactly when its anchor does."""
+    probes = [cell.anchor_digits() for cell in elint_partition(spec.bases, _fine(g))]
+    want = [[elint_contains(e, x) for x in probes] for e in elint_partition(spec.bases, g)]
+    assert np.array_equal(_membership(spec.bases, g, _fine(g)), np.array(want))
+
+
+@pytest.mark.parametrize("spec, g", _ORTHO_CONFIGS)
+def test_integer_spot_check_agrees_with_partition_inner_product(spec, g):
+    """xi_0 against the last index is orthogonal in integers, as the exact tiling sum says;
+    an index against itself is not, and its product is exactly 1."""
+    k0, last = (0,) * spec.s, tuple(b**gi - 1 for b, gi in zip(spec.bases, g))
+    assert _orthogonal(spec, g, k0, last)
+    assert partition_inner_product(spec, g, k0, last) == 0
+    for k in (k0, last):
+        assert not _orthogonal(spec, g, k, k)
+        assert partition_inner_product(spec, g, k, k) == 1
+
+
+def test_integer_spot_check_agrees_on_every_pair_of_a_mixed_box():
+    spec, g = HybridSystemSpec(((2, BADIC), (3, WALSH))), (3, 1)
+    indices = list(enumerate_delta(spec.bases, g))
+    for k in indices:
+        for l in indices:
+            assert _orthogonal(spec, g, k, l) == (partition_inner_product(spec, g, k, l) == 0) == (k != l)
+
+
 def test_fc_suite_small_depth():
     res = check_fc_bounds(bases=(2, 3), depth=3)
     assert res.ok and res.checks == 2 * (7 * 8 + 26 * 27)
@@ -183,7 +233,7 @@ def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
 def test_fc_anchors_are_the_digit_reversed_integers(base, depth):
     """Entry a of the fc-bounds anchors is the index of the a-th cell by value: a's digits reversed."""
     got = np.arange(base**depth).reshape((base,) * depth).T.ravel().tolist()
-    cells = sorted(elint_partition((base,), (depth,)), key=lambda e: e.lower[0])
+    cells = sorted(elint_partition((base,), (depth,)), key=lambda e: e.anchor_digits()[0].value)
     assert got == [e.c[0] for e in cells]
     digits = [int_digits(a, base, depth) for a in range(base**depth)]
     assert got == [sum(d * base**j for j, d in enumerate(reversed(row))) for row in digits]
