@@ -15,11 +15,9 @@ orthonormality`, `verify fourier` and `verify fc-bounds` it records:
 - peak_alloc_mb: the tracemalloc peak of the call, in another child that
   imports etkbound.verify before the trace starts, so that the peak is the
   suite's and not that of compiling the modules it imports;
-- layers_s: cumulative self time inside each of the suite's LAYERS, the
-  first of its named functions that the tree has (wrapped, in a third
-  child; a generator's time is that of its steps, and a layer called from
-  inside another counts only in its own), with the rest of the call as
-  "other";
+- layers_s: cumulative self time inside each of the suite's LAYERS
+  (wrapped, in a third child; a layer called from inside another counts
+  only in its own), with the rest of the call as "other";
 - stdout_sha256: so two trees can be checked for identical output.
 
 It also records perfbench's micro-samples systems.xi_phase_us and
@@ -29,12 +27,11 @@ The tables section times systems.phase_numerators on TABLE_CASES, both tags,
 and bounds.etk_bound on BOUND_CASES.  Each case records s, the best time of
 three calls (one call for the STRESS rows; inputs are built before them), and
 peak_alloc_mb, the tracemalloc peak of one more call; the phase cases also
-record table_mb, the size of the table returned.  The etk_bound cases of a
-tree that has the STAGES functions also record, from one more call, the
-seconds spent in each stage (histogram_s, transform_s, zeros_s,
-weighting_s) and the rest of the call (other_s); a tree from before the
-transform times its contraction as transform_s, and one from before the
-orbit rule its integer re-test as zeros_s.
+record table_mb, the size of the table returned.  The etk_bound cases also
+record, from one more call, the self seconds spent in each of STAGES
+(histogram_s, transform_s, zeros_s, weighting_s; the transform counts the
+histogram, which it calls, only in histogram_s) and the rest of the call
+(other_s).
 
 The points section times generation (hybrid_points or generate_points, as
 `gen` calls them), write_point_set into a StringIO (as `gen` writes) and
@@ -65,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -79,20 +75,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SUITES = ("orthonormality", "fourier", "fc-bounds")
 PAIRS = 5
-# the layers that the suites spend their time in, each timed as the first
-# function of etkbound.verify named that a tree has (a dotted name is a
-# method): before PhaseTable, fc-bounds read its rows from phase_row_blocks,
-# and before verify read only the phase tables, the other suites took their
-# coefficients, memberships and exact inner products from the scalar
-# fourier functions
+# the layers that the suites spend their time in, each a function of
+# etkbound.verify (a dotted name is a method)
 LAYERS = {
-    "orthonormality": {"_xi_table": ("_xi_table",), "orthogonal": ("_orthogonal", "partition_inner_product")},
-    "fourier": {
-        "_xi_table": ("_xi_table",),
-        "coefficients": ("_coefficients", "elint_fourier_coeff"),
-        "membership": ("_membership", "elint_contains"),
-    },
-    "fc-bounds": {"phase_rows": ("PhaseTable.rows", "phase_row_blocks"), "phase_numerators": ("phase_numerators",)},
+    "orthonormality": {"_xi_table": "_xi_table", "orthogonal": "_orthogonal"},
+    "fourier": {"_xi_table": "_xi_table", "coefficients": "_coefficients", "membership": "_membership"},
+    "fc-bounds": {"phase_rows": "PhaseTable.rows", "phase_numerators": "phase_numerators"},
 }
 # (b, g, N): a full phase table of N points, in the cells 0..N-1 mod b^g.
 # Full-period inputs, two points at a deep g, and large bases with few points.
@@ -120,15 +108,9 @@ BOUND_CASES = (
     "halton 62208 w,b (8,5)", "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
 )
 STRESS = BOUND_CASES[-4:]
-# the stages of etk_bound, each timed as the first bounds function named that
-# a tree has: before the transform, a BLAS contraction (_contract) ran that
-# stage, and before the orbit rule the integer re-test (_snap_exact_zeros)
-# found the exact zeros
+# the stages of etk_bound, each timed as the function of etkbound.bounds named
 STAGES = {
-    "histogram": ("cell_histogram",),
-    "transform": ("_transform", "_contract"),
-    "zeros": ("_orbit_zeros", "_snap_exact_zeros"),
-    "weighting": ("_weighted_sum",),
+    "histogram": "cell_histogram", "transform": "_transform", "zeros": "_orbit_zeros", "weighting": "_weighted_sum",
 }
 # generation and point-file inputs: stream_wide's points at perfbench's first
 # seed, and the 2^20 Halton points of BOUND_CASES
@@ -214,19 +196,7 @@ def _self_time(spent: dict, name: str, call):
 
 
 def _timed(spent: dict, name: str, fn):
-    """fn, adding the self seconds of each call to spent[name]; of a generator, each step."""
-    if inspect.isgeneratorfunction(fn):
-
-        def stepped(*args, **kwargs):
-            items = fn(*args, **kwargs)
-            while True:
-                try:
-                    item = _self_time(spent, name, lambda: next(items))
-                except StopIteration:
-                    return
-                yield item
-
-        return stepped
+    """fn, adding the self seconds of each call to spent[name]."""
 
     def wrapper(*args, **kwargs):
         return _self_time(spent, name, lambda: fn(*args, **kwargs))
@@ -235,24 +205,21 @@ def _timed(spent: dict, name: str, fn):
 
 
 def _resolve(module, name: str):
-    """(owner, attribute) of a dotted name under module, or None where the tree lacks it."""
+    """(owner, attribute) of a dotted name under module."""
     *path, attribute = name.split(".")
     owner = module
     for part in path:
-        owner = getattr(owner, part, None)
-    return (owner, attribute) if hasattr(owner, attribute) else None
+        owner = getattr(owner, part)
+    return owner, attribute
 
 
 def _child_layers(suite: str) -> dict:
     import etkbound.verify as verify
 
-    spent = {}
-    for layer, names in LAYERS[suite].items():
-        found = next(filter(None, (_resolve(verify, name) for name in names)), None)
-        if found:
-            owner, attribute = found
-            spent[layer] = 0.0
-            setattr(owner, attribute, _timed(spent, layer, getattr(owner, attribute)))
+    spent = dict.fromkeys(LAYERS[suite], 0.0)
+    for layer, name in LAYERS[suite].items():
+        owner, attribute = _resolve(verify, name)
+        setattr(owner, attribute, _timed(spent, layer, getattr(owner, attribute)))
     start = time.perf_counter()
     _run_suite(suite)
     total = time.perf_counter() - start
@@ -289,17 +256,12 @@ def _child_tables() -> dict:
 
 
 def _stages(fn, *args) -> dict:
-    """Seconds of one more etk_bound call spent in each of STAGES, the rest as other_s.
-
-    Empty on a tree whose bounds module has no function named for one of the stages."""
+    """Seconds of one more etk_bound call spent in each of STAGES, the rest as other_s."""
     import etkbound.bounds as bounds
 
-    found = {stage: next((n for n in names if hasattr(bounds, n)), None) for stage, names in STAGES.items()}
-    if None in found.values():
-        return {}
     spent = dict.fromkeys(STAGES, 0.0)
-    saved = {name: getattr(bounds, name) for name in found.values()}
-    for stage, name in found.items():
+    saved = {name: getattr(bounds, name) for name in STAGES.values()}
+    for stage, name in STAGES.items():
         setattr(bounds, name, _timed(spent, stage, saved[name]))
     try:
         start = time.perf_counter()

@@ -2,12 +2,13 @@
 
 The headline entry point is etk_bound: discrepancy of a point set is at most
 epsilon(g) plus the weighted sum of exponential-sum moduli over the punctured
-index box.  cell_histogram counts the points' cells from their digit
-columns in blocks of rows, and nothing after it reads the points: every sum
-comes from one Walsh / b-adic transform of that histogram, digit by digit in
-place, with no BLAS product, and they feed one exactly rounded sum, so
-results are bit-reproducible; sums on base-2 Walsh axes come out exact, and
-the other exact zeros, read off the transform's Galois orbits, are 0.0 too.
+index box.  cell_histogram counts the points straight into that box, in one
+pass over blocks of rows of their digit columns, and nothing after it reads
+the points: every sum comes from one Walsh / b-adic transform of those
+counts, digit by digit in place, with no BLAS product, and they feed one
+exactly rounded sum, so results are bit-reproducible; sums on base-2 Walsh
+axes come out exact, and the other exact zeros, read off the transform's
+Galois orbits, are 0.0 too.
 The one-index sum they are tested against is reference.exp_sum.
 """
 
@@ -157,49 +158,39 @@ def corollary_bound(
     return eps + max_abs_sum * out
 
 
-def _cell_index(column: DigitColumn, g: int, rows: slice) -> np.ndarray:
-    """Resolution-g cell of each row in rows: sum_{j<g} d_j b^j, by Horner in place."""
-    digits = column.digits[rows]
-    index = np.zeros(len(digits), dtype=np.int64)
-    for j in reversed(range(min(g, digits.shape[1]))):
-        index *= column.base
-        index += digits[:, j]
-    return index
-
-
 def cell_histogram(
     columns: Sequence[DigitColumn], g: tuple[int, ...]
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each axis's occupied resolution-g cells, and the joint histogram over them.
+    """Each axis's occupied resolution-g cells, and the count of points in every joint cell.
 
-    Point n lies in cell sum_{j<g_i} d_j b_i^j of axis i, d_j its digits in
-    that column (digits from g_i on are dropped, missing ones read as 0).
-    cells[i] holds axis i's U_i occupied cells in increasing order, and
-    hist[r_1, ..., r_s] counts the points in cells (cells[0][r_1], ...), so
-    hist is an int64 array of shape (U_1, ..., U_s) summing to N.  Both
-    passes run over blocks of rows: the first marks the cells each axis meets
-    in a boolean of b_i^g_i entries, the second ranks each block's cells
-    among them and adds one to each joint rank in place (np.add.at), so no
-    block allocates a histogram-sized temporary.  No array is N wide.
+    Point n lies in cell c_i = sum_{j<g_i} d_j b_i^j of axis i, d_j its digits
+    in that column (digits from g_i on are dropped, missing ones read as 0).
+    cells[i] holds axis i's occupied cells in increasing order, and counts is
+    an int64 array of prod_i b_i^g_i entries summing to N, entry c the points
+    in joint cell c = (...(c_1 b_2^g_2 + c_2)...) b_s^g_s + c_s: the index
+    box's histogram, in the box's order.  One pass over blocks of rows forms
+    each row's joint cell in place, by Horner over the digits of every axis in
+    turn, marks each axis's cell (the joint cell mod b_i^g_i once axis i is
+    in) in a boolean of b_i^g_i entries, and adds one to each joint cell
+    (np.add.at), so no block allocates a box-sized temporary.  No array is N
+    wide.
     """
     n = len(columns[0])
-    step = _block_rows(24)  # per row: a cell index, its rank and the joint rank, all int64
+    step = _block_rows(16)  # per row: the joint cell and one axis's cell, both int64
     seen = [np.zeros(col.base**gi, dtype=bool) for col, gi in zip(columns, g)]
-    for start in range(0, n, step):
-        for col, gi, mark in zip(columns, g, seen):
-            mark[_cell_index(col, gi, slice(start, start + step))] = True
-    cells = [np.flatnonzero(mark) for mark in seen]
-    del seen
-    shape = tuple(len(c) for c in cells)
-    hist = np.zeros(math.prod(shape), dtype=np.int64)
+    counts = np.zeros(math.prod(map(len, seen)), dtype=np.int64)
     for start in range(0, n, step):
         joint = np.zeros(min(step, n - start), dtype=np.int64)
-        for col, gi, cells_i in zip(columns, g, cells):
-            index = _cell_index(col, gi, slice(start, start + step))
-            joint *= len(cells_i)
-            joint += np.searchsorted(cells_i, index)
-        np.add.at(hist, joint, 1)
-    return cells, hist.reshape(shape)
+        for col, gi, mark in zip(columns, g, seen):
+            digits = col.digits[start : start + step]
+            width = min(gi, digits.shape[1])
+            joint *= col.base ** (gi - width)
+            for j in reversed(range(width)):
+                joint *= col.base
+                joint += digits[:, j]
+            mark[joint % len(mark)] = True
+        np.add.at(counts, joint, 1)
+    return [np.flatnonzero(mark) for mark in seen], counts
 
 
 @dataclass(frozen=True)
@@ -277,26 +268,40 @@ def _twiddle(view: np.ndarray, base: int, low: int) -> None:
         view[:, 1:, start : start + step] *= _unit(a * z, base * low)[:, :, None]
 
 
-def _transform(
-    spec: HybridSystemSpec, g: tuple[int, ...], cells: list[np.ndarray], hist: np.ndarray
-) -> np.ndarray:
-    """N |S_N(k)| over the index box: the histogram's Walsh / b-adic transform, in place in one box.
+def _transform(spec: HybridSystemSpec, g: tuple[int, ...], columns: Sequence[DigitColumn]) -> np.ndarray:
+    """N |S_N(k)| over the index box: the Walsh / b-adic transform of the points' cell counts, in place.
 
-    The histogram is scattered into a box of shape (b_i^g_i), entry c the
-    count of cell c.  Each axis then goes digit by digit, c = sum_j d_j b^j,
-    from j = g_i - 1 down to 0: a b-point DFT along digit j turns d_j into
-    k_j, and on a b-adic axis slice k_j = a then takes the twiddle
-    e(a (c mod b^j) / b^(j+1)), whose lower digits are not yet transformed.
-    Walsh phases are sum_j k_j d_j / b and b-adic ones sum_j k_j (c mod
-    b^(j+1)) / b^(j+1), so index k lands at position k.  The box is float64
-    when every axis is base-2 Walsh and complex otherwise; its slices with
-    k_i = 0 see only additions, so a sum whose support is on base-2 Walsh
-    axes is an exact integer.
+    cell_histogram's counts, entry c the points in cell c, become the box of
+    shape (b_i^g_i): float64 in place, in blocks, when every axis is base-2
+    Walsh, and complex otherwise, the counts dropped once copied.  Each axis
+    then goes digit by digit, c = sum_j d_j b^j, from j = g_i - 1 down to 0:
+    a b-point DFT along digit j turns d_j into k_j, and on a b-adic axis
+    slice k_j = a then takes the twiddle e(a (c mod b^j) / b^(j+1)), whose
+    lower digits are not yet transformed.  Walsh phases are sum_j k_j d_j / b
+    and b-adic ones sum_j k_j (c mod b^(j+1)) / b^(j+1), so index k lands at
+    position k.  The box's slices with k_i = 0 see only additions, so a sum
+    whose support is on base-2 Walsh axes is an exact integer.  The exact
+    zeros need the error on N |S| below 1/2, so past the bound sum_i g_i
+    c_(b_i) u sqrt(|Delta|) ||h||_2 = 1/2 (u = 2^-53, ||h||_2^2 the counts'
+    sum of squares, an exact integer summed in blocks) the call is refused.
     """
+    cells, counts = cell_histogram(columns, g)
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
+    step = _block_rows(8)  # one int64 or float64 copy of a block of counts
+    squares = sum(int(np.square(counts[a : a + step]).sum()) for a in range(0, counts.size, step))
+    stages = sum(gi * _stage_constant(b) for b, gi in zip(spec.bases, g))
+    error = stages * 2.0**-53 * math.sqrt(counts.size * squares)
+    if error >= 0.5:
+        raise BudgetExceededError(f"transform error bound {error:.3g} on N|S| is not below 1/2")
     real = all(coordinate == (2, WALSH) for coordinate in spec.coordinates)
-    box = np.zeros(moduli, dtype=np.float64 if real else np.complex128)
-    box[np.ix_(*cells)] = hist
+    if real:
+        box = counts.view(np.float64)
+        for a in range(0, counts.size, step):
+            box[a : a + step] = counts[a : a + step]
+    else:
+        box = counts.astype(np.complex128)
+        del counts
+    box = box.reshape(moduli)
     for i, ((base, tag), gi, occupied) in enumerate(zip(spec.coordinates, g, cells)):
         after = math.prod(moduli[i + 1 :])
         for j in reversed(range(gi)):
@@ -425,19 +430,19 @@ def etk_bound(
 ) -> BoundReport:
     """Evaluate the weighted inequality over the punctured index box.
 
-    Every xi_k in the box is constant on the resolution-g cells, so after
-    cell_histogram nothing reads the points.  The sums are the transform of
-    that histogram, scattered into a box of prod_i b_i^{g_i} = |Delta|
-    entries and transformed in place, one digit of one axis at a time
-    (_transform), in chunks of about _BLOCK_BYTES of scratch.  The box is
-    float64 when every axis is base-2 Walsh and complex otherwise, and |S|
-    takes 8 bytes per index more, so memory is O(prod_i U_i + |Delta|), U_i
-    <= min(N, b_i^{g_i}) occupied cells per axis, at most 24 bytes per index
-    past the histogram, and no array over the N points.  A sum is 0.0 when
-    every member of its Galois orbit has N |S| below 1/2 (_orbit_zeros),
-    which needs the transform's error below 1/2: a call whose bound
-    sum_i g_i c_(b_i) u sqrt(|Delta|) ||h||_2 on it (u = 2^-53, h the
-    histogram) reaches 1/2 is refused.  Every step is elementwise and the
+    Every xi_k in the box is constant on the resolution-g cells, so the
+    points enter only through their counts in those cells, which
+    cell_histogram adds, in one pass, straight into an int64 box of
+    prod_i b_i^{g_i} = |Delta| entries.  The sums are the transform of those
+    counts in place, one digit of one axis at a time (_transform), in chunks
+    of about _BLOCK_BYTES of scratch.  The box is float64, converted from the
+    counts in place, when every axis is base-2 Walsh, and otherwise a complex
+    copy of them, after which they are dropped; |S| takes 8 bytes per index
+    more, so memory is at most 24 bytes per index, counts included, and no
+    array over the N points.  A sum is 0.0 when every member of its Galois
+    orbit has N |S| below 1/2 (_orbit_zeros), which needs the transform's
+    error below 1/2: a call whose bound sum_i g_i c_(b_i) u sqrt(|Delta|)
+    ||h||_2 on it (u = 2^-53, h the cell counts) reaches 1/2 is refused.  Every step is elementwise and the
     weighted terms feed one exactly rounded sum, so the result is
     bit-reproducible, does not depend on the block size or on any BLAS, and
     does not depend on per_index, whose rows run in mixed-radix
@@ -461,13 +466,7 @@ def etk_bound(
     moduli = [b**gi for b, gi in zip(spec.bases, g)]
     eps = epsilon_term(spec.bases, g, star)
 
-    cells, hist = cell_histogram(points.columns, g)
-    stages = sum(gi * _stage_constant(b) for b, gi in zip(spec.bases, g))
-    error = stages * 2.0**-53 * math.sqrt(math.prod(moduli) * np.square(hist, dtype=np.float64).sum())
-    if error >= 0.5:
-        raise BudgetExceededError(f"transform error bound {error:.3g} on N|S| is not below 1/2")
-    abs_sums = _transform(spec, g, cells, hist)
-    del hist
+    abs_sums = _transform(spec, g, points.columns)
     _orbit_zeros(abs_sums, spec, g)
     abs_sums /= n
     abs_sums[(0,) * spec.s] = 0.0  # puncture the zero vector, whose sum is 1

@@ -1,9 +1,10 @@
 """Command-line front end: gen, bound, discrepancy, verify.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure.  Only
-bound takes a budget, a cap on its index box: --budget, else the
-ETKBOUND_BUDGET environment variable, else 2^24; a value below 1 is a usage
-error.  It also refuses a transform error bound of 1/2 (bounds.etk_bound).
+Exit codes: 0 success, 1 usage or input error (an array too large to
+allocate included), 2 verification failure.  Only bound takes a budget, a
+cap on its index box: --budget, else the ETKBOUND_BUDGET environment
+variable, else 2^24; a value below 1 is a usage error.  It also refuses a
+transform error bound of 1/2 (bounds.etk_bound).
 
 Each command imports only the layers it runs: gen the generators and the
 point-file format, bound also bounds (and oracle with --oracle),
@@ -408,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ValueError, BudgetExceededError, CapExceededError) as exc:
         print(f"etkbound: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"etkbound: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

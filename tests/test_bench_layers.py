@@ -45,50 +45,30 @@ def test_stages_of_etk_bound_cover_the_call(layers):
     assert all(value >= 0 for value in row.values())
 
 
-def test_zeros_stage_times_the_orbit_rule_or_the_integer_retest(layers, monkeypatch):
-    """zeros_s times _orbit_zeros, and in a tree from before it, _snap_exact_zeros."""
-    import etkbound.bounds as bounds
-
-    assert layers.STAGES["zeros"] == ("_orbit_zeros", "_snap_exact_zeros")
-
-    def call(name):
-        return lambda: getattr(bounds, name)()
-
-    monkeypatch.setattr(bounds, "_orbit_zeros", lambda: time.sleep(0.01))
-    assert layers._stages(call("_orbit_zeros"))["zeros_s"] >= 0.01
-    monkeypatch.delattr(bounds, "_orbit_zeros")
-    monkeypatch.setattr(bounds, "_snap_exact_zeros", lambda: time.sleep(0.01), raising=False)
-    assert layers._stages(call("_snap_exact_zeros"))["zeros_s"] >= 0.01
-
-
 def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
     """The fc-bounds phase rows come from a method, PhaseTable.rows: its calls are timed."""
     import etkbound.verify as verify
 
-    for names in layers.LAYERS["fc-bounds"].values():
-        for owner, attribute in filter(None, (layers._resolve(verify, name) for name in names)):
-            monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
+    for name in layers.LAYERS["fc-bounds"].values():
+        owner, attribute = layers._resolve(verify, name)
+        monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
     row = layers._child_layers("fc-bounds")["layers_s"]
     assert list(row) == [*layers.LAYERS["fc-bounds"], "other"]
     assert row["phase_rows"] > 0 and row["phase_numerators"] == 0
-    assert layers._resolve(verify, "phase_row_blocks") is None  # the name before PhaseTable, kept as a fallback
 
 
 @pytest.mark.parametrize("suite", ["orthonormality", "fourier"])
 def test_table_suites_time_the_array_path(layers, monkeypatch, suite):
     """The suites that verify runs on the phase tables alone time those tables and the
-    array functions built on them; the scalar fourier names are kept only as fallbacks."""
+    array functions built on them, every layer for some of the call."""
     import etkbound.verify as verify
 
-    for names in layers.LAYERS[suite].values():
-        for owner, attribute in filter(None, (layers._resolve(verify, name) for name in names)):
-            monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
+    for name in layers.LAYERS[suite].values():
+        owner, attribute = layers._resolve(verify, name)
+        monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
     row = layers._child_layers(suite)["layers_s"]
     assert list(row) == [*layers.LAYERS[suite], "other"]
     assert all(value > 0 for value in row.values())
-    for names in layers.LAYERS[suite].values():
-        assert layers._resolve(verify, names[0]) is not None
-        assert all(layers._resolve(verify, name) is None for name in names[1:])
 
 
 def test_a_layer_called_inside_another_counts_only_in_its_own(layers):
@@ -118,18 +98,6 @@ def test_alloc_child_imports_verify_before_it_starts_the_trace(layers):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["True", "True"]
-
-
-def test_a_generator_layer_is_timed_by_its_steps(layers):
-    """A tree whose layer is a generator (phase_row_blocks) is timed over its steps, not only its call."""
-    spent = {"rows": 0.0}
-
-    def blocks():
-        time.sleep(0.01)
-        yield 1
-
-    assert list(layers._timed(spent, "rows", blocks)()) == [1]
-    assert spent["rows"] >= 0.01
 
 
 def test_import_seconds_count_each_outer_etkbound_import_once(layers):

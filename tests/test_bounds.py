@@ -369,7 +369,8 @@ def test_etk_bound_allocates_no_array_over_the_points(peak_mib):
 def test_cell_histogram_matches_unique_and_bincount(seed, axes, n):
     """Random columns with digits past g and rows shorter than g, in blocks of
     the default size and of one row: the cells are np.unique of each axis's cell
-    indices, and the histogram is the bincount of their joint ranks."""
+    indices, and the counts are the bincount of the joint cells' flat indices
+    in the box."""
     rng = np.random.default_rng(seed)
     columns, g = [], tuple(gi for _, gi in axes)
     for base, gi in axes:
@@ -377,38 +378,49 @@ def test_cell_histogram_matches_unique_and_bincount(seed, axes, n):
         counts = rng.integers(0, width + 1, n)
         digits = rng.integers(0, base, (n, width)) * (np.arange(width) < counts[:, None])
         columns.append(DigitColumn(base, digits, counts))
-    uniques = []
-    for col, gi in zip(columns, g):
-        index = [sum(d * col.base**j for j, d in enumerate(row[:gi])) for row in col.digits.tolist()]
-        uniques.append(np.unique(index, return_inverse=True))
-    shape = tuple(len(c) for c, _ in uniques)
-    joint = np.ravel_multi_index([rank for _, rank in uniques], shape)
-    want = np.bincount(joint, minlength=math.prod(shape)).reshape(shape)
+    index = [
+        [sum(d * col.base**j for j, d in enumerate(row[:gi])) for row in col.digits.tolist()]
+        for col, gi in zip(columns, g)
+    ]
+    moduli = tuple(col.base**gi for col, gi in zip(columns, g))
+    want = np.bincount(np.ravel_multi_index(index, moduli), minlength=math.prod(moduli))
     for size in (badic._BLOCK_BYTES, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(badic, "_BLOCK_BYTES", size)
-            cells, hist = cell_histogram(columns, g)
+            cells, counts = cell_histogram(columns, g)
         assert len(cells) == len(g)
-        for got, (c, _) in zip(cells, uniques):
-            assert got.tolist() == c.tolist()
-        assert hist.dtype == np.int64 and np.array_equal(hist, want)
+        for got, cells_i in zip(cells, index):
+            assert got.tolist() == np.unique(cells_i).tolist()
+        assert counts.dtype == np.int64 and np.array_equal(counts, want)
 
 
 def test_cell_histogram_ranks_each_block_in_place(peak_mib):
-    """A block's rows hold a cell index, its rank and the joint rank, 24 bytes
-    each, so the block is 1 MiB.  Forming the joint rank as a new array for
-    each axis took 2^17 Halton points in three axes to 1.34 MiB; ranked in
-    place they peak at 1.07, the block and the cell marks."""
+    """A block's rows hold the joint cell and one axis's cell, 16 bytes each, so
+    the block is 1 MiB.  Forming the joint rank as a new array for each axis
+    took 2^17 Halton points in three axes to 1.34 MiB, and ranking each
+    block's cells in place to 1.07; formed in place by Horner over every
+    axis, they peak at 1.00, the block and the cell marks."""
     columns = generate_points(HaltonConfig((2, 3, 5)), 2**17).columns
     assert peak_mib(cell_histogram, columns, (2, 1, 1)) < 1.125
 
 
 def test_cell_histogram_adds_each_block_without_a_histogram_sized_temporary(peak_mib):
-    """bound_dense's shape, 4096 Halton (2,3) points at (8,5): the histogram
-    peaks at 0.61 MiB.  Adding each block's bincount, as large as the whole
-    histogram, took 1.02."""
+    """bound_dense's shape, 4096 Halton (2,3) points at (8,5): the counts over
+    the box take 0.47 MiB and the call peaks at 0.54.  Adding each block's
+    bincount, as large as the whole histogram, took 1.02."""
     columns = generate_points(HaltonConfig((2, 3)), 4096).columns
     assert peak_mib(cell_histogram, columns, (8, 5)) < 0.8
+
+
+def test_etk_bound_counts_into_the_box_it_transforms(peak_mib):
+    """The net digital:2,s=2,m=11,seed=5 at (11,11), every axis base-2 Walsh:
+    its 2^22 counts become the float box in place, 32 MiB.  Counting into a
+    histogram over the 1024 x 1024 occupied cells (8 MiB) and scattering that
+    into a box of its own peaked at 42.15 MiB; counting into the box peaks at
+    34.15."""
+    spec = HybridSystemSpec.from_tags((2, 2), (WALSH, WALSH))
+    pts = generate_points(config_from_string("digital:2,s=2,m=11,seed=5"), 2048)
+    assert peak_mib(etk_bound, spec, (11, 11), pts) <= 36
 
 
 def test_etk_bound_weighting_needs_no_more_than_the_contraction():

@@ -492,6 +492,17 @@ def test_cli_bound_refuses_a_huge_resolution(tmp_path):
     assert err == "etkbound: error: index domain size 2^99999 exceeds budget 16777216\n"
 
 
+def test_cli_bound_reports_a_box_it_cannot_allocate(tmp_path):
+    """A budget of 2^60 admits g = 58 on two points, but no host maps the 2^58
+    bytes of its cell marks: an input error, not a traceback."""
+    pfile = tmp_path / "pts.txt"
+    run_cli("gen", "vdc", "--base", "2", "--n", "2", "--out", str(pfile))
+    code, out, err = run_cli("bound", str(pfile), "--g", "58", "--budget", str(2**60))
+    assert (code, out) == (1, "")
+    assert err.startswith("etkbound: error: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
 def test_cli_bound_runs_a_box_of_2_20_on_4096_points(tmp_path):
     """|Delta| = 2^20 passes the default budget, which caps only the box: `--g 20`
     on 4096 base-2 points runs.  Phase tables of 2^20 x 4096 entries, 32 GiB,
