@@ -1,4 +1,4 @@
-"""Per-layer timings of the verify suites, the phase tables and the point layers, each in a fresh interpreter.
+"""Per-layer timings of the verify suites, the phase tables, the point layers and the oracle, each in a fresh interpreter.
 
 Usage, from the root of a checkout:
 
@@ -40,6 +40,14 @@ case.  Each row records cold_s, the first call in that child, s, the best of
 three more, and peak_alloc_mb, the tracemalloc peak of a fifth; the generate
 and read rows also record held_mb, the bytes of the digit matrices and counts
 of the point set returned, against which their peaks can be read.
+
+The oracle section runs the exact oracle on ORACLE_CASES, in one child.
+After a first call, each row records s, the best of three more,
+peak_alloc_mb, the tracemalloc peak of a fifth, and from a sixth the self
+seconds of each of ORACLE_STAGES (rank_s, the points' value ranks; screen_s,
+the cumulative rank table and the float screen; revalue_s, the exact
+re-valuation and the witness) with the rest as other_s; also the call's
+candidates and ties.  A row past the tree's oracle caps records refused = 1.
 
 The startup section runs each command shape of the four perfbench workloads
 (STARTUP_SHAPES) as `python -m etkbound`, as perfbench's children run:
@@ -108,9 +116,23 @@ BOUND_CASES = (
     "halton 62208 w,b (8,5)", "vdc 2^20 b (10)", "vdc 2^20 b (12)", "net digital:2,s=2,m=11,seed=5 w,w (8,8)",
 )
 STRESS = BOUND_CASES[-4:]
-# the stages of etk_bound, each timed as the function of etkbound.bounds named
+# the stages of etk_bound and of an oracle call, each timed as the function
+# (or method) named, under etkbound
 STAGES = {
-    "histogram": "cell_histogram", "transform": "_transform", "zeros": "_orbit_zeros", "weighting": "_weighted_sum",
+    "histogram": "bounds.cell_histogram", "transform": "bounds._transform", "zeros": "bounds._orbit_zeros",
+    "weighting": "bounds._weighted_sum",
+}
+ORACLE_STAGES = {"rank": "badic.DigitColumn.value_ranks", "screen": "oracle._screen", "revalue": "oracle._revalue"}
+# oracle inputs, each `gen` arguments and a variant: the four oracle calls of
+# certify_caps at perfbench's first seed (the first is extreme vdc 64 at its
+# cap; the digital seed is perfbench's full_rank_seed(101)), and star Halton
+# (2,3) at the s = 2 star cap of 4096 points
+ORACLE_CASES = {
+    "certify vdc 64 extreme": ("vdc --base 2 --n 64", "extreme"),
+    "certify digital 64 extreme": ("digital --base 2 --s 2 --m 8 --seed={seed} --n 64", "extreme"),
+    "certify halton 256 star": ("halton --bases 2,3 --n 256", "star"),
+    "certify hybrid 64 star": ("hybrid --walsh vdc:2 --badic halton:3,5 --n 64", "star"),
+    "halton 4096 star": ("halton --bases 2,3 --n 4096", "star"),
 }
 # generation and point-file inputs: stream_wide's points at perfbench's first
 # seed, and the 2^20 Halton points of BOUND_CASES
@@ -255,22 +277,53 @@ def _child_tables() -> dict:
     return out
 
 
-def _stages(fn, *args) -> dict:
-    """Seconds of one more etk_bound call spent in each of STAGES, the rest as other_s."""
-    import etkbound.bounds as bounds
+def _stages(fn, *args, stages: dict = STAGES) -> dict:
+    """Seconds of one more call fn(*args) spent in each of stages, the rest as
+    other_s; a stage whose function the tree lacks is left out."""
+    import importlib
 
-    spent = dict.fromkeys(STAGES, 0.0)
-    saved = {name: getattr(bounds, name) for name in STAGES.values()}
-    for stage, name in STAGES.items():
-        setattr(bounds, name, _timed(spent, stage, saved[name]))
+    spent, saved = {}, []
+    for stage, name in stages.items():
+        module, path = name.split(".", 1)
+        owner, attribute = _resolve(importlib.import_module(f"etkbound.{module}"), path)
+        if hasattr(owner, attribute):
+            spent[stage] = 0.0
+            saved.append((owner, attribute, getattr(owner, attribute)))
+            setattr(owner, attribute, _timed(spent, stage, saved[-1][2]))
     try:
         start = time.perf_counter()
         fn(*args)
         total = time.perf_counter() - start
     finally:
-        for name, original in saved.items():
-            setattr(bounds, name, original)
+        for owner, attribute, original in saved:
+            setattr(owner, attribute, original)
     return {**{f"{stage}_s": t for stage, t in spent.items()}, "other_s": total - sum(spent.values())}
+
+
+def _child_oracle() -> dict:
+    import contextlib
+    import io
+
+    import etkbound.oracle as oracle
+    from etkbound.cli import main
+    from etkbound.pointfile import read_point_set
+    from workloads import full_rank_seed
+
+    out = {}
+    for name, (argv, variant) in ORACLE_CASES.items():
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            main(["gen", *argv.format(seed=full_rank_seed(101)).split()])
+        points = read_point_set(io.StringIO(text.getvalue()))
+        fn = getattr(oracle, f"{variant}_discrepancy_exact")
+        try:
+            result = fn(points)
+        except oracle.CapExceededError:
+            out[name] = {"refused": 1}
+            continue
+        row = {**_measure(fn, points), **_stages(fn, points, stages=ORACLE_STAGES)}
+        out[name] = {**row, "candidates": result.candidates, "ties": result.ties}
+    return out
 
 
 def _child_bounds() -> dict:
@@ -377,6 +430,7 @@ def _child(args: list[str]) -> None:
     kind, *rest = args
     children = {
         "micro": _child_micro, "tables": _child_tables, "bounds": _child_bounds, "points": _child_points,
+        "oracle": _child_oracle,
         "time": _child_time, "alloc": _child_alloc, "layers": _child_layers,
     }
     print(json.dumps(children[kind](*rest)))
@@ -466,6 +520,7 @@ def sample(tree: str) -> dict:
     out = {"micro": _spawn(tree, "micro"), "startup": _startup(tree)}
     out["tables"] = {**_spawn(tree, "tables"), **_spawn(tree, "bounds")}
     out["points"] = {k: v for case in POINT_CASES for k, v in _spawn(tree, "points", case).items()}
+    out["oracle"] = _spawn(tree, "oracle")
     for suite in SUITES:
         out[suite] = {
             "wall_s": _wall(tree, suite),
@@ -480,7 +535,7 @@ def summarize(samples: list[dict]) -> dict:
     """Median of each number over the samples; the suites' hot layers."""
     median = statistics.median
     out = {"micro": {k: median(s["micro"][k] for s in samples) for k in samples[0]["micro"]}}
-    for section in ("tables", "points", "startup"):
+    for section in ("tables", "points", "oracle", "startup"):
         out[section] = {}
         for case in samples[0][section]:
             rows = [s[section][case] for s in samples]
@@ -555,7 +610,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for name, tree in record["trees"].items():
-        print(name, json.dumps({s: tree["median"][s] for s in ("micro", "startup", "tables", "points", *SUITES)}))
+        sections = ("micro", "startup", "tables", "points", "oracle", *SUITES)
+        print(name, json.dumps({s: tree["median"][s] for s in sections}))
     return 0
 
 

@@ -83,6 +83,6 @@ def elint_fourier_coeff(e: Elint, k: tuple[int, ...], spec: HybridSystemSpec) ->
         if ki >= b**gi:
             return 0j
     phase = xi_phase(spec, tuple(k), e.anchor_digits())
-    # int / int rounds correctly, so this is float(prod(e.widths))
+    # 1 / int rounds correctly: the volume prod b^(-g) of the interval, rounded once
     measure = 1 / math.prod(b**gi for b, gi in zip(e.bases, e.g))
     return measure * phase.conjugate().to_complex()

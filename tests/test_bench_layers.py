@@ -45,6 +45,23 @@ def test_stages_of_etk_bound_cover_the_call(layers):
     assert all(value >= 0 for value in row.values())
 
 
+def test_oracle_stages_cover_the_call_and_are_restored(layers):
+    """The ranking, screen and re-valuation of one oracle call are timed, the
+    functions are put back after it, and a stage the tree lacks is left out."""
+    import etkbound.oracle as oracle
+    from etkbound.badic import DigitColumn
+    from etkbound.sequences import HaltonConfig, generate_points
+
+    originals = (oracle._screen, oracle._revalue, DigitColumn.value_ranks)
+    points = generate_points(HaltonConfig((2, 3)), 64)
+    row = layers._stages(oracle.extreme_discrepancy_exact, points, stages=layers.ORACLE_STAGES)
+    assert list(row) == [f"{stage}_s" for stage in layers.ORACLE_STAGES] + ["other_s"]
+    assert all(value > 0 for value in row.values())
+    assert (oracle._screen, oracle._revalue, DigitColumn.value_ranks) == originals
+    lacking = layers._stages(oracle.star_discrepancy_exact, points, stages={"gone": "oracle._no_such_stage"})
+    assert list(lacking) == ["other_s"]
+
+
 def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
     """The fc-bounds phase rows come from a method, PhaseTable.rows: its calls are timed."""
     import etkbound.verify as verify

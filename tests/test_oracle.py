@@ -8,14 +8,17 @@ import json
 import math
 import operator
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_bounds import _blas_uses
 
 from etkbound import oracle
-from etkbound.bounds import EXTREME, etk_bound
+from etkbound.bounds import EXTREME, STAR, etk_bound
 from etkbound.cli import main
 from etkbound.oracle import (
     DOMINATION_SLACK,
@@ -171,9 +174,28 @@ def test_oracle_caps():
     star_discrepancy_exact(pts3)  # s=3 allowed for star
     with pytest.raises(CapExceededError):
         extreme_discrepancy_exact(pts3)
-    big = generate_points(VdcConfig(2), 300)
+    big = generate_points(VdcConfig(2), 4097)
     with pytest.raises(CapExceededError):
         star_discrepancy_exact(big)
+    assert oracle._VARIANTS[STAR][0] == {1: 4096, 2: 4096, 3: 64}
+    assert oracle._VARIANTS[EXTREME][0] == {1: 64, 2: 64}
+
+
+def test_star_oracle_at_its_s2_cap_is_fast_and_small(peak_mib):
+    """Star on 4096 Halton (2,3) points, the s = 2 cap: about 16.8 million
+    boxes per closure, read from the cumulative rank table a block at a time."""
+    pts = generate_points(HaltonConfig((2, 3)), 4096)
+    start = time.perf_counter()
+    res = star_discrepancy_exact(pts)
+    assert time.perf_counter() - start < 1
+    assert res.candidates >= res.ties >= 1
+    assert peak_mib(star_discrepancy_exact, pts) < 64
+
+
+def test_oracle_calls_no_blas_routine():
+    """Box counts are read from an integer table, so no product of membership
+    rows, and no BLAS build or thread count, decides a count."""
+    assert _blas_uses(Path(oracle.__file__).read_text(encoding="utf-8")) == []
 
 
 def test_domination_check_report():
@@ -374,6 +396,24 @@ def test_extreme_oracle_memory_at_the_cap_is_bounded(peak_mib):
     2145 x 2145 float tensor alone would take 35 MiB."""
     pts = gen_points(*PINNED[1][0])
     assert peak_mib(extreme_discrepancy_exact, pts) <= 8
+
+
+@pytest.mark.parametrize("argv, variant", [(argv, variant) for argv, variant, _ in PINNED[:4]])
+def test_certify_caps_oracle_inputs_peak_near_one_block(argv, variant, peak_mib):
+    """The four oracle calls of perfbench's certify_caps each peak at about one
+    block of scratch (badic._BLOCK_BYTES) plus the per-axis boxes."""
+    fn = star_discrepancy_exact if variant == "star" else extreme_discrepancy_exact
+    assert peak_mib(fn, gen_points(*argv)) <= 1.25
+
+
+def test_extreme_oracle_memory_does_not_grow_with_n(monkeypatch, peak_mib):
+    """Each point of the PINNED digital net repeated 16 times: 1024 points on
+    the same grid, so the same boxes and the same table, and about the same peak."""
+    monkeypatch.setitem(oracle._VARIANTS[EXTREME][0], 2, 1024)
+    net = gen_points(*PINNED[1][0])
+    repeated = point_set(net.bases, [p for p in net.points for _ in range(16)])
+    assert extreme_discrepancy_exact(repeated).exact == extreme_discrepancy_exact(net).exact
+    assert peak_mib(extreme_discrepancy_exact, repeated) <= peak_mib(extreme_discrepancy_exact, net) + 0.25
 
 
 def test_extreme_oracle_memory_past_the_cap_is_bounded(monkeypatch, peak_mib):
