@@ -751,7 +751,7 @@ _GEN_MODULES = ["etkbound", "etkbound.badic", "etkbound.cli", "etkbound.pointfil
         (("bound", "@", "--tags", "w,b", "--g", "3,2", "--out", "-"), ["bounds"]),
         (("bound", "@", "--tags", "w,b", "--g", "3,2", "--oracle", "--out", "-"), ["bounds", "oracle"]),
         (("discrepancy", "@", "--out", "-"), ["oracle"]),
-        (("verify", "weights"), ["bounds", "oracle", "verify"]),
+        (("verify", "weights"), ["bounds", "verify"]),
     ],
     ids=["gen", "bound", "bound-oracle", "discrepancy", "verify"],
 )
