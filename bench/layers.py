@@ -23,8 +23,9 @@ orthonormality`, `verify fourier` and `verify fc-bounds` it records:
 It also records perfbench's micro-samples systems.xi_phase_us and
 fourier.coeff_us (perfbench/replay.py, imported, not changed).
 
-The tables section times systems.phase_numerators on TABLE_CASES, both tags,
-and bounds.etk_bound on BOUND_CASES.  Each case records s, the best time of
+The tables section times whole tables of systems.phase_rows (in a tree from
+before it, systems.phase_numerators) on TABLE_CASES, both tags, and
+bounds.etk_bound on BOUND_CASES.  Each case records s, the best time of
 three calls (one call for the STRESS rows; inputs are built before them), and
 peak_alloc_mb, the tracemalloc peak of one more call; the phase cases also
 record table_mb, the size of the table returned.  The etk_bound cases also
@@ -83,18 +84,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SUITES = ("orthonormality", "fourier", "fc-bounds")
 PAIRS = 5
-# the layers that the suites spend their time in, each a function of
-# etkbound.verify (a dotted name is a method)
+# the layers that the suites spend their time in, each timed in every
+# function of etkbound.verify named that a tree has (a dotted name is a
+# method): before phase_rows, fc-bounds read its rows from PhaseTable.rows,
+# and phase_numerators was its whole table
 LAYERS = {
-    "orthonormality": {"_xi_table": "_xi_table", "orthogonal": "_orthogonal"},
-    "fourier": {"_xi_table": "_xi_table", "coefficients": "_coefficients", "membership": "_membership"},
-    "fc-bounds": {"phase_rows": "PhaseTable.rows", "phase_numerators": "phase_numerators"},
+    "orthonormality": {"_xi_table": ("_xi_table",), "orthogonal": ("_orthogonal",)},
+    "fourier": {"_xi_table": ("_xi_table",), "coefficients": ("_coefficients",), "membership": ("_membership",)},
+    "fc-bounds": {"phase_rows": ("phase_rows", "PhaseTable.rows", "phase_numerators")},
 }
 # (b, g, N): a full phase table of N points, in the cells 0..N-1 mod b^g.
-# Full-period inputs, two points at a deep g, and large bases with few points.
+# Full-period inputs, two points at a deep g, large bases with few points,
+# and the largest table verify builds, fc-bounds' base 5 at depth 4.
 TABLE_CASES = (
     (2, 12, 4096), (5, 5, 3125), (2, 20, 2), (1000, 2, 16),
-    (65536, 1, 16), (2, 12, 1024), (3, 7, 2187),
+    (65536, 1, 16), (2, 12, 1024), (3, 7, 2187), (5, 4, 625),
 )
 # etk_bound inputs: bound_dense's points at perfbench's first seed, 2^20
 # Halton points (their cell-index step was the whole allocation peak), two
@@ -227,11 +231,12 @@ def _timed(spent: dict, name: str, fn):
 
 
 def _resolve(module, name: str):
-    """(owner, attribute) of a dotted name under module."""
+    """(owner, attribute) of a dotted name under module; the owner is None
+    when the tree lacks a part of its path."""
     *path, attribute = name.split(".")
     owner = module
     for part in path:
-        owner = getattr(owner, part)
+        owner = getattr(owner, part, None)
     return owner, attribute
 
 
@@ -239,9 +244,10 @@ def _child_layers(suite: str) -> dict:
     import etkbound.verify as verify
 
     spent = dict.fromkeys(LAYERS[suite], 0.0)
-    for layer, name in LAYERS[suite].items():
-        owner, attribute = _resolve(verify, name)
-        setattr(owner, attribute, _timed(spent, layer, getattr(owner, attribute)))
+    for layer, names in LAYERS[suite].items():
+        for owner, attribute in (_resolve(verify, name) for name in names):
+            if hasattr(owner, attribute):
+                setattr(owner, attribute, _timed(spent, layer, getattr(owner, attribute)))
     start = time.perf_counter()
     _run_suite(suite)
     total = time.perf_counter() - start
@@ -265,15 +271,20 @@ def _measure(fn, *args, repeat: int = 3) -> dict:
 
 def _child_tables() -> dict:
     import numpy as np
-    from etkbound.systems import phase_numerators
+    import etkbound.systems as systems
+
+    def whole(cells, base, tag, g):
+        if hasattr(systems, "phase_rows"):
+            return systems.phase_rows(cells, base, tag, g, 0, base**g)
+        return systems.phase_numerators(cells, base, tag, g)  # a tree from before phase_rows
 
     out = {}
     for base, g, n in TABLE_CASES:
         cells = np.arange(n) % base**g
         for tag in ("walsh", "badic"):
-            row = _measure(phase_numerators, cells, base, tag, g)
+            row = _measure(whole, cells, base, tag, g)
             row["table_mb"] = base**g * n * 8 / 2**20
-            out[f"phase_numerators {base},{g},{n} {tag}"] = row
+            out[f"phase_rows {base},{g},{n} {tag}"] = row
     return out
 
 

@@ -8,8 +8,8 @@ and all arithmetic here stays in integers and Fractions.  A digit column is
 many digit vectors of one base as a single integer matrix and the vectors'
 digit counts, each in the smallest unsigned dtype that holds it: the form in
 which point sets are generated (by one digit recurrence, in `sequences`),
-written, read and turned into phase tables.  Its constructor is the one place
-that checks and casts them.  The
+written and read, and from which `bounds.cell_histogram` and the oracle read
+them.  Its constructor is the one place that checks and casts them.  The
 additions of digit vectors with and without carry, and the radical inverse,
 are scalar references in `reference`.
 

@@ -6,9 +6,10 @@ cap on its index box: --budget, else the ETKBOUND_BUDGET environment
 variable, else 2^24; a value below 1 is a usage error.  It also refuses a
 transform error bound of 1/2 (bounds.etk_bound).
 
-Each command imports only the layers it runs: gen the generators and the
-point-file format, bound also bounds (and oracle with --oracle),
-discrepancy oracle, and verify every layer but fourier.
+Each command imports the point-file format, which cli imports at the top,
+and only the layers it runs: gen the generators, bound also bounds (and
+oracle with --oracle), discrepancy oracle, and verify bounds, the
+generators and verify (oracle only for its domination suite).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .badic import DigitColumn, DigitVector, _block_rows, check_base, vb
-from .systems import BADIC, WALSH, _add_runs, _digit_sums
+from .systems import BADIC, WALSH
 
 __all__ = [
     "DigitalConfig",
@@ -64,8 +64,8 @@ class PointSet:
 
     columns[i] is a DigitColumn: an N x P_i matrix of base-b_i digits (d_0
     first, zero past each point's digit count) plus the per-point counts,
-    which keep stored trailing zeros.  Generation, point files, phase tables
-    and the exact oracle work on these matrices.  `points` is the same set as
+    which keep stored trailing zeros.  Generation, point files, the cell
+    histogram of `bounds` and the exact oracle work on these matrices.  `points` is the same set as
     one tuple of DigitVector per point; it is a view built on first access
     and cached, read by the scalar reference code and the benchmark's replay.
     """
@@ -200,11 +200,37 @@ GeneratorConfig = VdcConfig | HaltonConfig | DigitalConfig
 DEFAULT_PRECISION = 32
 
 
+def _digit_sums(steps: np.ndarray, base: int, count: int | None = None) -> np.ndarray:
+    """Rows k < count (default b^m) of sum_j k_j steps[j], k_j the base-b digits of k, unreduced.
+
+    Row a b^j + r is row r plus a steps[j]; doubling a keeps the scratch to one row.
+    The rows take the dtype of steps."""
+    total = base ** len(steps) if count is None else count
+    rows = np.zeros((total, steps.shape[1]), dtype=steps.dtype)
+    for j, shift in enumerate(steps):
+        done, end = base**j, min(base ** (j + 1), total)
+        while done < end:
+            size = min(done, end - done)
+            np.add(rows[:size], shift, out=rows[done : done + size])
+            shift, done = shift * 2, done + size
+    return rows
+
+
+def _add_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, out: np.ndarray) -> None:
+    """Rows first, first + 1, ... of the table whose row k is lo[k % run] + hi[k // run], into out.
+
+    Each run of `run` rows that out touches is one slice of lo plus one row of hi."""
+    stop = first + len(out)
+    for top in range(first // run, -(-stop // run)):
+        a, b = max(first, top * run), min(stop, top * run + run)
+        np.add(lo[a - top * run : b - top * run], hi[top], out=out[a - first : b - first])
+
+
 def _digital_digits(base: int, matrices: Sequence, n_points: int) -> list[np.ndarray]:
     """Digits sum_j n_j C[:, j] mod b of the points n < n_points, for each of the m x m matrices C.
 
     n_j is digit j of n, below width, the digit count of n_points - 1.  Row a b^j + r is row r
-    plus a C[:, j], the recurrence of the phase tables, run on the lo and hi halves of n's digits:
+    plus a C[:, j] (_digit_sums), run on the lo and hi halves of n's digits (_add_runs):
     each run of b^h points is one slice of the lo rows plus one hi row.  The sums, below width (b-1)
     times the columns' largest entry (1 for the identity), are reduced once per block in the smallest
     unsigned type that holds them and b, or as Python integers past 64 bits, so nothing overflows.

@@ -6,15 +6,11 @@ integer numerator over b^v in lowest terms (always exact, no Fraction
 objects) and a single conversion to complex at the end, so a sum that
 groups the exact phases first (the references') can cancel exactly on a
 full character sum instead of accumulating float noise.  The scalar
-phases are the reference for the table kernel over resolution-g cell
-indices, whose phases over b^g are linear in the index digits, so it builds
-no matrix of index digits: PhaseTable reads any row or block of rows from
-two half tables built once, and phase_numerators is its one whole block.
-Every command reads phases from that kernel alone; the scalar phases stay
-here for the point-by-point references and for perfbench, which times
-xi_phase.  The kernel's digit recurrence (_digit_sums, _add_runs) also
-generates the points of every construction: van der Corput, Halton and
-digital nets.
+phases are the reference for phase_rows, the table over resolution-g cell
+indices, whose phases over b^g are linear in the index digits: any block of
+its rows is one integer product of those rows' digits with per-cell steps.
+Only verify reads phase tables; the scalar phases stay here for the
+point-by-point references and for perfbench, which times xi_phase.
 """
 
 from __future__ import annotations
@@ -27,16 +23,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .badic import DigitVector, check_base
+from .badic import DigitVector, _block_rows, check_base
 
 __all__ = [
     "BADIC",
     "WALSH",
     "HybridSystemSpec",
     "PhaseFraction",
-    "PhaseTable",
     "chi_phase",
-    "phase_numerators",
+    "phase_rows",
     "walsh_phase",
     "xi_phase",
 ]
@@ -178,85 +173,39 @@ def xi_phase(
     return PhaseFraction(total, modulus)
 
 
-def _digit_sums(steps: np.ndarray, base: int, count: int | None = None) -> np.ndarray:
-    """Rows k < count (default b^m) of sum_j k_j steps[j], k_j the base-b digits of k, unreduced.
+def phase_rows(cells: np.ndarray, base: int, tag: str, g: int, start: int, stop: int) -> np.ndarray:
+    """Rows start .. stop - 1, shape (stop - start, N), of the integer phase table over b^g of N cells.
 
-    Row a b^j + r is row r plus a steps[j]; doubling a keeps the scratch to one row.
-    The rows take the dtype of steps."""
-    total = base ** len(steps) if count is None else count
-    rows = np.zeros((total, steps.shape[1]), dtype=steps.dtype)
-    for j, shift in enumerate(steps):
-        done, end = base**j, min(base ** (j + 1), total)
-        while done < end:
-            size = min(done, end - done)
-            np.add(rows[:size], shift, out=rows[done : done + size])
-            shift, done = shift * 2, done + size
-    return rows
-
-
-def _add_runs(lo: np.ndarray, hi: np.ndarray, run: int, first: int, out: np.ndarray) -> None:
-    """Rows first, first + 1, ... of the table whose row k is lo[k % run] + hi[k // run], into out.
-
-    Each run of `run` rows that out touches is one slice of lo plus one row of hi."""
-    stop = first + len(out)
-    for top in range(first // run, -(-stop // run)):
-        a, b = max(first, top * run), min(stop, top * run + run)
-        np.add(lo[a - top * run : b - top * run], hi[top], out=out[a - first : b - first])
-
-
-class PhaseTable:
-    """The integer phase table over modulus b^g of N cells, read by rows from two half tables.
-
-    `cells` holds N nonnegative integers c = sum_j d_j b^j, of which only
-    the digits d_0 .. d_(g-1) are read, so c and c mod b^g give the same
-    column.  For a point with digits d_0, d_1, ... it is the point's
-    resolution-g cell, on which every index below b^g is constant.  Row k of
-    the table, of N entries, holds b^g times the phase of index k
-    (walsh_phase or chi_phase, by tag) in every cell.  Integer arithmetic
-    only, so the table carries no rounding.
+    `cells` holds N nonnegative integers c = sum_j d_j b^j, the points' resolution-g cells, on
+    which every index below b^g is constant; only d_0 .. d_(g-1) are read, so c and c mod b^g
+    give the same column.  Row k holds b^g times the phase of index k (walsh_phase or chi_phase,
+    by tag) in every cell, in integers, so the table carries no rounding.
 
     Row k is sum_j k_j step_j mod b^g, step_j = d_j b^(g-1) (Walsh) or z_(j+1) b^(g-1-j)
-    (b-adic, z_v = c mod b^v the integer of the first v digits); the sums, below g b^(g+1),
-    are reduced as they are read.  k splits as lo + b^h hi at half its digits,
-    and the tables of the lo and the hi rows are built once: row k is
-    lo[k % b^h] + hi[k // b^h], and a block of rows is its runs of b^h rows,
-    one slice of the first plus one row of the second, as DigitalConfig.columns
-    builds points.  At g = 1 the whole table is the lo table, reduced once,
-    and rows are views of it.
+    (b-adic, z_v = c mod b^v): per block of about badic._BLOCK_BYTES of index digits, one int64
+    product of those digits with the steps, which numpy forms without BLAS, so exactly.
     """
-
-    def __init__(self, cells: np.ndarray, base: int, tag: str, g: int) -> None:
-        check_base(base)
-        if tag not in _TAGS:
-            raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
-        self.modulus = base**g
-        powers = base ** np.arange(g, dtype=np.int64)[:, None]
-        steps = cells % (base * powers)
-        if tag == WALSH:
-            steps -= steps % powers
-        steps *= powers[::-1]
-        h = (g + 1) // 2
-        self.run = base**h
-        self.lo = _digit_sums(steps[:h], base)
-        self.hi = _digit_sums(steps[h:], base) if h < g else None
-        if self.hi is None:
-            self.lo %= self.modulus
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start .. stop - 1, shape (stop - start, N), reduced in place."""
-        if not 0 <= start <= stop <= self.modulus:
-            raise ValueError(f"rows {start}..{stop} are not within the index box [0, {self.modulus}]")
-        if self.hi is None:
-            return self.lo[start:stop]
-        out = np.empty((stop - start, self.lo.shape[1]), dtype=np.int64)
-        _add_runs(self.lo, self.hi, self.run, start, out)
-        out %= self.modulus
-        return out
-
-
-def phase_numerators(cells: np.ndarray, base: int, tag: str, g: int) -> np.ndarray:
-    """The whole PhaseTable, shape (b^g, N)."""
-    return PhaseTable(cells, base, tag, g).rows(0, base**g)
+    check_base(base)
+    if tag not in _TAGS:
+        raise ValueError(f"unknown tag {tag!r}, expected one of {_TAGS}")
+    modulus = base**g
+    if not 0 <= start <= stop <= modulus:
+        raise ValueError(f"rows {start}..{stop} are not within the index box [0, {modulus}]")
+    powers = base ** np.arange(g, dtype=np.int64)
+    steps = cells % (base * powers[:, None])
+    if tag == WALSH:
+        steps -= steps % powers[:, None]
+    steps *= powers[::-1, None]
+    out = np.empty((stop - start, len(cells)), dtype=np.int64)
+    size = _block_rows(8 * g)
+    buf = np.empty((min(size, stop - start), g), dtype=np.int64)
+    for first in range(start, stop, size):
+        digits = buf[: stop - first]
+        np.floor_divide(np.arange(first, first + len(digits))[:, None], powers, out=digits)
+        digits %= base
+        np.matmul(digits, steps, out=out[first - start : first - start + len(digits)])
+    out %= modulus
+    return out
 
 
 @functools.lru_cache(maxsize=256)

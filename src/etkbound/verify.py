@@ -36,7 +36,7 @@ from .sequences import (
     generate_points,
     hybrid_points,
 )
-from .systems import BADIC, WALSH, HybridSystemSpec, PhaseTable, phase_numerators
+from .systems import BADIC, WALSH, HybridSystemSpec, phase_rows
 
 __all__ = [
     "SUITES",
@@ -113,7 +113,7 @@ def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]
     """Mean of xi_k over each elint: rows k in enumerate_delta(g), columns elint_partition(cells).
 
     xi_k is constant on the resolution-max(g, cells) elints, so each axis's integer
-    table is phase_numerators of their cell indices, in index order (fc-bounds orders
+    table is phase_rows of their cell indices, in index order (fc-bounds orders
     its cells by value); the tables are lifted to their lcm and outer-summed,
     and turned into unit values (`_unit`) row by row, so no scratch is as
     large as the table.  Fine cell c' lies in elint c when c' mod b^cells = c,
@@ -121,7 +121,7 @@ def _xi_table(spec: HybridSystemSpec, g: tuple[int, ...], cells: tuple[int, ...]
     """
     common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
     axes = [
-        phase_numerators(np.arange(base ** max(gi, ci)), base, tag, gi) * (common // base**gi)
+        phase_rows(np.arange(base ** max(gi, ci)), base, tag, gi, 0, base**gi) * (common // base**gi)
         for (base, tag), gi, ci in zip(spec.coordinates, g, cells)
     ]
     total = _outer(np.add, axes)
@@ -156,7 +156,7 @@ def _orthogonal(
 ) -> bool:
     """Whether xi_k and xi_l are exactly orthogonal over the resolution-g tiling, decided in integers.
 
-    Their phase difference over L, the lcm of the b^g, is PhaseTable row k_i minus row l_i
+    Their phase difference over L, the lcm of the b^g, is phase row k_i minus row l_i
     on each axis, lifted to L and outer-summed.  When it takes each multiple of L/d equally
     often, for some d > 1, it sums the d-th roots of unity, each as often, to exactly 0; the
     phases of a nontrivial character take that form.
@@ -164,8 +164,8 @@ def _orthogonal(
     common = math.lcm(*(b**gi for b, gi in zip(spec.bases, g)))
     axes = []
     for (base, tag), gi, ki, li in zip(spec.coordinates, g, k, l):
-        table = PhaseTable(np.arange(base**gi), base, tag, gi)
-        axes.append((table.rows(ki, ki + 1) - table.rows(li, li + 1)) * (common // base**gi))
+        row_k, row_l = (phase_rows(np.arange(base**gi), base, tag, gi, i, i + 1) for i in (ki, li))
+        axes.append((row_k - row_l) * (common // base**gi))
     diff = _outer(np.add, axes).ravel() % common
     step = math.gcd(common, int(np.gcd.reduce(diff)))
     counts = np.bincount(diff // step, minlength=common // step)
@@ -233,7 +233,7 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
     value, whose indices are the digit reversals of 0 .. b^depth - 1.  Rows
     go in blocks of about badic._BLOCK_BYTES of all that a block holds: its
     complex sums, the int64 phase rows they are looked up from and the float
-    excess, each read from the PhaseTable of one base and tag.
+    excess, each block's rows read by phase_rows.
     """
     result = SuiteResult("fc-bounds", 0)
     for base in bases:
@@ -244,9 +244,8 @@ def check_fc_bounds(bases=(2, 3, 5), depth: int = 4) -> SuiteResult:
         unit = _unit(-np.arange(grid), grid)
         step = _block_rows(32 * grid)
         for tag in (WALSH, BADIC):
-            table = PhaseTable(anchors, base, tag, depth)
             for start in range(1, grid, step):
-                coeffs = unit[table.rows(start, min(start + step, grid))]
+                coeffs = unit[phase_rows(anchors, base, tag, depth, start, min(start + step, grid))]
                 np.cumsum(coeffs, axis=1, out=coeffs)
                 coeffs /= grid
                 over = np.abs(coeffs)

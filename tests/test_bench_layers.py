@@ -63,15 +63,17 @@ def test_oracle_stages_cover_the_call_and_are_restored(layers):
 
 
 def test_fc_bounds_layer_times_the_phase_rows(layers, monkeypatch):
-    """The fc-bounds phase rows come from a method, PhaseTable.rows: its calls are timed."""
+    """The fc-bounds phase rows are timed on phase_rows, the one of the layer's
+    names that this tree has; a parent's PhaseTable.rows resolves to nothing."""
     import etkbound.verify as verify
 
-    for name in layers.LAYERS["fc-bounds"].values():
-        owner, attribute = layers._resolve(verify, name)
-        monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
+    names = layers.LAYERS["fc-bounds"]["phase_rows"]
+    assert [name for name in names if hasattr(*layers._resolve(verify, name))] == ["phase_rows"]
+    assert "PhaseTable.rows" in names and layers._resolve(verify, "PhaseTable.rows") == (None, "rows")
+    monkeypatch.setattr(verify, "phase_rows", verify.phase_rows)  # restored after the wrapping below
     row = layers._child_layers("fc-bounds")["layers_s"]
-    assert list(row) == [*layers.LAYERS["fc-bounds"], "other"]
-    assert row["phase_rows"] > 0 and row["phase_numerators"] == 0
+    assert list(row) == ["phase_rows", "other"]
+    assert row["phase_rows"] > 0
 
 
 @pytest.mark.parametrize("suite", ["orthonormality", "fourier"])
@@ -80,12 +82,23 @@ def test_table_suites_time_the_array_path(layers, monkeypatch, suite):
     array functions built on them, every layer for some of the call."""
     import etkbound.verify as verify
 
-    for name in layers.LAYERS[suite].values():
-        owner, attribute = layers._resolve(verify, name)
-        monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
+    for names in layers.LAYERS[suite].values():
+        for name in names:
+            owner, attribute = layers._resolve(verify, name)
+            monkeypatch.setattr(owner, attribute, getattr(owner, attribute))  # restored after the wrapping below
     row = layers._child_layers(suite)["layers_s"]
     assert list(row) == [*layers.LAYERS[suite], "other"]
     assert all(value > 0 for value in row.values())
+
+
+def test_tables_section_times_whole_phase_tables(layers, monkeypatch):
+    """Each table case is one whole phase_rows table per tag, with its size."""
+    monkeypatch.setattr(layers, "TABLE_CASES", ((5, 4, 625), (3, 2, 7)))
+    rows = layers._child_tables()
+    assert list(rows) == [f"phase_rows {case} {tag}" for case in ("5,4,625", "3,2,7") for tag in ("walsh", "badic")]
+    for row in rows.values():
+        assert set(row) == {"s", "peak_alloc_mb", "table_mb"} and row["s"] > 0
+    assert rows["phase_rows 5,4,625 walsh"]["table_mb"] == 625 * 625 * 8 / 2**20
 
 
 def test_a_layer_called_inside_another_counts_only_in_its_own(layers):

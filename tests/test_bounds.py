@@ -39,7 +39,7 @@ from etkbound.sequences import (
     generate_points,
     hybrid_points,
 )
-from etkbound.systems import BADIC, WALSH, HybridSystemSpec, phase_numerators
+from etkbound.systems import BADIC, WALSH, HybridSystemSpec, phase_rows
 
 
 def test_rho_values():
@@ -607,7 +607,7 @@ def test_etk_bound_zeros_are_the_sums_divisible_by_the_cyclotomic_polynomial(cas
     residues = np.zeros((1, points.n_points), dtype=np.int64)
     for (base, tag), gi, column in zip(spec.coordinates, g, points.columns):
         cells = column.digits.astype(np.int64) @ base ** np.arange(gi)
-        axis = phase_numerators(cells, base, tag, gi) * modulus // base**gi
+        axis = phase_rows(cells, base, tag, gi, 0, base**gi) * modulus // base**gi
         residues = (residues[:, None, :] + axis[None, :, :]).reshape(-1, points.n_points) % modulus
     powers = _powers_mod_cyclotomic(modulus)
     remainders = np.zeros((len(residues), powers.shape[1]), dtype=np.int64)

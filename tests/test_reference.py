@@ -110,6 +110,15 @@ def _reached(paths):
     return names, attributes
 
 
+def test_only_verify_reads_phase_tables():
+    """phase_rows computes a deep table more slowly than the two half tables it
+    replaced (2 cells at g = 20: 0.02 to 0.23 s), which is a fair trade only
+    while no command but verify, whose tables are at most 625 rows, names it."""
+    production = sorted(p for p in PACKAGE.glob("*.py") if p.name != "reference.py")
+    readers = [path.stem for path in production if "phase_rows" in set.union(*_reached([path]))]
+    assert readers == ["verify"]
+
+
 # module-level hooks that Python calls by name (PEP 562), never code
 _MODULE_HOOKS = ("__getattr__", "__dir__")
 

@@ -30,9 +30,8 @@ from etkbound.systems import (
     WALSH,
     HybridSystemSpec,
     PhaseFraction,
-    PhaseTable,
     chi_phase,
-    phase_numerators,
+    phase_rows,
     walsh_phase,
     xi_phase,
 )
@@ -199,7 +198,7 @@ def digit_columns(draw):
 def test_phase_table_kernel_matches_scalar_phases(case, tag):
     base, g, column = case
     modulus = base**g
-    table = phase_numerators(np.array([x.as_integer(g) for x in column]), base, tag, g)
+    table = phase_rows(np.array([x.as_integer(g) for x in column]), base, tag, g, 0, modulus)
     assert table.shape == (modulus, len(column))
     scalar = walsh_phase if tag == WALSH else chi_phase
     assert 0 <= table.min() and table.max() < modulus
@@ -285,44 +284,18 @@ def test_weighted_balance_test_is_still_incomplete_for_mixed_moduli():
 
 @given(digit_columns(), st.sampled_from((WALSH, BADIC)), st.data())
 @settings(deadline=None)
-def test_phase_table_rows_are_rows_of_the_full_table(case, tag, data):
-    """Each block of rows, in any order and overlapping, is those rows of the whole table."""
+def test_phase_table_rows_are_rows_of_the_full_table(at_both_block_sizes, case, tag, data):
+    """Each block of rows, in any order and overlapping, is those rows of the whole table,
+    with index digits in blocks of badic's size and of one row."""
     base, g, column = case
     cells = np.array([x.as_integer() for x in column])
-    full = phase_numerators(cells, base, tag, g)
+    full = phase_rows(cells, base, tag, g, 0, base**g)
     assert full.shape == (base**g, len(column))
-    table = PhaseTable(cells, base, tag, g)
     bound = st.integers(0, base**g)
     for start in data.draw(st.lists(bound, max_size=4)):
         stop = data.draw(st.integers(start, base**g))
-        block = table.rows(start, stop)
-        assert block.shape == (stop - start, len(column))
-        assert np.array_equal(block, full[start:stop])
-
-
-@pytest.mark.parametrize("g", [1, 2, 5])
-def test_phase_table_builds_its_half_tables_once(g, monkeypatch):
-    """Rebuilding the half tables for each block took vdc 2^12 Walsh at g = 12
-    from 0.60 s to 2.17 s; they are built once, however many rows are read."""
-    import etkbound.systems as systems
-
-    calls = []
-    kernel = systems._digit_sums
-
-    def counted(steps, base, count=None):
-        calls.append(len(steps))
-        return kernel(steps, base, count)
-
-    monkeypatch.setattr(systems, "_digit_sums", counted)
-    cells = np.arange(40)
-    table = PhaseTable(cells, 3, WALSH, g)
-    got = [table.rows(a, min(a + 2, 3**g)) for a in range(0, 3**g, 2)]
-    rows = [table.rows(k, k + 1) for k in range(3**g)]
-    assert calls == ([1] if g == 1 else [(g + 1) // 2, g // 2])
-    monkeypatch.undo()
-    full = phase_numerators(cells, 3, WALSH, g)
-    assert np.array_equal(np.concatenate(got), full)
-    assert np.array_equal(np.concatenate(rows), full)
+        block = at_both_block_sizes(lambda *args: phase_rows(*args).tolist(), cells, base, tag, g, start, stop)
+        assert np.array_equal(np.array(block, dtype=np.int64).reshape(stop - start, len(column)), full[start:stop])
 
 
 @given(st.sampled_from((2, 3, 4, 5, 6, 7, 11)), st.sampled_from((WALSH, BADIC)), st.data())
@@ -331,28 +304,30 @@ def test_phase_table_reads_only_the_cells_low_digits(base, tag, data):
     """Cells past b^g give the columns of their residues mod b^g, as _xi_table's refined cells need."""
     g = data.draw(st.integers(1, max(h for h in range(1, 7) if base**h <= 4096)))
     cells = np.array(data.draw(st.lists(st.integers(0, base ** (g + 3) - 1), min_size=1, max_size=8)))
-    assert np.array_equal(phase_numerators(cells, base, tag, g), phase_numerators(cells % base**g, base, tag, g))
+    full = phase_rows(cells, base, tag, g, 0, base**g)
+    assert np.array_equal(full, phase_rows(cells % base**g, base, tag, g, 0, base**g))
 
 
 @pytest.mark.parametrize("base, g, n", [(2, 20, 2), (2, 12, 1024), (3, 7, 2187), (65536, 1, 16)])
 @pytest.mark.parametrize("tag", [WALSH, BADIC])
 def test_phase_table_scratch_stays_within_a_quarter_of_the_table(base, g, n, tag, peak_mib):
-    """The kernel's tracemalloc peak is at most 1.25 tables + 1 MiB; a b^g x g
-    matrix of index digits took two points at g = 20 to 20 tables."""
+    """The whole table's tracemalloc peak is at most 1.25 tables + 1 MiB: its
+    index digits come in blocks of badic._BLOCK_BYTES, where one b^g x g
+    matrix of them took two points at g = 20 to 20 tables."""
     table_mib = base**g * n * 8 / 2**20
-    assert peak_mib(phase_numerators, np.arange(n), base, tag, g) <= 1.25 * table_mib + 1
+    assert peak_mib(phase_rows, np.arange(n), base, tag, g, 0, base**g) <= 1.25 * table_mib + 1
 
 
 @pytest.mark.parametrize("indices", [(9, 9), (-1, 3), (0, 9), (3, 2)])
 def test_phase_table_rejects_rows_outside_the_index_box(indices):
     with pytest.raises(ValueError, match="not within the index box"):
-        PhaseTable(np.arange(4), 2, BADIC, 3).rows(*indices)
+        phase_rows(np.arange(4), 2, BADIC, 3, *indices)
 
 
 @pytest.mark.parametrize("g, k", [(1, -1), (1, 2), (3, -1), (3, 8)])
 def test_phase_table_rejects_an_index_outside_the_box(g, k):
     with pytest.raises(ValueError, match="not within the index box"):
-        PhaseTable(np.arange(4), 2, BADIC, g).rows(k, k + 1)
+        phase_rows(np.arange(4), 2, BADIC, g, k, k + 1)
 
 
 # The scalar phases in Fraction arithmetic, written from the definitions:

@@ -207,19 +207,19 @@ def test_fc_suite_sums_each_block_in_place(peak_mib):
 
 def test_fc_suite_builds_only_each_blocks_phase_rows(monkeypatch, peak_mib):
     """The base-5 depth-4 phase table is 625 x 625 int64, 3.0 MiB; built whole,
-    it took the suite's peak to 7.6 MiB.  Each block reads only its own rows
-    from the PhaseTable of its base and tag."""
+    it took the suite's peak to 7.6 MiB.  Each block computes only its own
+    rows, with phase_rows."""
     import etkbound.verify as verify
 
     built = []
-    rows = verify.PhaseTable.rows
+    rows = verify.phase_rows
 
-    def spy(table, start, stop):
-        block = rows(table, start, stop)
-        built.append((table.modulus, len(block)))
+    def spy(cells, base, tag, g, start, stop):
+        block = rows(cells, base, tag, g, start, stop)
+        built.append((base**g, len(block)))
         return block
 
-    monkeypatch.setattr(verify.PhaseTable, "rows", spy)
+    monkeypatch.setattr(verify, "phase_rows", spy)
     res = check_fc_bounds()
     assert res.checks == 793440
     assert sum(n for modulus, n in built if modulus == 625) == 2 * 624
